@@ -199,97 +199,133 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # W = sqrt(H^2 - sigma^2).  Maximizing over classes on a fine phi grid and
 # bisecting the active crossing W(phi) = phi + 2 pi k gives sup |Im z| at
 # that sigma; the bound is the sup over sigma >= sigma_min.
+#
+# M(c)^p = sum_k c^k S_k is a matrix polynomial in c = e^(-z): H comes from
+# the p + 1 coefficients S_k by Horner's rule, entry by entry, with no
+# stacked matrix products.  Sigmas travel as arrays: one stacked call covers
+# a (sigma x phi) block, and one bisection serves every sigma at once.
 
 _COARSE_SIGMA_STEP = 1e-2
 _FINE_SIGMA_STEP = 1e-4
 _TAIL_CUT_STEPS = 100
+_COARSE_GRID = 2048
+_FINE_GRID = 16384
+_CURVE_GRID = 8192
+_BISECTION_STEPS = 50
+
+#: Most matrices one stacked evaluation holds; caps the sweeps' memory.
+_MAX_STACK = 16384
 
 
-def _stacked_h(A0: np.ndarray, A1: np.ndarray, c: np.ndarray, norm, power: int) -> np.ndarray:
-    """||M(c)^power||^(1/power) with M(c) = A0 + c A1 for an array of scalars c.
+def _power_coefficients(A0: np.ndarray, A1: np.ndarray, power: int) -> np.ndarray:
+    """S_0..S_p, shape (p + 1, n, n), with (A0 + c A1)^p = sum_k c^k S_k."""
+    S = np.eye(A0.shape[0], dtype=complex)[None]
+    for _ in range(power):
+        nxt = np.zeros((S.shape[0] + 1,) + A0.shape, dtype=complex)
+        nxt[:-1] += S @ A0
+        nxt[1:] += S @ A1
+        S = nxt
+    return S
 
-    norm is a Norm member or the string "rho" for the spectral radius (where
-    power is irrelevant and forced to 1).
+
+def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
+    """||M(c)^p||^(1/p) for an array of scalars c, given the coefficients of
+    M(c)^p from _power_coefficients.
+
+    norm is a Norm member or the string "rho" for the spectral radius of
+    M(c) (coefficients built with p = 1).
     """
-    n = A0.shape[0]
-    use_rho = norm == "rho"
-    M = A0[None, :, :] + c[:, None, None] * A1[None, :, :]
-    if n == 2:
-        # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs
-        if use_rho:
-            tr = M[:, 0, 0] + M[:, 1, 1]
-            det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    power, n = coeffs.shape[0] - 1, coeffs.shape[1]
+    E = np.multiply.outer(coeffs[-1], c)  # entries of M(c)^p, shape (n, n, len(c))
+    for S in coeffs[-2:0:-1]:
+        E += S[:, :, None]
+        E *= c
+    E += coeffs[0][:, :, None]
+    if norm == "rho":
+        if n == 2:
+            # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs
+            tr = E[0, 0] + E[1, 1]
+            det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
             disc = np.sqrt(tr * tr - 4.0 * det)
             return np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
-        Mp = M if power == 1 else np.linalg.matrix_power(M, power)
-        if norm == Norm.TWO:
-            f2 = (np.abs(Mp) ** 2).sum(axis=(1, 2))
-            det = Mp[:, 0, 0] * Mp[:, 1, 1] - Mp[:, 0, 1] * Mp[:, 1, 0]
-            smax2 = (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * np.abs(det) ** 2, 0.0))) / 2.0
-            return np.sqrt(smax2) ** (1.0 / power)
-    else:
-        Mp = M if (use_rho or power == 1) else np.linalg.matrix_power(M, power)
-    if use_rho:
-        return np.abs(np.linalg.eigvals(Mp)).max(axis=1)
+        return np.abs(np.linalg.eigvals(np.moveaxis(E, -1, 0))).max(axis=1)
+    if norm == Norm.TWO and n != 2:
+        return np.linalg.svd(np.moveaxis(E, -1, 0), compute_uv=False)[:, 0] ** (1.0 / power)
+    sq = E.real**2 + E.imag**2
     if norm == Norm.ONE:
-        h = np.abs(Mp).sum(axis=1).max(axis=1)
+        h = np.sqrt(sq).sum(axis=0).max(axis=0)
     elif norm == Norm.INFINITY:
-        h = np.abs(Mp).sum(axis=2).max(axis=1)
+        h = np.sqrt(sq).sum(axis=1).max(axis=0)
     elif norm == Norm.FROBENIUS:
-        h = np.sqrt((np.abs(Mp) ** 2).sum(axis=(1, 2)))
-    elif norm == Norm.TWO:
-        h = np.linalg.svd(Mp, compute_uv=False)[:, 0]
+        h = np.sqrt(sq.sum(axis=(0, 1)))
+    elif norm == Norm.TWO:  # 2x2 closed form
+        f2 = sq.sum(axis=(0, 1))
+        det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
+        det2 = det.real**2 + det.imag**2
+        h = np.sqrt((f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * det2, 0.0))) / 2.0)
     else:
         raise ValueError(f"unsupported norm: {norm}")
     return h ** (1.0 / power)
 
 
-def _omega_sup_at_sigma(A0, A1, sigma: float, norm, power: int, grid: int) -> tuple[float, float]:
-    """(sup, envelope) of |Im z| on the line Re z = sigma.
+def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int):
+    """(sup, envelope) of |Im z| on each line Re z = sigma, sigma in sigmas.
 
-    sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf if empty);
+    sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty);
     envelope = max_phi sqrt(H^2 - sigma^2) bounds every feasible omega at any
     sigma' >= sigma with the same H, and drives the scan's tail cut.
     """
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    c = math.exp(-sigma) * np.exp(-1j * phis)
-    H = _stacked_h(A0, A1, c, norm, power)
-    W2 = H * H - sigma * sigma
-    if not (W2 >= 0.0).any():
-        return -math.inf, -math.inf
-    W = np.sqrt(np.maximum(W2, 0.0))
-    envelope = float(W.max())
-    feasible = W >= phis
-    if not feasible.any():
-        return -math.inf, envelope
-    kmax = np.floor((W - phis) / (2.0 * math.pi))
-    omega = np.where(feasible, phis + 2.0 * math.pi * kmax, -math.inf)
-    i = int(np.argmax(omega))
-    best = float(omega[i])
-    kstar = float(kmax[i])
+    two_pi = 2.0 * math.pi
+    phis = np.linspace(0.0, two_pi, grid, endpoint=False)
+    phis_ext = np.append(phis, two_pi)
+    rot = np.exp(-1j * phis)
+    m = sigmas.size
+    sup = np.full(m, -math.inf)
+    env = np.full(m, -math.inf)
+    offset = np.zeros(m)  # 2 pi k* of the winning residue class
+    lo = np.zeros(m)
+    hi = np.zeros(m)
+    active = np.zeros(m, dtype=bool)
+    rows = max(1, _MAX_STACK // grid)
+    for start in range(0, m, rows):
+        blk = slice(start, start + rows)
+        s = sigmas[blk, None]
+        c = np.exp(-s) * rot
+        H = _stacked_h(coeffs, c.ravel(), norm).reshape(c.shape)
+        W2 = H * H - s * s
+        reach = (W2 >= 0.0).any(axis=1)
+        W = np.sqrt(np.maximum(W2, 0.0))
+        # W >= 0 = phis[0], so every row has a feasible class once W exists
+        kmax = np.floor((W - phis) / two_pi)
+        omega = np.where(W >= phis, phis + two_pi * kmax, -math.inf)
+        r = np.arange(W.shape[0])
+        i = omega.argmax(axis=1)
+        k2pi = two_pi * kmax[r, i]
+        # last downward crossing of W(phi) = phi + 2 pi k* over [0, 2 pi]
+        g = np.concatenate((W, W[:, :1]), axis=1) - (phis_ext + k2pi[:, None])
+        cross = (g[:, :-1] >= 0.0) & (g[:, 1:] < 0.0)
+        j = grid - 1 - cross[:, ::-1].argmax(axis=1)
+        sup[blk] = np.where(reach, omega[r, i], -math.inf)
+        env[blk] = np.where(reach, W.max(axis=1), -math.inf)
+        offset[blk] = k2pi
+        lo[blk] = phis_ext[j]
+        hi[blk] = phis_ext[j + 1]
+        active[blk] = reach & cross.any(axis=1)
 
-    # polish the active crossing W(phi) = phi + 2 pi k* within the winning class
-    def g(phi: float) -> float:
-        cc = math.exp(-sigma) * np.exp(-1j * np.array([phi % (2.0 * math.pi)]))
-        h = float(_stacked_h(A0, A1, cc, norm, power)[0])
-        w = math.sqrt(max(h * h - sigma * sigma, 0.0))
-        return w - (phi + 2.0 * math.pi * kstar)
-
-    garr = W - (phis + 2.0 * math.pi * kstar)
-    phis_ext = np.append(phis, 2.0 * math.pi)
-    garr_ext = np.append(garr, W[0] - (2.0 * math.pi + 2.0 * math.pi * kstar))
-    crossings = np.nonzero((garr_ext[:-1] >= 0.0) & (garr_ext[1:] < 0.0))[0]
-    if crossings.size:
-        j = int(crossings[-1])
-        lo, hi = float(phis_ext[j]), float(phis_ext[j + 1])
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if g(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        best = max(best, lo + 2.0 * math.pi * kstar)
-    return best, envelope
+    # polish every active crossing together
+    idx = np.flatnonzero(active)
+    for start in range(0, idx.size, _MAX_STACK):
+        sel = idx[start:start + _MAX_STACK]
+        s, k2pi, a, b = sigmas[sel], offset[sel], lo[sel], hi[sel]
+        scale = np.exp(-s)
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (a + b)
+            h = _stacked_h(coeffs, scale * np.exp(-1j * (mid % two_pi)), norm)
+            up = np.sqrt(np.maximum(h * h - s * s, 0.0)) - (mid + k2pi) >= 0.0
+            a = np.where(up, mid, a)
+            b = np.where(up, b, mid)
+        sup[sel] = np.maximum(sup[sel], a + k2pi)
+    return sup, env
 
 
 def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
@@ -298,6 +334,8 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
     Coarse sigma scan (step 1e-2) with the tail cut once the feasibility
     envelope stays below the running maximum for 100 consecutive steps,
     then a fine rescan (step 1e-4, denser phi grid) around the argmax.
+    The coarse scan evaluates sigmas a block at a time and replays these
+    sequential rules over each block.
     """
     # no feasible z beyond sigma_cap: |z| >= sigma there exceeds every
     # attainable ||M^p||^(1/p) <= ||A0|| + ||A1|| e^(-sigma)
@@ -305,31 +343,36 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
     na0 = matrix_norm(A0, capnorm)
     na1 = matrix_norm(A1, capnorm)
     sigma_cap = na0 + na1 * math.exp(-min(0.0, sigma_min)) + 1.0
+    coeffs = _power_coefficients(A0, A1, power)
 
+    block = _MAX_STACK // _COARSE_GRID
     best = -math.inf
     best_sigma = sigma_min
-    sigma = sigma_min
     below = 0
-    while sigma <= sigma_cap:
-        v, env = _omega_sup_at_sigma(A0, A1, sigma, norm, power, grid=2048)
-        if v > best:
-            best, best_sigma = v, sigma
-        if env < best:
-            below += 1
-            if below >= _TAIL_CUT_STEPS:
-                break
-        else:
-            below = 0
-        sigma += _COARSE_SIGMA_STEP
+    start = 0
+    while below < _TAIL_CUT_STEPS:
+        sigmas = sigma_min + np.arange(start, start + block) * _COARSE_SIGMA_STEP
+        sigmas = sigmas[sigmas <= sigma_cap]
+        if not sigmas.size:
+            break
+        sups, envs = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID)
+        for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
+            if v > best:
+                best, best_sigma = v, sigma
+            if env < best:
+                below += 1
+                if below >= _TAIL_CUT_STEPS:
+                    break
+            else:
+                below = 0
+        start += block
     if best == -math.inf:
         return 0.0
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
     hi = best_sigma + _COARSE_SIGMA_STEP
-    for s in np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP):
-        v, _ = _omega_sup_at_sigma(A0, A1, float(s), norm, power, grid=16384)
-        if v > best:
-            best = v
-    return float(best)
+    fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
+    sups, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID)
+    return float(max(best, sups.max()))
 
 
 def bound_norm_power(
@@ -361,16 +404,14 @@ def boundary_curve(
 ) -> np.ndarray:
     """Feasibility-boundary samples (sigma, omega_sup) for curve plots.
 
-    norm=None selects the spectral-radius curve.  Infeasible sigmas yield NaN.
+    norm=None selects the spectral-radius curve (power is then ignored).
+    Infeasible sigmas yield NaN.
     """
-    A0 = pair.A0.astype(complex)
-    A1 = pair.A1.astype(complex)
-    key = "rho" if norm is None else Norm(norm)
-    out = []
-    for s in sigmas:
-        v, _ = _omega_sup_at_sigma(A0, A1, float(s), key, int(power), grid=8192)
-        out.append((float(s), v if v > -math.inf else math.nan))
-    return np.array(out)
+    key, power = ("rho", 1) if norm is None else (Norm(norm), int(power))
+    coeffs = _power_coefficients(pair.A0.astype(complex), pair.A1.astype(complex), power)
+    sigmas = np.asarray(sigmas, dtype=float).ravel()
+    sups, _ = _omega_sup(coeffs, key, sigmas, _CURVE_GRID)
+    return np.column_stack((sigmas, np.where(sups > -math.inf, sups, math.nan)))
 
 
 # --- the analytic chain for the standard pair -------------------------------

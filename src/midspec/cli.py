@@ -233,6 +233,12 @@ def _bounds_rows(args, pair):
              report.sigma_min, report.value)
         )
 
+    def add_lemma3():
+        rep = lemma3_analytic_bound(pair)  # ValueError outside the standard pair
+        for step, value in (("coarse", rep.coarse), ("refined", rep.refined),
+                            ("certified", rep.certified)):
+            rows.append((f"lemma3-{step}", "frobenius", 2, 0.0, value))
+
     if args.all:
         add(bound_spectral_radius_curve(pair, args.sigma_min))
         for norm in (Norm.ONE, Norm.FROBENIUS, Norm.INFINITY):
@@ -243,10 +249,10 @@ def _bounds_rows(args, pair):
             add(bound_mori_kokame(pair, norm))
         for norm in (Norm.ONE, Norm.TWO, Norm.INFINITY):
             add(bound_tissir_hmamed(pair, norm))
-        rep = lemma3_analytic_bound(pair)
-        rows.append(("lemma3-coarse", "frobenius", 2, 0.0, rep.coarse))
-        rows.append(("lemma3-refined", "frobenius", 2, 0.0, rep.refined))
-        rows.append(("lemma3-certified", "frobenius", 2, 0.0, rep.certified))
+        try:
+            add_lemma3()
+        except ValueError:
+            pass  # the analytic chain covers the standard pair only
         return rows
 
     norm = Norm(args.norm)
@@ -259,10 +265,7 @@ def _bounds_rows(args, pair):
     elif args.method == "tissir-hmamed":
         add(bound_tissir_hmamed(pair, norm))
     elif args.method == "lemma3":
-        rep = lemma3_analytic_bound(pair)
-        rows.append(("lemma3-coarse", "frobenius", 2, 0.0, rep.coarse))
-        rows.append(("lemma3-refined", "frobenius", 2, 0.0, rep.refined))
-        rows.append(("lemma3-certified", "frobenius", 2, 0.0, rep.certified))
+        add_lemma3()
     else:
         raise ValueError(f"unknown method {args.method!r}")
     return rows
@@ -460,18 +463,24 @@ def cmd_verify(args, em: _Emitter) -> int:
             )
         )
     except LocalizationError as exc:
-        checks.append(("dominance", False, f"inconclusive: {exc}"))
+        checks.append(("dominance", None, f"inconclusive: {exc}"))
 
+    # ok is True (pass), False (failed) or None (inconclusive)
     all_ok = all(ok for _, ok, _ in checks)
+    failed = any(ok is not None and not ok for _, ok, _ in checks)
     for name, ok, detail in checks:
-        em.say(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    em.say("verdict: " + ("all checks passed" if all_ok else "FAILURES detected"))
+        label = "INCONCLUSIVE" if ok is None else "PASS" if ok else "FAIL"
+        em.say(f"{label} {name}: {detail}")
+    if all_ok:
+        em.say("verdict: all checks passed")
+    else:
+        em.say("verdict: " + ("FAILURES detected" if failed else "inconclusive"))
     em.payload = {
         "s0": s0,
         "checks": [{"name": n_, "passed": ok, "detail": d} for n_, ok, d in checks],
         "passed": all_ok,
     }
-    return 0 if all_ok else 1
+    return 0 if all_ok else 1 if failed else 3
 
 
 # --- parser -------------------------------------------------------------------

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Polynomial",
@@ -446,6 +445,8 @@ def factorization_residual_n2(z: complex) -> float:
     direct evaluation agrees with an adaptive-quadrature evaluation of the
     integral (absolute quadrature target 1e-12 per part).
     """
+    from scipy.integrate import quad  # heavy import, needed by this check alone
+
     z = complex(z)
     if z == 0:
         raise ValueError("z = 0 excluded; compare against the t (1-t)^2 moment instead")

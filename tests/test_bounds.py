@@ -16,7 +16,9 @@ from midspec.bounds import (
     log_norm,
     matrix_norm,
 )
-from midspec.spectral import CompanionPair
+from midspec import bounds
+from midspec.quasipoly import normalize
+from midspec.spectral import CompanionPair, companion_pair
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +28,10 @@ def sweep_values(std_pair):
         "rho": bound_spectral_radius_curve(std_pair).value,
         ("one", 1): bound_norm_power(std_pair, Norm.ONE, 1).value,
         ("fro", 1): bound_norm_power(std_pair, Norm.FROBENIUS, 1).value,
+        ("inf", 1): bound_norm_power(std_pair, Norm.INFINITY, 1).value,
         ("one", 2): bound_norm_power(std_pair, Norm.ONE, 2).value,
         ("fro", 2): bound_norm_power(std_pair, Norm.FROBENIUS, 2).value,
+        ("inf", 2): bound_norm_power(std_pair, Norm.INFINITY, 2).value,
     }
 
 
@@ -176,6 +180,96 @@ def test_boundary_curve_export(std_pair):
     assert data.shape == (3, 2)
     assert abs(data[0, 1] - 5.9763) < 2e-3  # the sup sits at sigma = 0
     assert math.isnan(data[2, 1])  # far right: infeasible
+
+
+# --- the stacked kernel ------------------------------------------------------------
+
+_NORM_ORD = {Norm.ONE: 1, Norm.TWO: 2, Norm.FROBENIUS: "fro", Norm.INFINITY: np.inf}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_h_against_per_matrix_oracle(n):
+    # the matrix-polynomial kernel against matrix_power / eigvals, one matrix at a time
+    rng = np.random.default_rng(20 + n)
+    A0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    A1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c = np.exp(-rng.uniform(-0.5, 2.0, 64) - 1j * rng.uniform(0.0, 2 * math.pi, 64))
+    mats = A0 + c[:, None, None] * A1
+
+    got = bounds._stacked_h(bounds._power_coefficients(A0, A1, 1), c, "rho")
+    want = [np.abs(np.linalg.eigvals(M)).max() for M in mats]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for p in (1, 2, 3):
+        coeffs = bounds._power_coefficients(A0, A1, p)
+        for norm, ord_ in _NORM_ORD.items():
+            got = bounds._stacked_h(coeffs, c, norm)
+            want = [np.linalg.norm(np.linalg.matrix_power(M, p), ord_) ** (1 / p) for M in mats]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{norm} p={p}")
+
+
+# Values of the per-sigma sweep that the batched one replaced (scalar
+# bisection, stacked matrix powers, accumulated sigma steps).
+_PINNED_SWEEPS = {
+    "rho": 5.976289035451342,
+    ("one", 1): 10.451927060626476,
+    ("fro", 1): 10.630303124895924,
+    ("inf", 1): 11.471994300559466,
+    ("one", 2): 6.462900660223043,
+    ("fro", 2): 6.080229267503175,
+    ("inf", 2): 7.816282902651759,
+}
+_PINNED_CURVE_RHO = [
+    5.976289035451342, 4.963918067150458, 3.1025840144877264, 2.998514190270682,
+    2.8793671523458504, 2.739547120409565, 2.5714723282877094, 2.3638262700544903,
+    2.0966847219794267, 1.7227897106229115, 0.909066009488907, math.nan, math.nan,
+]
+_PINNED_CURVE_FRO2 = [
+    6.080229267503175, 5.757456627870741, 5.552372873153656, 5.39615282978409,
+    5.267179145456862, 5.153736131630891, 5.0471998985194855, 4.940689896062603,
+    4.828814591776957, 4.707409509508772, 4.573162899611477, 4.42322207476387,
+    4.254829924927313,
+]
+
+
+def test_sweeps_match_pinned_values(sweep_values):
+    for key, want in _PINNED_SWEEPS.items():
+        assert abs(sweep_values[key] - want) < 1e-9, (key, sweep_values[key], want)
+
+
+def test_order3_frobenius_square_sweep_pinned(example_system):
+    pair = companion_pair(normalize(example_system, -0.5))
+    value = bound_norm_power(pair, Norm.FROBENIUS, 2).value
+    assert abs(value - 35.42513344194229) < 1e-9
+
+
+def test_boundary_curve_pinned(std_pair):
+    sigmas = np.arange(0.0, 3.0 + 1e-9, 0.25)
+    for norm, power, want in ((None, 1, _PINNED_CURVE_RHO), (Norm.FROBENIUS, 2, _PINNED_CURVE_FRO2)):
+        data = boundary_curve(std_pair, sigmas, norm, power)
+        np.testing.assert_array_equal(data[:, 0], sigmas)
+        np.testing.assert_allclose(data[:, 1], want, rtol=0.0, atol=1e-9)  # NaNs must coincide
+
+
+def test_sweep_stacked_calls_respect_cap(std_pair, monkeypatch):
+    sizes = []
+    kernel = bounds._stacked_h
+
+    def spy(coeffs, c, norm):
+        sizes.append(c.size)
+        return kernel(coeffs, c, norm)
+
+    monkeypatch.setattr(bounds, "_stacked_h", spy)
+    bound_norm_power(std_pair, Norm.ONE, 2)
+    bound_spectral_radius_curve(std_pair)
+    assert max(sizes) <= bounds._MAX_STACK
+
+    # one bisection serves every sigma of a call: grid blocks plus 50 steps
+    sizes.clear()
+    sigmas = np.arange(0.0, 3.0, 0.02)
+    boundary_curve(std_pair, sigmas, Norm.FROBENIUS, 2)
+    assert max(sizes) <= bounds._MAX_STACK
+    rows = bounds._MAX_STACK // bounds._CURVE_GRID
+    assert len(sizes) <= math.ceil(sigmas.size / rows) + bounds._BISECTION_STEPS
 
 
 def test_bound_report_validation():

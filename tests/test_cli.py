@@ -16,19 +16,25 @@ from midspec import cli
 SRC = str(Path(midspec.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd=None, env=None):
-    """Run the CLI in a fresh process; ``env`` merges over ``os.environ``."""
+def run_python(*args, cwd=None, env=None):
+    """Run a fresh interpreter that imports this midspec; ``env`` merges over
+    ``os.environ``."""
     child_env = {**os.environ, **(env or {})}
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, child_env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "midspec.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=child_env,
     )
+
+
+def run_cli(*args, cwd=None, env=None):
+    """Run the CLI in a fresh process; ``env`` merges over ``os.environ``."""
+    return run_python("-m", "midspec.cli", *args, cwd=cwd, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +176,22 @@ def test_bounds_all_includes_lemma_chain(bounds_all):
     assert abs(bounds_all[("lemma3-certified", "frobenius", 2)] - 2 * math.pi) < 1e-12
 
 
+def test_bounds_all_on_designed_system(bounds_all, tmp_path):
+    # the analytic chain covers the standard pair only: --all leaves its rows out
+    assert len(bounds_all) == 16  # standard pair: 13 table rows + 3 chain rows
+    r = run_cli("design", "--n", "1", "--s0", "-0.5", "--tau", "2.5", "--out-dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    system = str(tmp_path / "system.json")
+    r = run_cli("bounds", system, "--all", "--out-dir", str(tmp_path), "--quiet")
+    assert r.returncode == 0, r.stderr
+    rows = (tmp_path / "bounds.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 13
+    assert not any(row.startswith("lemma3") for row in rows)
+    r = run_cli("bounds", system, "--method", "lemma3", "--out-dir", str(tmp_path))
+    assert r.returncode == 2
+    assert "standard normalized pair" in r.stderr
+
+
 def test_bounds_invalid_combination_exit_2(tmp_path):
     r = run_cli(
         "bounds", "--standard-pair", "--method", "mori-kokame", "--norm", "frobenius",
@@ -278,6 +300,28 @@ def test_verify_n2_runs_factorization(tmp_path):
     assert "PASS factorization-residual" in r.stdout
 
 
+def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
+    from midspec import spectral
+
+    def inconclusive(*args, **kwargs):
+        raise spectral.LocalizationError("root remains on the boundary")
+
+    monkeypatch.delenv("MIDSPEC_THREADS", raising=False)
+    monkeypatch.setattr(spectral, "certify_dominance", inconclusive)
+    assert cli.main(["verify", str(example_dir / "system.json")]) == 3
+    out = capsys.readouterr().out
+    assert "INCONCLUSIVE dominance: inconclusive: root remains on the boundary" in out
+    assert "verdict: inconclusive" in out
+
+    # a check that really failed outranks an inconclusive one
+    doc = json.loads((example_dir / "system.json").read_text())
+    doc["a"][0] += 0.01
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(bad), "--s0", "-0.5"]) == 1
+    assert "FAIL multiplicity" in capsys.readouterr().out
+
+
 def test_verify_missing_file_exit_2(tmp_path):
     r = run_cli("verify", str(tmp_path / "nope.json"))
     assert r.returncode == 2
@@ -303,6 +347,20 @@ def test_design_spectrum_verify_round_trip(n, tmp_path):
     assert abs(doc["spectral_abscissa"] - s0) < 1e-6
     r = run_cli("verify", str(tmp_path / "system.json"), "--out-dir", str(tmp_path))
     assert r.returncode == 0, r.stdout
+
+
+# --- imports ----------------------------------------------------------------------
+
+
+def test_library_import_loads_no_scipy():
+    # scipy is loaded only by the n = 2 factorization check and the simulator
+    r = run_python(
+        "-c",
+        "import sys, midspec.cli, midspec.quasipoly, midspec.spectral, midspec.bounds; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 # --- thread cap -------------------------------------------------------------------
