@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -144,17 +144,14 @@ def cmd_design(args, em: _Emitter) -> int:
 
 
 def cmd_spectrum(args, em: _Emitter) -> int:
-    from .bounds import Norm, bound_norm_power
     from .spectral import (
         LocalizationError,
         Rectangle,
         SpectrumReport,
         certify_dominance,
-        companion_pair,
         find_roots,
         roots_to_csv,
     )
-    from .quasipoly import normalize
 
     sys_ = _load_system(args.system)
     s0 = args.s0 if args.s0 is not None else _default_s0(sys_)
@@ -175,21 +172,17 @@ def cmd_spectrum(args, em: _Emitter) -> int:
         em.say("no roots in region")
         return 3
 
-    pair = companion_pair(normalize(sys_, s0))
-    bound = bound_norm_power(pair, Norm.FROBENIUS, 2, sigma_min=0.0)
     try:
-        cert = certify_dominance(sys_, s0, bound, re_floor=s0)
+        cert = certify_dominance(sys_, s0, re_floor=s0)
     except LocalizationError as exc:
         em.say(f"inconclusive: {exc}")
         return 3
 
+    # the located roots of the region, judged by the certified verdict
     base = SpectrumReport.from_roots(roots, region)
-    report = SpectrumReport(
-        base.roots,
-        region,
-        base.spectral_abscissa,
-        cert.dominant if cert.strictly_dominant else base.dominant,
-        cert.strictly_dominant,
+    strictly = cert.strictly_dominant
+    report = replace(
+        base, dominant=cert.dominant if strictly else base.dominant, strictly_dominant=strictly
     )
 
     out = Path(args.out_dir)
@@ -410,14 +403,13 @@ def cmd_simulate(args, em: _Emitter) -> int:
 
 
 def cmd_verify(args, em: _Emitter) -> int:
-    from .bounds import Norm, bound_norm_power
     from .quasipoly import (
-        factorization_residual_n2,
+        factorization_residual,
         mid_coefficients,
         multiplicity_at,
         normalize,
     )
-    from .spectral import LocalizationError, certify_dominance, companion_pair
+    from .spectral import LocalizationError, certify_dominance
 
     sys_ = _load_system(args.system)
     s0 = args.s0 if args.s0 is not None else _default_s0(sys_)
@@ -442,18 +434,13 @@ def cmd_verify(args, em: _Emitter) -> int:
         ("normalization-universality", dev < 1e-10, f"max relative deviation {dev:.3e}")
     )
 
-    if n == 2:
-        worst = max(
-            factorization_residual_n2(z) for z in (1.0, 2j * math.pi, 0.7 - 0.3j)
-        )
-        checks.append(
-            ("factorization-residual", worst < 1e-10, f"max residual {worst:.3e}")
-        )
+    worst = max(factorization_residual(n, z) for z in (1.0, 2j * math.pi, 0.7 - 0.3j))
+    checks.append(
+        ("factorization-residual", worst < 1e-12, f"max relative residual {worst:.3e}")
+    )
 
     try:
-        pair = companion_pair(nsys)
-        bound = bound_norm_power(pair, Norm.FROBENIUS, 2, sigma_min=0.0)
-        cert = certify_dominance(sys_, s0, bound, re_floor=s0)
+        cert = certify_dominance(sys_, s0, re_floor=s0)
         checks.append(
             (
                 "dominance",

@@ -10,7 +10,8 @@ is the two-term case:  Delta(s) = s^n + sum a_k s^k + e^(-s tau) sum alpha_k s^k
 
 This module holds the representation, evaluation and differentiation,
 the closed-form coefficient assignment that places a real root of
-maximal multiplicity 2n, and the scale-aware numerical multiplicity test.
+maximal multiplicity 2n, the scale-aware numerical multiplicity test, and
+the companion matrices of the first-order form.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ __all__ = [
     "denormalize",
     "multiplicity_at",
     "dominant_root_from_trace",
-    "factorization_residual_n2",
+    "factorization_residual",
+    "companion",
     "standard_quartic_quasipolynomial",
 ]
 
@@ -93,7 +95,8 @@ class Polynomial:
         return Polynomial([x - y for x, y in zip(a, b)])
 
     def abs_value_at(self, z: complex) -> float:
-        """Sum of monomial magnitudes |c_j| |z|^j, the natural evaluation scale."""
+        """Sum of monomial magnitudes |c_j| |z|^j, the natural evaluation scale;
+        elementwise on arrays."""
         r = abs(z)
         acc = 0.0
         for c in reversed(self.coefficients):
@@ -176,12 +179,8 @@ class Quasipolynomial:
     def magnitude_scale_array(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         acc = np.zeros(z.shape, dtype=float)
-        r = np.abs(z)
         for lam, p in self.terms:
-            pacc = np.zeros_like(r)
-            for c in reversed(p.coefficients):
-                pacc = pacc * r + abs(c)
-            acc += pacc * np.exp(-lam * z.real)
+            acc += p.abs_value_at(z) * np.exp(-lam * z.real)
         return acc
 
 
@@ -437,27 +436,39 @@ def standard_quartic_quasipolynomial() -> Quasipolynomial:
     return mid_coefficients(2, 0.0, 1.0).quasipolynomial()
 
 
-def factorization_residual_n2(z: complex) -> float:
-    """| q(z) - z^4 * integral_0^1 t (t-1)^2 e^(-z t) dt |  for the standard
-    normalized n = 2 quasipolynomial q.
+def factorization_residual(n: int, z: complex) -> float:
+    """Relative residual of the integral factorization of the normalized
+    order-n design q (root of multiplicity 2n at the origin, delay 1):
 
-    The integral representation is exact; the residual measures how well the
-    direct evaluation agrees with an adaptive-quadrature evaluation of the
-    integral (absolute quadrature target 1e-12 per part).
+        q(z) = z^(2n)/(n-1)! * integral_0^1 t^(n-1) (1-t)^n e^(-z t) dt.
+
+    The integral is evaluated by 64-node Gauss-Legendre quadrature and the
+    difference is measured against q.magnitude_scale(z), so the residual
+    stays comparable across orders whose terms grow like |z|^n.
     """
-    from scipy.integrate import quad  # heavy import, needed by this check alone
-
     z = complex(z)
     if z == 0:
-        raise ValueError("z = 0 excluded; compare against the t (1-t)^2 moment instead")
+        raise ValueError("z = 0 excluded; compare against the moment identity instead")
+    n = int(n)
+    q = mid_coefficients(n, 0.0, 1.0).quasipolynomial()
+    x, w = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * (x + 1.0)
+    integral = 0.5 * np.sum(w * t ** (n - 1) * (1.0 - t) ** n * np.exp(-z * t))
+    rhs = z ** (2 * n) / math.factorial(n - 1) * integral
+    return abs(q(z) - rhs) / q.magnitude_scale(z)
 
-    def integrand_re(t: float) -> float:
-        return (t * (t - 1.0) ** 2 * cmath.exp(-z * t)).real
 
-    def integrand_im(t: float) -> float:
-        return (t * (t - 1.0) ** 2 * cmath.exp(-z * t)).imag
+def companion(b: Sequence[float], beta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Companion matrices (A0, A1) of y^(n) + sum b_k y^(k) + sum beta_k y^(k)(t - delay):
+    ones on the superdiagonal of A0, last rows -b and -beta.
 
-    re, _ = quad(integrand_re, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    im, _ = quad(integrand_im, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    q = standard_quartic_quasipolynomial()
-    return abs(q(z) - z**4 * complex(re, im))
+    The sign on the last rows is what makes det(zI - A0 - A1 e^(-z delay))
+    equal z^n + sum b_k z^k + e^(-z delay) sum beta_k z^k.
+    """
+    n = len(b)
+    A0 = np.zeros((n, n))
+    A1 = np.zeros((n, n))
+    A0[np.arange(n - 1), np.arange(1, n)] = 1.0
+    A0[-1, :] = np.negative(b)
+    A1[-1, :] = np.negative(beta)
+    return A0, A1

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .quasipoly import RetardedSystem
+from .quasipoly import RetardedSystem, companion
 
 __all__ = [
     "HistoryKind",
@@ -70,6 +69,8 @@ class HistoryFunction:
 
     def __post_init__(self):
         if self.kind == HistoryKind.SAMPLED:
+            from scipy.interpolate import CubicSpline  # heavy import, sampled histories only
+
             t = np.asarray(self.times, dtype=float)
             v = np.asarray(self.values, dtype=float)
             if t.ndim != 1 or t.shape != v.shape or t.size < 4:
@@ -210,17 +211,6 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _companion_matrices(sys: RetardedSystem) -> tuple[np.ndarray, np.ndarray]:
-    n = sys.n
-    A0 = np.zeros((n, n))
-    A1 = np.zeros((n, n))
-    if n > 1:
-        A0[np.arange(n - 1), np.arange(1, n)] = 1.0
-    A0[-1, :] = [-ak for ak in sys.a]
-    A1[-1, :] = [-ak for ak in sys.alpha]
-    return A0, A1
-
-
 def _midpoints(grid: np.ndarray) -> np.ndarray:
     """Values halfway between consecutive rows of a uniform grid, by 4-point
     cubic interpolation (one-sided stencils at the ends)."""
@@ -261,7 +251,7 @@ def simulate(
         raise ValueError("adjusted step fell below 1e-9")
 
     n = sys.n
-    A0, A1 = _companion_matrices(sys)
+    A0, A1 = companion(sys.a, sys.alpha)
     windows = int(math.ceil(t_end / tau - 1e-12))
 
     # first window reads the history exactly, at nodes and stage midpoints

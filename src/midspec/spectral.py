@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -23,12 +23,10 @@ from .quasipoly import (
     NormalizedSystem,
     Quasipolynomial,
     RetardedSystem,
+    companion,
     mid_coefficients,
     normalize,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .bounds import BoundReport
 
 __all__ = [
     "CompanionPair",
@@ -92,20 +90,8 @@ class CompanionPair:
 
 
 def companion_pair(nsys: NormalizedSystem) -> CompanionPair:
-    """Companion pair of a delay-1 system: ones on the superdiagonal of A0,
-    last rows -b and -beta.
-
-    The sign on the last rows is what makes det(zI - A0 - A1 e^(-z)) equal
-    z^n + sum b_k z^k + e^(-z) sum beta_k z^k.
-    """
-    n = nsys.n
-    A0 = np.zeros((n, n))
-    A1 = np.zeros((n, n))
-    if n > 1:
-        A0[np.arange(n - 1), np.arange(1, n)] = 1.0
-    A0[-1, :] = [-bk for bk in nsys.b]
-    A1[-1, :] = [-bk for bk in nsys.beta]
-    return CompanionPair(A0, A1)
+    """Companion pair of a delay-1 system (see quasipoly.companion)."""
+    return CompanionPair(*companion(nsys.b, nsys.beta))
 
 
 def standard_pair() -> CompanionPair:
@@ -190,11 +176,10 @@ class SpectrumReport:
     @staticmethod
     def from_roots(roots: Iterable[Root], region: Rectangle) -> "SpectrumReport":
         """Generic report: strict dominance means a unique real root attains
-        the maximal real part (ties closer than 1e-9 count as non-strict)."""
+        the maximal real part (ties closer than 1e-9 count as non-strict).
+        An empty root set gives abscissa -inf and no dominant root."""
         roots = tuple(sorted(roots, key=lambda r: (-r.location.real, r.location.imag)))
-        if not roots:
-            raise ValueError("cannot build a report from an empty root set")
-        gamma0 = max(r.location.real for r in roots)
+        gamma0 = max((r.location.real for r in roots), default=-math.inf)
         tie = 1e-9 * (1.0 + abs(gamma0))
         attaining = [r for r in roots if r.location.real >= gamma0 - tie]
         dominant = attaining[0] if len(attaining) == 1 else None
@@ -293,16 +278,22 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
     return int(round(w))
 
 
-def _inflation_steps(rect: Rectangle):
-    """Outward inflations tried when a root sits on the boundary: starts at
-    1e-6 and grows tenfold per retry, because around a root of multiplicity m
-    the evaluation-cancellation floor is only cleared at distance
-    ~(1e-12)^(1/m), far beyond 1e-6 for m >= 2."""
-    yield rect
+def _inflated_count(q: Quasipolynomial, rect: Rectangle) -> tuple[Rectangle, int]:
+    """Winding count of q around rect, inflated outward while a root sits
+    (numerically) on the boundary; returns the rectangle counted and its count.
+
+    The inflation starts at 1e-6 and grows tenfold per retry, at most 5
+    times, because around a root of multiplicity m the evaluation-cancellation
+    floor is only cleared at distance ~(1e-12)^(1/m), far beyond 1e-6 for m >= 2.
+    """
     delta = 0.0
-    for k in range(5):
-        delta += 1e-6 * 10.0**k
-        yield rect.inflated(delta)
+    for k in range(6):
+        attempt = rect.inflated(delta)
+        try:
+            return attempt, _winding(q, attempt)
+        except _BoundaryProximity:
+            delta += 1e-6 * 10.0**k
+    raise LocalizationError("root remains on the boundary after 5 inflation retries")
 
 
 def count_roots(q: Quasipolynomial, rect: Rectangle) -> int:
@@ -313,20 +304,18 @@ def count_roots(q: Quasipolynomial, rect: Rectangle) -> int:
     """
     if q.is_zero:
         raise ValueError("cannot count roots of the zero quasipolynomial")
-    for attempt in _inflation_steps(rect):
-        try:
-            return _winding(q, attempt)
-        except _BoundaryProximity:
-            continue
-    raise LocalizationError("root remains on the boundary after 5 inflation retries")
-
-
-def _count_exact(q: Quasipolynomial, rect: Rectangle) -> int:
-    """Winding count without inflation; lets callers manage boundary clearance."""
-    return _winding(q, rect)
+    return _inflated_count(q, rect)[1]
 
 
 # --- refinement ---------------------------------------------------------------
+
+
+def _newton_u_step(f: complex, fp: complex, fpp: complex) -> complex:
+    """Newton step on u = q/q' from the values of q, q', q'' at a point:
+    u / (1 - q q''/q'^2), damped to u/2 when the denominator degenerates."""
+    u = f / fp
+    denom = 1.0 - f * fpp / (fp * fp)
+    return u / denom if abs(denom) > 1e-3 else 0.5 * u
 
 
 def _refine_newton(
@@ -363,9 +352,7 @@ def _refine_newton(
         if fp == 0:
             z = z + 1e-9 * (1.0 + abs(z))
             continue
-        u = f / fp
-        denom = 1.0 - f * qpp(z) / (fp * fp)
-        step = u / denom if abs(denom) > 1e-3 else 0.5 * u
+        step = _newton_u_step(f, fp, qpp(z))
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             break
         z = z - step
@@ -399,9 +386,7 @@ def _refine_newton(
         fp = qp(z)
         if fp == 0:
             break
-        u = f / fp
-        denom = 1.0 - f * qpp(z) / (fp * fp)
-        step = u / denom if abs(denom) > 1e-3 else 0.5 * u
+        step = _newton_u_step(f, fp, qpp(z))
         z = z - step
         if abs(step) <= 5e-16 * (1.0 + abs(z)):
             return z, True
@@ -449,7 +434,7 @@ def _stable_count_around(q: Quasipolynomial, z: complex, h0: float) -> int:
         hh = h
         for _ in range(6):
             try:
-                count = _count_exact(
+                count = _winding(
                     q, Rectangle(z.real - hh, z.real + hh, z.imag - hh, z.imag + hh)
                 )
                 break
@@ -512,7 +497,7 @@ def _split_and_count(
             Rectangle(xm, box.re_max, ym, box.im_max),
         ]
         try:
-            counts = [_count_exact(q, c) for c in children]
+            counts = [_winding(q, c) for c in children]
         except (_BoundaryProximity, LocalizationError):
             continue
         if sum(counts) == m:
@@ -534,16 +519,7 @@ def find_roots(q: Quasipolynomial, rect: Rectangle, tol: float = 1e-9) -> list[R
     if q.is_zero:
         raise ValueError("cannot locate roots of the zero quasipolynomial")
 
-    # top-level count, inflating per the boundary-root policy
-    total = None
-    for attempt in _inflation_steps(rect):
-        try:
-            total = _count_exact(q, attempt)
-            break
-        except _BoundaryProximity:
-            continue
-    if total is None:
-        raise LocalizationError("root remains on the boundary after 5 inflation retries")
+    region, total = _inflated_count(q, rect)
     if total == 0:
         return []
 
@@ -551,7 +527,7 @@ def find_roots(q: Quasipolynomial, rect: Rectangle, tol: float = 1e-9) -> list[R
     qpp = qp.derivative()
     derivs = [q, qp, qpp]
     roots: list[Root] = []
-    stack: list[tuple[Rectangle, int]] = [(attempt, total)]
+    stack: list[tuple[Rectangle, int]] = [(region, total)]
     floor = 1e3 * np.finfo(float).eps
 
     def finish(z: complex, mult: int) -> Root:
@@ -663,19 +639,16 @@ def _modulus_growth_radius(n: int, weights: list[float]) -> float:
     return hi + 0.25
 
 
-def certify_dominance(
-    sys: RetardedSystem, s0: float, bound: "BoundReport", re_floor: float
-) -> SpectrumReport:
+def certify_dominance(sys: RetardedSystem, s0: float, re_floor: float) -> SpectrumReport:
     """Certify that s0 is the strictly dominant root of the system.
 
     Works on the delay-1 normalized form at s0, where roots s with
-    Re s >= re_floor map to Re z >= sigma_min = tau (re_floor - s0).  The
-    supplied bound confines such roots to |Im z| <= bound.value, and a
-    Cauchy-type modulus cut confines them to Re z <= R: for Re z >= sigma_min,
-    |z|^n <= sum (|b_k| + |beta_k| e^(-sigma_min)) |z|^k forces |z| <= R with
-    R = 1 + max_k (|b_k| + |beta_k| e^(-sigma_min)).  Locating all roots in
-    the remaining rectangle decides the verdict: strict dominance holds iff
-    the only root with Re z >= 0 is z = 0 with the full multiplicity 2n.
+    Re s >= re_floor map to Re z >= sigma_min = tau (re_floor - s0).  A
+    Cauchy-type modulus cut confines such roots to |z| <= R, where R is the
+    largest root of r^n = sum (|b_k| + |beta_k| e^(-min(0, sigma_min))) r^k,
+    hence to Re z <= R and |Im z| <= R.  Locating all roots in the remaining
+    rectangle decides the verdict: strict dominance holds iff the only root
+    with Re z >= 0 is z = 0 with the full multiplicity 2n.
     """
     s0 = float(s0)
     tau = sys.tau
@@ -686,7 +659,7 @@ def certify_dominance(
     radius = _modulus_growth_radius(
         nsys.n, [abs(b) + abs(be) * amp for b, be in zip(nsys.b, nsys.beta)]
     )
-    B = bound.value + 0.1
+    B = radius + 0.1
     margin = 0.25
     region_n = Rectangle(sigma_min - margin, max(radius, sigma_min + 1.0) + 0.1, -B, B)
 
@@ -706,22 +679,14 @@ def certify_dominance(
         region_n.im_min / tau,
         region_n.im_max / tau,
     )
+    report = SpectrumReport.from_roots(roots, region)
 
     zero_tol = 1e-6
     right = [r for r in roots_n if r.location.real >= -zero_tol]
     strictly = (
-        len(right) == 1
+        report.dominant is not None
+        and len(right) == 1
         and abs(right[0].location) <= zero_tol
         and right[0].multiplicity == 2 * sys.n
     )
-
-    roots_sorted = tuple(sorted(roots, key=lambda r: (-r.location.real, r.location.imag)))
-    gamma0 = max(r.location.real for r in roots_sorted) if roots_sorted else -math.inf
-    dominant = None
-    if strictly:
-        dominant = next(r for r in roots_sorted if abs(r.location - s0) <= zero_tol / tau + 1e-12)
-    elif roots_sorted:
-        tie = 1e-9 * (1.0 + abs(gamma0))
-        attaining = [r for r in roots_sorted if r.location.real >= gamma0 - tie]
-        dominant = attaining[0] if len(attaining) == 1 else None
-    return SpectrumReport(roots_sorted, region, gamma0, dominant, strictly)
+    return replace(report, strictly_dominant=strictly)

@@ -300,6 +300,14 @@ def test_verify_n2_runs_factorization(tmp_path):
     assert "PASS factorization-residual" in r.stdout
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_verify_runs_factorization_at_every_order(n, tmp_path, capsys):
+    assert cli.main(["design", "--n", str(n), "--s0", "-0.2", "--tau", "1.5",
+                     "--out-dir", str(tmp_path), "--quiet"]) == 0
+    cli.main(["verify", str(tmp_path / "system.json")])
+    assert "PASS factorization-residual: max relative residual" in capsys.readouterr().out
+
+
 def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
     from midspec import spectral
 
@@ -353,14 +361,28 @@ def test_design_spectrum_verify_round_trip(n, tmp_path):
 
 
 def test_library_import_loads_no_scipy():
-    # scipy is loaded only by the n = 2 factorization check and the simulator
+    # scipy is loaded only when a sampled history builds its spline
     r = run_python(
         "-c",
-        "import sys, midspec.cli, midspec.quasipoly, midspec.spectral, midspec.bounds; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "import sys, midspec.cli, midspec.quasipoly, midspec.spectral, midspec.bounds, "
+        "midspec.sim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_certification_loads_no_bounds(command, example_dir, tmp_path):
+    # the certification box comes from the modulus cut, not the bound sweeps
+    r = run_python(
+        "-c",
+        "import sys; from midspec import cli; "
+        f"code = cli.main([{command!r}, {str(example_dir / 'system.json')!r}, "
+        f"'--out-dir', {str(tmp_path)!r}, '--quiet']); "
+        "print(code, 'midspec.bounds' in sys.modules)",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0 False"
 
 
 # --- thread cap -------------------------------------------------------------------

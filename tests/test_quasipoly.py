@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,7 +14,7 @@ from midspec.quasipoly import (
     RetardedSystem,
     denormalize,
     dominant_root_from_trace,
-    factorization_residual_n2,
+    factorization_residual,
     mid_coefficients,
     mid_coefficients_order2,
     multiplicity_at,
@@ -70,6 +71,14 @@ def test_evaluate_array_matches_scalar(qhat):
     v = qhat.eval_array(z)
     for zi, vi in zip(z, v):
         assert abs(vi - qhat(complex(zi))) < 1e-13 * max(1.0, abs(vi))
+
+
+def test_magnitude_scale_array_matches_scalar(example_system):
+    q = example_system.quasipolynomial()
+    z = np.array([0.3 + 1j, -2.0, 5.0 - 3.0j, 0.0])
+    scale = q.magnitude_scale_array(z)
+    for zi, si in zip(z, scale):
+        assert abs(si - q.magnitude_scale(complex(zi))) <= 1e-15 * si
 
 
 def test_conjugate_symmetry_random():
@@ -318,13 +327,13 @@ def test_trace_identity_across_grid():
 
 
 def test_factorization_residual_pointwise():
-    assert factorization_residual_n2(1.0) < 1e-10
-    assert factorization_residual_n2(2j * math.pi) < 1e-10
+    assert factorization_residual(2, 1.0) < 1e-10
+    assert factorization_residual(2, 2j * math.pi) < 1e-10
 
 
 def test_factorization_zero_rejected():
     with pytest.raises(ValueError):
-        factorization_residual_n2(0.0)
+        factorization_residual(2, 0.0)
 
 
 def test_factorization_limit_identity(qhat):
@@ -332,6 +341,24 @@ def test_factorization_limit_identity(qhat):
     assert abs(moment - 1.0 / 12.0) < 1e-14
     d4 = qhat.derivative(4)(0.0).real
     assert abs(moment - d4 / math.factorial(4)) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_factorization_against_hypergeometric_oracle(n):
+    # integral_0^1 t^(n-1) (1-t)^n e^(-z t) dt = B(n, n+1) 1F1(n; 2n+1; -z), so
+    # the mpmath right-hand side must match the direct evaluation of the
+    # design, and the quadrature residual must then be small as well
+    q = mid_coefficients(n, 0.0, 1.0).quasipolynomial()
+    for z in (1.0, 2j * math.pi, 0.7 - 0.3j, -1.5 + 2.0j, 3.0 - 4.0j):
+        with mpmath.workdps(40):
+            w = mpmath.mpc(z)
+            rhs = (
+                w ** (2 * n) / mpmath.factorial(n - 1)
+                * mpmath.beta(n, n + 1) * mpmath.hyp1f1(n, 2 * n + 1, -w)
+            )
+        scale = q.magnitude_scale(z)
+        assert abs(q(z) - complex(rhs)) / scale < 1e-12, (n, z)
+        assert factorization_residual(n, z) < 1e-12, (n, z)
 
 
 # --- serialization ----------------------------------------------------------------

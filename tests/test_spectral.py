@@ -224,9 +224,9 @@ def _fro2_bound(pair):
 
 
 @pytest.mark.parametrize("s0,tau", [(0.0, 1.0), (-0.7, 0.6), (0.3, 2.2)])
-def test_certify_n2(s0, tau, std_pair):
+def test_certify_n2(s0, tau):
     sys_ = mid_coefficients(2, s0, tau)
-    report = certify_dominance(sys_, s0, _fro2_bound(std_pair), re_floor=s0)
+    report = certify_dominance(sys_, s0, re_floor=s0)
     assert report.strictly_dominant
     assert abs(report.spectral_abscissa - s0) < 1e-8
     assert report.dominant is not None
@@ -234,8 +234,7 @@ def test_certify_n2(s0, tau, std_pair):
 
 
 def test_certify_example(example_system):
-    pair = companion_pair(normalize(example_system, -0.5))
-    report = certify_dominance(example_system, -0.5, _fro2_bound(pair), re_floor=-0.5)
+    report = certify_dominance(example_system, -0.5, re_floor=-0.5)
     assert report.strictly_dominant
     assert abs(report.spectral_abscissa + 0.5) < 1e-8
 
@@ -243,10 +242,19 @@ def test_certify_example(example_system):
 def test_certify_rejects_false_claim():
     # delay-free y' - y = 0 has the root +1; claiming dominance at 0 must fail
     sys_ = RetardedSystem(1, (-1.0,), (0.0,), 1.0)
-    pair = companion_pair(normalize(sys_, 0.0))
-    report = certify_dominance(sys_, 0.0, _fro2_bound(pair), re_floor=0.0)
+    report = certify_dominance(sys_, 0.0, re_floor=0.0)
     assert not report.strictly_dominant
     assert abs(report.spectral_abscissa - 1.0) < 1e-9
+
+
+def test_certify_empty_region_is_not_strict():
+    # y' + y = 0 has its only root at -1; nothing lies right of re_floor = 5
+    sys_ = RetardedSystem(1, (1.0,), (0.0,), 1.0)
+    report = certify_dominance(sys_, -1.0, re_floor=5.0)
+    assert report.roots == ()
+    assert report.spectral_abscissa == -math.inf
+    assert report.dominant is None
+    assert not report.strictly_dominant
 
 
 def test_certify_agrees_with_modulus_scan():
@@ -258,9 +266,8 @@ def test_certify_agrees_with_modulus_scan():
         sys_ = mid_coefficients(n, s0, tau)
         ns = normalize(sys_, s0)
         q = ns.quasipolynomial()
-        pair = companion_pair(ns)
-        bound = _fro2_bound(pair)
-        report = certify_dominance(sys_, s0, bound, re_floor=s0)
+        bound = _fro2_bound(companion_pair(ns))
+        report = certify_dominance(sys_, s0, re_floor=s0)
         assert report.strictly_dominant
 
         B = bound.value
@@ -290,9 +297,15 @@ def test_report_tie_is_not_strict():
     assert rep.dominant is None
 
 
+def test_report_from_no_roots():
+    rep = SpectrumReport.from_roots([], Rectangle(-3, 0, -2, 2))
+    assert rep.spectral_abscissa == -math.inf
+    assert rep.dominant is None
+    assert not rep.strictly_dominant
+
+
 def test_report_json_fields(example_system):
-    pair = companion_pair(normalize(example_system, -0.5))
-    rep = certify_dominance(example_system, -0.5, _fro2_bound(pair), re_floor=-0.5)
+    rep = certify_dominance(example_system, -0.5, re_floor=-0.5)
     doc = rep.to_json_dict()
     assert set(doc) == {"roots", "region", "spectral_abscissa", "dominant", "strictly_dominant"}
     assert doc["strictly_dominant"] is True
