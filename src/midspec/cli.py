@@ -333,6 +333,14 @@ def cmd_bounds(args, em: _Emitter) -> int:
 # --- simulate -----------------------------------------------------------------
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _resolve_histories(spec: str, tau: float):
     from . import sim
 
@@ -351,7 +359,7 @@ def _resolve_histories(spec: str, tau: float):
         if not path.exists():
             raise ValueError(f"history file not found: {path}")
         rows = [r.split(",") for r in path.read_text().strip().splitlines()]
-        if rows and not rows[0][0].lstrip("-").replace(".", "").isdigit():
+        if rows and not _is_float(rows[0][0]):
             rows = rows[1:]  # header
         times = [float(r[0]) for r in rows]
         values = [float(r[1]) for r in rows]
@@ -369,8 +377,10 @@ def cmd_simulate(args, em: _Emitter) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     rates = {}
+    steps = {}
     for name, hist in histories:
         traj = sim.simulate(sys_, hist, args.t_end, args.step)
+        steps[name] = traj.times.size - 1
         sol_path = out / f"sol_{name}.csv"
         _write_atomic(sol_path, traj.plot_csv())
         traj_path = out / f"traj_{name}.csv"
@@ -384,7 +394,7 @@ def cmd_simulate(args, em: _Emitter) -> int:
         shown = "n/a (zero tail)" if rate is None else f"{rate:+.6f}"
         em.say(f"history {name}: decay rate over [{args.t_start:g}, {args.t_end:g}] = {shown}")
 
-    em.payload = {"decay_rates": rates}
+    em.payload = {"decay_rates": rates, "step": traj.step, "steps": steps}
     RunManifest(
         "simulate",
         {

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used to cross-check the contour machinery.
+"""Independent brute-force oracles: for the contour machinery, and for the
+method-of-steps integrator.
 
 Root locations come from a dense modulus scan (grid points where |q| falls
 below the term-magnitude scale) polished by a plain Newton iteration on q/q';
@@ -7,11 +8,16 @@ cancellation plateau (~1e-16)^(1/m), so each polished cluster is resolved by
 trying candidate multiplicities: refine on the (m-1)-th derivative, then
 confirm with the derivative-based multiplicity test.  None of this shares
 code with the argument-principle path it validates.
+
+The integrator oracles are a stagewise RK4 loop (four stages per step, each
+a pair of matvecs) and a delay-equation residual from finite differences.
 """
+
+import math
 
 import numpy as np
 
-from midspec.quasipoly import multiplicity_at
+from midspec.quasipoly import companion, multiplicity_at
 
 
 def newton_on_ratio(q, qp, qpp, z0, steps=80, leash=2.0):
@@ -115,3 +121,79 @@ def scan_roots(q, rect, grid=0.01, rel_cut=1e-2, cluster=0.05):
 def scan_count(q, rect, grid=0.01):
     """Brute-force root count with multiplicity inside rect."""
     return sum(m for _, m in scan_roots(q, rect, grid=grid))
+
+
+# --- method-of-steps integration ---------------------------------------------------
+
+
+def _cubic_midpoints(grid):
+    """Values halfway between consecutive grid rows: 4-point cubic
+    interpolation, one-sided at the ends, linear for windows under 3 steps."""
+    m = grid.shape[0] - 1
+    if m < 3:
+        return 0.5 * (grid[:-1] + grid[1:])
+    mid = np.empty((m,) + grid.shape[1:])
+    mid[1:-1] = (-grid[:-3] + 9.0 * grid[1:-2] + 9.0 * grid[2:-1] - grid[3:]) / 16.0
+    mid[0] = (5.0 * grid[0] + 15.0 * grid[1] - 5.0 * grid[2] + grid[3]) / 16.0
+    mid[-1] = (grid[-4] - 5.0 * grid[-3] + 15.0 * grid[-2] + 5.0 * grid[-1]) / 16.0
+    return mid
+
+
+def rk4_stagewise(sys, history, t_end, step):
+    """(times, states) of classic RK4 by the method of steps, stage by stage.
+
+    Same grid, delayed data and stage scheme as midspec.sim.simulate, with
+    every stage evaluated as A0 @ x + A1 @ x(t - tau) in its own arithmetic.
+    """
+    tau, n = sys.tau, sys.n
+    m = int(math.ceil(tau / step - 1e-12))
+    h = tau / m
+    A0, A1 = companion(sys.a, sys.alpha)
+    windows = int(math.ceil(t_end / tau - 1e-12))
+
+    nodes = history.state_values(np.linspace(-tau, 0.0, m + 1), n)
+    mids = history.state_values(np.linspace(-tau + h / 2.0, -h / 2.0, m), n)
+    times, states = [np.array([0.0])], [nodes[-1:].copy()]
+    x = nodes[-1].copy()
+    t0 = 0.0
+    for k in range(windows):
+        if k > 0:
+            mids = _cubic_midpoints(nodes)
+        cur = np.empty((m + 1, n))
+        cur[0] = x
+        for i in range(m):
+            k1 = A0 @ x + A1 @ nodes[i]
+            k2 = A0 @ (x + 0.5 * h * k1) + A1 @ mids[i]
+            k3 = A0 @ (x + 0.5 * h * k2) + A1 @ mids[i]
+            k4 = A0 @ (x + h * k3) + A1 @ nodes[i + 1]
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            cur[i + 1] = x
+        times.append(t0 + h * np.arange(1, m + 1))
+        states.append(cur[1:])
+        nodes = cur
+        t0 += tau
+    t_all, x_all = np.concatenate(times), np.concatenate(states)
+    keep = t_all <= t_end + 1e-9 * max(1.0, t_end)
+    return t_all[keep], x_all[keep]
+
+
+def delay_residual(sys, times, states):
+    """Largest relative residual of y^(n) + a.x(t) + alpha.x(t - tau) = 0.
+
+    y^(n) is the central difference of the last state column; rows run from
+    the second delay window on (the delayed state is read from the grid, tau
+    being a whole number of steps) and skip the two nodes next to every
+    window end, where the derivatives have kinks.  Each residual is relative
+    to the sum of the magnitudes of the terms it cancels.
+    """
+    n = sys.n
+    h = times[1] - times[0]
+    m = int(round(sys.tau / h))
+    i = np.arange(m + 1, times.size - 1)
+    i = i[(i % m > 1) & (i % m < m - 1)]
+    top = (states[i + 1, n - 1] - states[i - 1, n - 1]) / (2.0 * h)
+    terms = np.column_stack(
+        [top, states[i] * np.asarray(sys.a), states[i - m] * np.asarray(sys.alpha)]
+    )
+    scale = np.maximum(np.abs(terms).sum(axis=1), 1e-300)
+    return float(np.max(np.abs(terms.sum(axis=1)) / scale))

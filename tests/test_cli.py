@@ -264,6 +264,39 @@ def test_simulate_file_history(example_dir, tmp_path):
     assert (tmp_path / "sol_custom.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "fmt,header", [("%e", ""), ("%f", "t,y\n")], ids=["exponent-no-header", "fixed-with-header"]
+)
+def test_simulate_file_history_header_detection(fmt, header, example_dir, tmp_path):
+    t = [-2.5 + 0.025 * k for k in range(101)]
+    hist = tmp_path / "hist.csv"
+    hist.write_text(header + "".join(f"{fmt},{fmt}\n" % (v, -v) for v in t))
+    [(name, history)] = cli._resolve_histories(f"file:{hist}", 2.5)
+    assert name == "custom"
+    assert history.times.size == 101 and history.times[0] == -2.5
+    assert cli.main([
+        "simulate", str(example_dir / "system.json"), "--history", f"file:{hist}",
+        "--t-end", "5", "--out-dir", str(tmp_path / "out"), "--quiet",
+    ]) == 0
+
+
+def test_simulate_json_reports_step_and_steps(example_dir, tmp_path, capsys):
+    argv = ["simulate", str(example_dir / "system.json"), "--history", "all",
+            "--t-end", "10", "--t-start", "2", "--step", "0.3"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "text")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(" = ")[0] for ln in lines] == [
+        f"history {name}: decay rate over [2, 10]" for name in ("y01", "y02", "y03", "y04")
+    ]
+
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "json"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    m = math.ceil(2.5 / 0.3)  # the step shrinks until it divides the delay
+    assert payload["step"] == 2.5 / m
+    assert payload["steps"] == {name: 4 * m for name in ("y01", "y02", "y03", "y04")}
+    assert set(payload["decay_rates"]) == set(payload["steps"])
+
+
 def test_simulate_unknown_history_exit_2(example_dir, tmp_path):
     r = run_cli(
         "simulate", str(example_dir / "system.json"), "--history", "bogus",

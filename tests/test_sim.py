@@ -10,6 +10,7 @@ from midspec.sim import (
     HistoryKind,
     SimulationError,
     Trajectory,
+    _table_csv,
     builtin_history,
     constant,
     decay_rate,
@@ -19,6 +20,7 @@ from midspec.sim import (
     simulate,
     sinusoid,
 )
+from oracles import delay_residual, rk4_stagewise
 
 
 # --- histories -------------------------------------------------------------------
@@ -147,6 +149,28 @@ def test_simulate_validation(example_system):
         simulate(example_system, short, 5.0)  # grid does not cover [-tau, 0]
 
 
+@pytest.mark.parametrize("n,tau", [(1, 2.5), (2, 2.5), (3, 2.5), (4, 2.5), (3, 0.5)])
+def test_simulate_matches_stagewise_oracle(n, tau):
+    sys_ = mid_coefficients(n, -0.5, tau)
+    for name in BUILTIN_HISTORY_NAMES:
+        hist = builtin_history(name)
+        traj = simulate(sys_, hist, 40.0)
+        times, states = rk4_stagewise(sys_, hist, 40.0, tau / 500.0)
+        assert np.array_equal(traj.times, times)
+        first = times <= tau
+        err = np.abs(traj.states - states)
+        assert err[first].max() <= 1e-12 * np.abs(states[first]).max(), name
+        assert err.max() <= 1e-6 * np.abs(states).max(), name
+
+
+def test_order8_trajectory_solves_the_delay_equation():
+    sys_ = mid_coefficients(8, -0.5, 2.5)
+    for name in BUILTIN_HISTORY_NAMES:
+        traj = simulate(sys_, builtin_history(name), 40.0)
+        assert traj.times[-1] == pytest.approx(40.0) and np.all(np.isfinite(traj.states))
+        assert delay_residual(sys_, traj.times, traj.states) <= 1e-7, name
+
+
 def test_unstable_system_aborts():
     sys_ = RetardedSystem(1, (-30.0,), (0.0,), 1.0)  # y' = 30 y
     with pytest.raises(SimulationError):
@@ -163,6 +187,28 @@ def test_trajectory_csv(example_system):
     assert len(lines) == 1 + traj.times.size
     plot = traj.plot_csv().strip().splitlines()
     assert plot[0] == "t,y"
+
+
+def _reference_csv(header, rows):
+    lines = [",".join(header)] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_table_csv_matches_fstring_formatting():
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 1e-320, -1e-320, 1e300, -1e-300, 5e-324, 1.7976931348623157e308,
+               0.1234567890125, 0.1234567890115, 999999999999.5, 9999999999995.0,
+               1.0 - 2**-53, 123456789012.5, np.inf, -np.inf, np.nan]
+    spread = rng.standard_normal(9000) * 10.0 ** rng.integers(-12, 12, 9000)
+    values = np.concatenate([special, spread])
+    times = np.arange(values.size) * 0.005
+    cols = np.column_stack([values, values[::-1], -values])
+    header = ["t", "y", "y1", "y2"]
+    assert _table_csv(header, times, cols) == _reference_csv(header, np.column_stack([times, cols]))
+    # n = 1: the state table and the plot table share the t,y header
+    traj = Trajectory(times, values[:, None], 0.005, 2.5)
+    expected = _reference_csv(["t", "y"], np.column_stack([times, values]))
+    assert traj.to_csv() == traj.plot_csv() == expected
 
 
 def test_trajectory_immutable(example_system):
