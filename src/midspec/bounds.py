@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -440,9 +439,11 @@ def lemma3_analytic_bound(pair: CompanionPair) -> Lemma3Report:
     ):
         raise ValueError("analytic chain applies only to the standard normalized pair")
 
-    coarse4 = Fraction(728 + 1164 + 160) + Fraction((464 - 192) ** 2, 4 * 992)
-    assert coarse4 == Fraction(64190, 31)
-    coarse = float(coarse4) ** 0.25
+    # 728 + 1164 + 160 + (464 - 192)^2 / (4 * 992) over one integer denominator
+    num, den = (728 + 1164 + 160) * 4 * 992 + (464 - 192) ** 2, 4 * 992
+    assert num * 31 == 64190 * den
+    coarse4 = num / den
+    coarse = coarse4**0.25
 
     # validity of the cosine floor on the excluded interval
     assert math.cos(6.75 - 2.0 * math.pi) > _COS_FLOOR
@@ -455,7 +456,7 @@ def lemma3_analytic_bound(pair: CompanionPair) -> Lemma3Report:
         raise ArithmeticError("contradiction step failed; chain constants inconsistent")
     return Lemma3Report(
         coarse=coarse,
-        coarse_fourth_power=float(coarse4),
+        coarse_fourth_power=coarse4,
         refined=refined,
         refined_fourth_power=float(refined4),
         excluded_interval=(two_pi, coarse),

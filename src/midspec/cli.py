@@ -94,7 +94,7 @@ def _load_system(path: str):
         return RetardedSystem.from_json(Path(path).read_text())
     except FileNotFoundError:
         raise ValueError(f"system file not found: {path}") from None
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed system file {path}: {exc}") from None
 
 
@@ -173,7 +173,7 @@ def cmd_spectrum(args, em: _Emitter) -> int:
         return 3
 
     try:
-        cert = certify_dominance(sys_, s0, re_floor=s0)
+        cert = certify_dominance(sys_, s0)
     except LocalizationError as exc:
         em.say(f"inconclusive: {exc}")
         return 3
@@ -341,7 +341,7 @@ def _is_float(text: str) -> bool:
     return True
 
 
-def _resolve_histories(spec: str, tau: float):
+def _resolve_histories(spec: str):
     from . import sim
 
     if spec == "all":
@@ -361,6 +361,8 @@ def _resolve_histories(spec: str, tau: float):
         rows = [r.split(",") for r in path.read_text().strip().splitlines()]
         if rows and not _is_float(rows[0][0]):
             rows = rows[1:]  # header
+        if any(len(r) < 2 for r in rows):
+            raise ValueError(f"history file {path} needs two columns, time and value")
         times = [float(r[0]) for r in rows]
         values = [float(r[1]) for r in rows]
         return [("custom", sim.sampled(times, values))]
@@ -371,7 +373,7 @@ def cmd_simulate(args, em: _Emitter) -> int:
     from . import sim
 
     sys_ = _load_system(args.system)
-    histories = _resolve_histories(args.history, sys_.tau)
+    histories = _resolve_histories(args.history)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -415,7 +417,7 @@ def cmd_simulate(args, em: _Emitter) -> int:
 def cmd_verify(args, em: _Emitter) -> int:
     from .quasipoly import (
         factorization_residual,
-        mid_coefficients,
+        mid_normalized,
         multiplicity_at,
         normalize,
     )
@@ -435,10 +437,10 @@ def cmd_verify(args, em: _Emitter) -> int:
     checks.append(("trace-identity", ok, f"s0 + a[n-1]/n + n/tau = {identity:.3e}"))
 
     nsys = normalize(sys_, s0)
-    ref = mid_coefficients(n, 0.0, 1.0)
+    ref = mid_normalized(n)
     dev = max(
         abs(x - y) / max(1.0, abs(y))
-        for x, y in zip(nsys.b + nsys.beta, ref.a + ref.alpha)
+        for x, y in zip(nsys.b + nsys.beta, ref.b + ref.beta)
     )
     checks.append(
         ("normalization-universality", dev < 1e-10, f"max relative deviation {dev:.3e}")
@@ -450,7 +452,7 @@ def cmd_verify(args, em: _Emitter) -> int:
     )
 
     try:
-        cert = certify_dominance(sys_, s0, re_floor=s0)
+        cert = certify_dominance(sys_, s0)
         checks.append(
             (
                 "dominance",

@@ -9,9 +9,9 @@ The characteristic function of
 is the two-term case:  Delta(s) = s^n + sum a_k s^k + e^(-s tau) sum alpha_k s^k.
 
 This module holds the representation, evaluation and differentiation,
-the closed-form coefficient assignment that places a real root of
-maximal multiplicity 2n, the scale-aware numerical multiplicity test, and
-the companion matrices of the first-order form.
+the exact integer design that places a real root of maximal multiplicity
+2n, the scale-aware numerical multiplicity test, and the companion
+matrices of the first-order form.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,15 +29,14 @@ __all__ = [
     "Quasipolynomial",
     "RetardedSystem",
     "NormalizedSystem",
+    "mid_normalized",
     "mid_coefficients",
-    "mid_coefficients_order2",
     "normalize",
     "denormalize",
     "multiplicity_at",
     "dominant_root_from_trace",
     "factorization_residual",
     "companion",
-    "standard_quartic_quasipolynomial",
 ]
 
 
@@ -82,17 +80,10 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def deriv(self) -> "Polynomial":
-        return Polynomial([j * c for j, c in enumerate(self.coefficients)][1:])
-
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial([factor * c for c in self.coefficients])
-
-    def minus(self, other: "Polynomial") -> "Polynomial":
-        m = max(len(self.coefficients), len(other.coefficients))
-        a = list(self.coefficients) + [0.0] * (m - len(self.coefficients))
-        b = list(other.coefficients) + [0.0] * (m - len(other.coefficients))
-        return Polynomial([x - y for x, y in zip(a, b)])
+    def delayed_derivative(self, lam: float) -> "Polynomial":
+        """p' - lam p, the polynomial factor of the derivative of p(s) e^(-lam s)."""
+        c = self.coefficients + (0.0,)
+        return Polynomial([(j + 1) * c[j + 1] - lam * c[j] for j in range(len(c) - 1)])
 
     def abs_value_at(self, z: complex) -> float:
         """Sum of monomial magnitudes |c_j| |z|^j, the natural evaluation scale;
@@ -158,9 +149,7 @@ class Quasipolynomial:
             raise ValueError("order must be nonnegative")
         q = self
         for _ in range(order):
-            q = Quasipolynomial(
-                [(lam, p.deriv().minus(p.scaled(lam))) for lam, p in q.terms]
-            )
+            q = Quasipolynomial([(lam, p.delayed_derivative(lam)) for lam, p in q.terms])
         return q
 
     def magnitude_scale(self, s: complex) -> float:
@@ -245,6 +234,7 @@ class NormalizedSystem:
 
     Normalizing a system at a point s0 rescales the spectrum by z = tau (s - s0);
     the quasipolynomial becomes z^n + sum b_k z^k + e^(-z) sum beta_k z^k.
+    Coefficients are kept as given, so an exact integer design stays exact.
     """
 
     n: int
@@ -255,8 +245,7 @@ class NormalizedSystem:
         n = int(n)
         if n < 1:
             raise ValueError("order n must be >= 1")
-        b = tuple(float(x) for x in b)
-        beta = tuple(float(x) for x in beta)
+        b, beta = tuple(b), tuple(beta)
         if len(b) != n or len(beta) != n:
             raise ValueError("coefficient lists must have exactly n entries")
         object.__setattr__(self, "n", n)
@@ -272,85 +261,28 @@ class NormalizedSystem:
         )
 
 
-def mid_coefficients(n: int, s0: float, tau: float) -> RetardedSystem:
-    """Coefficients making s0 a root of maximal multiplicity 2n.
+def mid_normalized(n: int) -> NormalizedSystem:
+    """The maximal-multiplicity design at shift 0 and delay 1, in exact integers.
 
-    The assignment is, for k = 0..n-1,
+    With r_k = (2n-k-1)!/(n-1)!, for k = 0..n-1,
 
-        a_k = C(n,k) (-s0)^(n-k)
-              + (-1)^(n-k) n! sum_{j=k}^{n-1} C(j,k) C(2n-j-1,n-1) s0^(j-k) / (j! tau^(n-j))
-        alpha_k = (-1)^(n-1) e^(s0 tau)
-              sum_{j=k}^{n-1} (-1)^(j-k) (2n-j-1)! / (k! (j-k)! (n-j-1)!) s0^(j-k) / tau^(n-j)
+        b_k = (-1)^(n-k) C(n,k) r_k,    beta_k = (-1)^(n-1) C(n-1,k) r_k,
 
-    The combinatorial factors are accumulated in exact rational arithmetic
-    and converted to float only when multiplied by the s0/tau powers, which
-    avoids cancellation between the large alternating terms.
+    the coefficients of a scaled Pade remainder of e^(-z).  The design at
+    any s0 and tau is the denormalized form of this one.
     """
     n = int(n)
     if n < 1:
         raise ValueError("order n must be >= 1")
-    tau = float(tau)
-    if not tau > 0:
-        raise ValueError("delay tau must be positive")
-    s0 = float(s0)
-
-    a = []
-    alpha = []
-    exp_s0tau = math.exp(s0 * tau)
-    for k in range(n):
-        acc = math.comb(n, k) * (-s0) ** (n - k)
-        sign = (-1) ** (n - k)
-        for j in range(k, n):
-            frac = Fraction(
-                math.factorial(n) * math.comb(j, k) * math.comb(2 * n - j - 1, n - 1),
-                math.factorial(j),
-            )
-            acc += sign * float(frac) * s0 ** (j - k) * tau ** (j - n)
-        a.append(acc)
-
-        acc = 0.0
-        for j in range(k, n):
-            frac = Fraction(
-                math.factorial(2 * n - j - 1),
-                math.factorial(k) * math.factorial(j - k) * math.factorial(n - j - 1),
-            )
-            acc += (-1) ** (j - k) * float(frac) * s0 ** (j - k) * tau ** (j - n)
-        alpha.append((-1) ** (n - 1) * exp_s0tau * acc)
-
-    return RetardedSystem(n, a, alpha, tau)
+    r = [math.perm(2 * n - k - 1, n - k) for k in range(n)]
+    b = [(-1) ** (n - k) * math.comb(n, k) * r[k] for k in range(n)]
+    beta = [(-1) ** (n - 1) * math.comb(n - 1, k) * r[k] for k in range(n)]
+    return NormalizedSystem(n, b, beta)
 
 
-def mid_coefficients_order2(s0: float, tau: float) -> RetardedSystem:
-    """Closed-form n = 2 assignment; independent cross-check of mid_coefficients.
-
-    a_1 = -4/tau - 2 s0,  a_0 = 6/tau^2 + 4 s0/tau + s0^2,
-    alpha_1 = -(2/tau) e^(s0 tau),  alpha_0 = (2/tau) e^(s0 tau) (s0 - 3/tau).
-    """
-    tau = float(tau)
-    if not tau > 0:
-        raise ValueError("delay tau must be positive")
-    s0 = float(s0)
-    e = math.exp(s0 * tau)
-    a1 = -4.0 / tau - 2.0 * s0
-    a0 = 6.0 / tau**2 + 4.0 * s0 / tau + s0**2
-    al1 = -2.0 / tau * e
-    al0 = 2.0 / tau * e * (s0 - 3.0 / tau)
-    return RetardedSystem(2, (a0, a1), (al0, al1), tau)
-
-
-def _shifted_scaled_coeffs(coeffs, s0: float, tau: float, n: int) -> list[float]:
-    """Coefficients of tau^n * p(s0 + z/tau) given those of p.
-
-    Entry m of the result is tau^(n-m) sum_{j>=m} C(j,m) c_j s0^(j-m).
-    """
-    d = len(coeffs) - 1
-    out = []
-    for m in range(d + 1):
-        acc = 0.0
-        for j in range(m, d + 1):
-            acc += math.comb(j, m) * coeffs[j] * s0 ** (j - m)
-        out.append(acc * tau ** (n - m))
-    return out
+def mid_coefficients(n: int, s0: float, tau: float) -> RetardedSystem:
+    """Coefficients making s0 a root of maximal multiplicity 2n."""
+    return denormalize(mid_normalized(n), s0, tau)
 
 
 def normalize(sys: RetardedSystem, s0: float) -> NormalizedSystem:
@@ -361,34 +293,61 @@ def normalize(sys: RetardedSystem, s0: float) -> NormalizedSystem:
     """
     s0 = float(s0)
     n, tau = sys.n, sys.tau
-    poly = list(sys.a) + [1.0]
-    b = _shifted_scaled_coeffs(poly, s0, tau, n)[:n]
-    beta = _shifted_scaled_coeffs(list(sys.alpha), s0, tau, n)
-    beta += [0.0] * (n - len(beta))
-    scale = math.exp(-s0 * tau)
-    beta = [x * scale for x in beta]
-    return NormalizedSystem(n, b, beta)
+
+    def shifted(coeffs):
+        # entry m is tau^(n-m) sum_{j>=m} C(j,m) c_j s0^(j-m)
+        out = []
+        for m in range(len(coeffs)):
+            acc = 0.0
+            for j in range(m, len(coeffs)):
+                acc += math.comb(j, m) * coeffs[j] * s0 ** (j - m)
+            out.append(acc * tau ** (n - m))
+        return out
+
+    try:
+        b = shifted(list(sys.a) + [1.0])[:n]
+        beta = shifted(sys.alpha)
+        scale = math.exp(-s0 * tau)
+    except OverflowError:
+        raise ValueError(f"normalizing at s0 = {s0} with tau = {tau} overflows") from None
+    return NormalizedSystem(n, b, [x * scale for x in beta])
 
 
 def denormalize(nsys: NormalizedSystem, s0: float, tau: float) -> RetardedSystem:
-    """Inverse of normalize: recover the system with delay tau and shift s0."""
+    """Inverse of normalize: recover the system with delay tau and shift s0.
+
+    Delta(s) = tau^(-n) DeltaTilde(tau (s - s0)), so coefficient m is
+    sum_j C(j,m) c_j (-s0)^(j-m) tau^(j-n), summed with the monic term
+    c_n = 1 first and then j = m..n-1; the delayed part is then scaled by
+    e^(s0 tau).  Integer c_j enter every product exactly.  Keep this order:
+    it reproduces the direct double-sum design bit for bit, and the
+    dominance certification of a rounded design reacts to its last bits.
+    """
     tau = float(tau)
     if not tau > 0:
         raise ValueError("delay tau must be positive")
     s0 = float(s0)
     n = nsys.n
-    # Delta(s) = tau^(-n) DeltaTilde(tau (s - s0)); reuse the same affine
-    # substitution with scale 1/tau and shift -s0*tau.
-    poly = list(nsys.b) + [1.0]
-    a = _shifted_scaled_coeffs(poly, -s0 * tau, 1.0 / tau, n)[:n]
-    alpha = _shifted_scaled_coeffs(list(nsys.beta), -s0 * tau, 1.0 / tau, n)
-    alpha += [0.0] * (n - len(alpha))
-    scale = math.exp(s0 * tau)
-    alpha = [x * scale for x in alpha]
+
+    def shifted(coeffs, m, acc):
+        for j in range(m, n):
+            acc += math.comb(j, m) * coeffs[j] * (-s0) ** (j - m) * tau ** (j - n)
+        return acc
+
+    try:
+        a = [shifted(nsys.b, m, math.comb(n, m) * (-s0) ** (n - m)) for m in range(n)]
+        scale = math.exp(s0 * tau)
+        alpha = [shifted(nsys.beta, m, 0.0) * scale for m in range(n)]
+    except OverflowError:
+        raise ValueError(f"the order-{n} design at s0 = {s0}, tau = {tau} overflows") from None
     return RetardedSystem(n, a, alpha, tau)
 
 
-def multiplicity_at(q: Quasipolynomial, s0: complex, tol: float = 1e-9) -> int:
+# vanishing threshold of the multiplicity test, relative to the term magnitudes
+_MULTIPLICITY_TOL = 1e-9
+
+
+def multiplicity_at(q: Quasipolynomial, s0: complex) -> int:
     """Numerical root multiplicity of q at s0.
 
     Counts how many successive derivatives vanish relative to the sum of
@@ -398,23 +357,24 @@ def multiplicity_at(q: Quasipolynomial, s0: complex, tol: float = 1e-9) -> int:
     still judged against the size of the coefficients that produced it.
     The result never exceeds the degree D of q.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     if q.is_zero:
         raise ValueError("multiplicity of the zero quasipolynomial is undefined")
-    s0 = complex(s0)
+    point, s0 = s0, complex(s0)
     r = max(1.0, abs(s0))
     cap = q.degree
     deriv = q
     m = 0
-    while m < cap:
-        scale = 0.0
-        for lam, p in deriv.terms:
-            scale += p.abs_value_at(r) * math.exp(-lam * s0.real)
-        if abs(deriv(s0)) > tol * scale:
-            break
-        m += 1
-        deriv = deriv.derivative()
+    try:
+        while m < cap:
+            scale = 0.0
+            for lam, p in deriv.terms:
+                scale += p.abs_value_at(r) * math.exp(-lam * s0.real)
+            if abs(deriv(s0)) > _MULTIPLICITY_TOL * scale:
+                break
+            m += 1
+            deriv = deriv.derivative()
+    except OverflowError:
+        raise ValueError(f"the quasipolynomial overflows at s0 = {point}") from None
     return m
 
 
@@ -428,12 +388,6 @@ def dominant_root_from_trace(n: int, a_top: float, tau: float) -> float:
     if not tau > 0:
         raise ValueError("delay tau must be positive")
     return -float(a_top) / n - n / tau
-
-
-def standard_quartic_quasipolynomial() -> Quasipolynomial:
-    """z^2 - 4z + 6 - e^(-z)(2z + 6): the normalized n = 2 design with its
-    quadruple root at the origin."""
-    return mid_coefficients(2, 0.0, 1.0).quasipolynomial()
 
 
 def factorization_residual(n: int, z: complex) -> float:
@@ -450,7 +404,7 @@ def factorization_residual(n: int, z: complex) -> float:
     if z == 0:
         raise ValueError("z = 0 excluded; compare against the moment identity instead")
     n = int(n)
-    q = mid_coefficients(n, 0.0, 1.0).quasipolynomial()
+    q = mid_normalized(n).quasipolynomial()
     x, w = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (x + 1.0)
     integral = 0.5 * np.sum(w * t ** (n - 1) * (1.0 - t) ** n * np.exp(-z * t))

@@ -24,7 +24,7 @@ from .quasipoly import (
     Quasipolynomial,
     RetardedSystem,
     companion,
-    mid_coefficients,
+    mid_normalized,
     normalize,
 )
 
@@ -58,6 +58,8 @@ _BOUNDARY_FLOOR = 1e-12
 _PHASE_STEP = 0.8
 # |q| acceptance threshold for refined roots, relative to the local scale
 _RESIDUAL_REL = 1e-8
+# box diameter below which quadrisection stops
+_DIAMETER_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def companion_pair(nsys: NormalizedSystem) -> CompanionPair:
 
 def standard_pair() -> CompanionPair:
     """Companion pair of the normalized quartic design (n = 2, shift 0, delay 1)."""
-    return companion_pair(normalize(mid_coefficients(2, 0.0, 1.0), 0.0))
+    return companion_pair(mid_normalized(2))
 
 
 @dataclass(frozen=True)
@@ -505,7 +507,7 @@ def _split_and_count(
     raise LocalizationError(f"could not quadrisect {box} along root-free lines")
 
 
-def find_roots(q: Quasipolynomial, rect: Rectangle, tol: float = 1e-9) -> list[Root]:
+def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
     """All roots of q in rect with multiplicities, by recursive quadrisection.
 
     Boxes are split until they carry a single root location; a box whose
@@ -514,8 +516,6 @@ def find_roots(q: Quasipolynomial, rect: Rectangle, tol: float = 1e-9) -> list[R
     roots do not force subdivision down to the diameter floor.  The returned
     multiplicities always sum to the total contour count of rect.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     if q.is_zero:
         raise ValueError("cannot locate roots of the zero quasipolynomial")
 
@@ -555,7 +555,7 @@ def find_roots(q: Quasipolynomial, rect: Rectangle, tol: float = 1e-9) -> list[R
                 accepted = True
         if accepted:
             continue
-        if box.diameter < max(tol, floor * (1.0 + abs(box.center))):
+        if box.diameter < max(_DIAMETER_FLOOR, floor * (1.0 + abs(box.center))):
             # diameter floor: keep the best available point for the whole count
             if not converged:
                 raise LocalizationError(
@@ -639,29 +639,26 @@ def _modulus_growth_radius(n: int, weights: list[float]) -> float:
     return hi + 0.25
 
 
-def certify_dominance(sys: RetardedSystem, s0: float, re_floor: float) -> SpectrumReport:
+def certify_dominance(sys: RetardedSystem, s0: float) -> SpectrumReport:
     """Certify that s0 is the strictly dominant root of the system.
 
     Works on the delay-1 normalized form at s0, where roots s with
-    Re s >= re_floor map to Re z >= sigma_min = tau (re_floor - s0).  A
-    Cauchy-type modulus cut confines such roots to |z| <= R, where R is the
-    largest root of r^n = sum (|b_k| + |beta_k| e^(-min(0, sigma_min))) r^k,
-    hence to Re z <= R and |Im z| <= R.  Locating all roots in the remaining
-    rectangle decides the verdict: strict dominance holds iff the only root
-    with Re z >= 0 is z = 0 with the full multiplicity 2n.
+    Re s >= s0 map to Re z >= 0.  A Cauchy-type modulus cut confines such
+    roots to |z| <= R, where R is the largest root of
+    r^n = sum (|b_k| + |beta_k|) r^k, hence to Re z <= R and |Im z| <= R.
+    Locating all roots in the remaining rectangle decides the verdict: strict
+    dominance holds iff the only root with Re z >= 0 is z = 0 with the full
+    multiplicity 2n.
     """
     s0 = float(s0)
     tau = sys.tau
     nsys = normalize(sys, s0)
     nq = nsys.quasipolynomial()
-    sigma_min = tau * (float(re_floor) - s0)
-    amp = math.exp(-min(0.0, sigma_min))
     radius = _modulus_growth_radius(
-        nsys.n, [abs(b) + abs(be) * amp for b, be in zip(nsys.b, nsys.beta)]
+        nsys.n, [abs(b) + abs(be) for b, be in zip(nsys.b, nsys.beta)]
     )
     B = radius + 0.1
-    margin = 0.25
-    region_n = Rectangle(sigma_min - margin, max(radius, sigma_min + 1.0) + 0.1, -B, B)
+    region_n = Rectangle(-0.25, max(radius, 1.0) + 0.1, -B, B)
 
     try:
         roots_n = find_roots(nq, region_n)

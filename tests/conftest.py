@@ -1,6 +1,6 @@
 import pytest
 
-from midspec.quasipoly import mid_coefficients, standard_quartic_quasipolynomial
+from midspec.quasipoly import mid_coefficients, mid_normalized
 
 
 @pytest.fixture(scope="session")
@@ -12,7 +12,7 @@ def example_system():
 @pytest.fixture(scope="session")
 def qhat():
     """Normalized quartic quasipolynomial z^2 - 4z + 6 - e^(-z)(2z + 6)."""
-    return standard_quartic_quasipolynomial()
+    return mid_normalized(2).quasipolynomial()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
-"""Independent brute-force oracles: for the contour machinery, and for the
-method-of-steps integrator.
+"""Independent oracles: reference formulas for the MID design, brute-force
+checks for the contour machinery, and for the method-of-steps integrator.
+
+The design oracles are the direct double-sum assignment in exact rational
+arithmetic and the closed-form order-2 assignment.
 
 Root locations come from a dense modulus scan (grid points where |q| falls
 below the term-magnitude scale) polished by a plain Newton iteration on q/q';
@@ -14,10 +17,67 @@ a pair of matvecs) and a delay-equation residual from finite differences.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from midspec.quasipoly import companion, multiplicity_at
+from midspec.quasipoly import RetardedSystem, companion, multiplicity_at
+
+
+# --- the MID design ---------------------------------------------------------------
+
+
+def mid_double_sum(n, s0, tau):
+    """Coefficients making s0 a root of maximal multiplicity 2n, for k = 0..n-1:
+
+        a_k = C(n,k) (-s0)^(n-k)
+              + (-1)^(n-k) n! sum_{j=k}^{n-1} C(j,k) C(2n-j-1,n-1) s0^(j-k) / (j! tau^(n-j))
+        alpha_k = (-1)^(n-1) e^(s0 tau)
+              sum_{j=k}^{n-1} (-1)^(j-k) (2n-j-1)! / (k! (j-k)! (n-j-1)!) s0^(j-k) / tau^(n-j)
+
+    The combinatorial factors are exact rationals, converted to float only
+    when multiplied by the s0/tau powers.
+    """
+    a = []
+    alpha = []
+    exp_s0tau = math.exp(s0 * tau)
+    for k in range(n):
+        acc = math.comb(n, k) * (-s0) ** (n - k)
+        sign = (-1) ** (n - k)
+        for j in range(k, n):
+            frac = Fraction(
+                math.factorial(n) * math.comb(j, k) * math.comb(2 * n - j - 1, n - 1),
+                math.factorial(j),
+            )
+            acc += sign * float(frac) * s0 ** (j - k) * tau ** (j - n)
+        a.append(acc)
+
+        acc = 0.0
+        for j in range(k, n):
+            frac = Fraction(
+                math.factorial(2 * n - j - 1),
+                math.factorial(k) * math.factorial(j - k) * math.factorial(n - j - 1),
+            )
+            acc += (-1) ** (j - k) * float(frac) * s0 ** (j - k) * tau ** (j - n)
+        alpha.append((-1) ** (n - 1) * exp_s0tau * acc)
+    return RetardedSystem(n, a, alpha, tau)
+
+
+def mid_order2(s0, tau):
+    """Closed-form n = 2 assignment:
+
+    a_1 = -4/tau - 2 s0,  a_0 = 6/tau^2 + 4 s0/tau + s0^2,
+    alpha_1 = -(2/tau) e^(s0 tau),  alpha_0 = (2/tau) e^(s0 tau) (s0 - 3/tau).
+    """
+    e = math.exp(s0 * tau)
+    a1 = -4.0 / tau - 2.0 * s0
+    a0 = 6.0 / tau**2 + 4.0 * s0 / tau + s0**2
+    al1 = -2.0 / tau * e
+    al0 = 2.0 / tau * e * (s0 - 3.0 / tau)
+    return RetardedSystem(2, (a0, a1), (al0, al1), tau)
+
+
+# --- root localization ------------------------------------------------------------
 
 
 def newton_on_ratio(q, qp, qpp, z0, steps=80, leash=2.0):

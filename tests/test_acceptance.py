@@ -153,7 +153,7 @@ def test_criterion_09_dominance_certification(example_system):
     t0 = time.perf_counter()
     roots = find_roots(example_system.quasipolynomial(), Rectangle(-5, 1, -30, 30))
     right = [r for r in roots if r.location.real >= -0.5 - 1e-9]
-    cert = certify_dominance(example_system, -0.5, re_floor=-0.5)
+    cert = certify_dominance(example_system, -0.5)
     dt = time.perf_counter() - t0
     ok = (
         len(right) == 1

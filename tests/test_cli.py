@@ -271,7 +271,7 @@ def test_simulate_file_history_header_detection(fmt, header, example_dir, tmp_pa
     t = [-2.5 + 0.025 * k for k in range(101)]
     hist = tmp_path / "hist.csv"
     hist.write_text(header + "".join(f"{fmt},{fmt}\n" % (v, -v) for v in t))
-    [(name, history)] = cli._resolve_histories(f"file:{hist}", 2.5)
+    [(name, history)] = cli._resolve_histories(f"file:{hist}")
     assert name == "custom"
     assert history.times.size == 101 and history.times[0] == -2.5
     assert cli.main([
@@ -368,6 +368,33 @@ def test_verify_missing_file_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "case", ["one-column-history", "list-system", "scalar-coefficients", "design-s0-overflow",
+             "verify-s0-overflow"],
+)
+def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
+    system = str(example_dir / "system.json")
+    doc = json.loads((example_dir / "system.json").read_text())
+    bad = tmp_path / "bad.json"
+    if case == "one-column-history":
+        hist = tmp_path / "one.csv"
+        hist.write_text("".join(f"{-0.1 * k}\n" for k in range(26)))
+        argv = ["simulate", system, "--history", f"file:{hist}", "--t-end", "5"]
+    elif case == "list-system":
+        bad.write_text("[1, 2]")
+        argv = ["verify", str(bad)]
+    elif case == "scalar-coefficients":
+        bad.write_text(json.dumps(doc | {"a": 5}))
+        argv = ["verify", str(bad)]
+    elif case == "design-s0-overflow":
+        argv = ["design", "--n", "3", "--s0", "400", "--tau", "2.5"]
+    else:
+        argv = ["verify", system, "--s0", "-400"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: "), err
+
+
 # --- round trip -------------------------------------------------------------------
 
 
@@ -394,14 +421,16 @@ def test_design_spectrum_verify_round_trip(n, tmp_path):
 
 
 def test_library_import_loads_no_scipy():
-    # scipy is loaded only when a sampled history builds its spline
+    # scipy is loaded only when a sampled history builds its spline; the
+    # design is exact in Python integers, so no rational arithmetic loads
     r = run_python(
         "-c",
         "import sys, midspec.cli, midspec.quasipoly, midspec.spectral, midspec.bounds, "
-        "midspec.sim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "midspec.sim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'fractions' in sys.modules, 'decimal' in sys.modules)",
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.strip() == "[] False False"
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,11 +17,11 @@ from midspec.quasipoly import (
     dominant_root_from_trace,
     factorization_residual,
     mid_coefficients,
-    mid_coefficients_order2,
+    mid_normalized,
     multiplicity_at,
     normalize,
-    standard_quartic_quasipolynomial,
 )
+from oracles import mid_double_sum, mid_order2
 
 
 def rel_close(x, y, tol):
@@ -159,25 +160,60 @@ def test_mid_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mid_coefficients(0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        mid_coefficients_order2(0.0, -1.0)
+        mid_coefficients(2, 0.0, -1.0)
+    with pytest.raises(ValueError):
+        mid_normalized(0)
+
+
+def test_mid_equals_double_sum_bitwise():
+    # the denormalized integer design reproduces the direct double sum in
+    # every bit, so designs written by any earlier version stay unchanged
+    rng = random.Random(2024)
+    cases = [
+        (n, s0, tau)
+        for n in range(1, 11)
+        for s0 in (-3.0, -1.0, -0.6173964613908675, -0.5, 0.0, 0.4, 2.0)
+        for tau in (0.01, 0.5, 1.0, 2.5, 10.0)
+    ]
+    cases += [(rng.randint(1, 10), rng.uniform(-3, 2), rng.uniform(0.01, 10)) for _ in range(500)]
+    for n, s0, tau in cases:
+        got = mid_coefficients(n, s0, tau)
+        want = mid_double_sum(n, s0, tau)
+        assert got.a == want.a and got.alpha == want.alpha, (n, s0, tau)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mid_normalized_is_exact_2n_fold_root(n):
+    # z^n + sum b_k z^k + e^(-z) sum beta_k z^k in exact rationals: every
+    # Taylor coefficient below z^(2n) vanishes and the z^(2n) one does not
+    ns = mid_normalized(n)
+    assert all(type(c) is int for c in ns.b + ns.beta)
+    poly = list(ns.b) + [1] + [0] * n
+    e = [Fraction((-1) ** j, math.factorial(j)) for j in range(2 * n + 1)]  # e^(-z)
+    taylor = [
+        poly[j] + sum(ns.beta[k] * e[j - k] for k in range(min(j, n - 1) + 1))
+        for j in range(2 * n + 1)
+    ]
+    assert taylor[: 2 * n] == [0] * (2 * n)
+    assert taylor[2 * n] != 0
 
 
 @pytest.mark.parametrize("s0,tau", [(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0), (0.37, 0.61), (-0.3, 2.5)])
 def test_order2_closed_form_agrees(s0, tau):
     general = mid_coefficients(2, s0, tau)
-    direct = mid_coefficients_order2(s0, tau)
+    direct = mid_order2(s0, tau)
     for x, y in zip(general.a + general.alpha, direct.a + direct.alpha):
         assert abs(x - y) <= 1e-14 * max(abs(x), abs(y), 1e-300)
 
 
 def test_order2_example_values():
-    sys_ = mid_coefficients_order2(0.0, 2.0)
+    sys_ = mid_order2(0.0, 2.0)
     assert rel_close(sys_.a[1], -2.0, 1e-14)
     assert rel_close(sys_.a[0], 1.5, 1e-14)
     assert rel_close(sys_.alpha[1], -1.0, 1e-14)
     assert rel_close(sys_.alpha[0], -1.5, 1e-14)
 
-    sys_ = mid_coefficients_order2(-1.0, 1.0)
+    sys_ = mid_order2(-1.0, 1.0)
     e = math.exp(-1.0)
     assert rel_close(sys_.a[1], -2.0, 1e-14)
     assert rel_close(sys_.a[0], 3.0, 1e-14)
@@ -296,11 +332,6 @@ def test_multiplicity_never_exceeds_degree():
             continue
         for s0 in (0.0, 1.0, -0.5 + 0.3j):
             assert multiplicity_at(q, s0) <= q.degree
-
-
-def test_multiplicity_rejects_bad_tol(qhat):
-    with pytest.raises(ValueError):
-        multiplicity_at(qhat, 0.0, tol=0.0)
 
 
 # --- trace formula ---------------------------------------------------------------

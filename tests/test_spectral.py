@@ -187,11 +187,6 @@ def test_residuals_below_threshold(example_system):
         assert r.residual <= 1e-8 * scale
 
 
-def test_find_rejects_bad_tol(qhat):
-    with pytest.raises(ValueError):
-        find_roots(qhat, Rectangle(-1, 1, -1, 1), tol=0.0)
-
-
 # --- spectral abscissa ----------------------------------------------------------------
 
 
@@ -226,7 +221,7 @@ def _fro2_bound(pair):
 @pytest.mark.parametrize("s0,tau", [(0.0, 1.0), (-0.7, 0.6), (0.3, 2.2)])
 def test_certify_n2(s0, tau):
     sys_ = mid_coefficients(2, s0, tau)
-    report = certify_dominance(sys_, s0, re_floor=s0)
+    report = certify_dominance(sys_, s0)
     assert report.strictly_dominant
     assert abs(report.spectral_abscissa - s0) < 1e-8
     assert report.dominant is not None
@@ -234,7 +229,7 @@ def test_certify_n2(s0, tau):
 
 
 def test_certify_example(example_system):
-    report = certify_dominance(example_system, -0.5, re_floor=-0.5)
+    report = certify_dominance(example_system, -0.5)
     assert report.strictly_dominant
     assert abs(report.spectral_abscissa + 0.5) < 1e-8
 
@@ -242,15 +237,15 @@ def test_certify_example(example_system):
 def test_certify_rejects_false_claim():
     # delay-free y' - y = 0 has the root +1; claiming dominance at 0 must fail
     sys_ = RetardedSystem(1, (-1.0,), (0.0,), 1.0)
-    report = certify_dominance(sys_, 0.0, re_floor=0.0)
+    report = certify_dominance(sys_, 0.0)
     assert not report.strictly_dominant
     assert abs(report.spectral_abscissa - 1.0) < 1e-9
 
 
 def test_certify_empty_region_is_not_strict():
-    # y' + y = 0 has its only root at -1; nothing lies right of re_floor = 5
+    # y' + y = 0 has its only root at -1; nothing lies right of the claim 5
     sys_ = RetardedSystem(1, (1.0,), (0.0,), 1.0)
-    report = certify_dominance(sys_, -1.0, re_floor=5.0)
+    report = certify_dominance(sys_, 5.0)
     assert report.roots == ()
     assert report.spectral_abscissa == -math.inf
     assert report.dominant is None
@@ -267,7 +262,7 @@ def test_certify_agrees_with_modulus_scan():
         ns = normalize(sys_, s0)
         q = ns.quasipolynomial()
         bound = _fro2_bound(companion_pair(ns))
-        report = certify_dominance(sys_, s0, re_floor=s0)
+        report = certify_dominance(sys_, s0)
         assert report.strictly_dominant
 
         B = bound.value
@@ -305,7 +300,7 @@ def test_report_from_no_roots():
 
 
 def test_report_json_fields(example_system):
-    rep = certify_dominance(example_system, -0.5, re_floor=-0.5)
+    rep = certify_dominance(example_system, -0.5)
     doc = rep.to_json_dict()
     assert set(doc) == {"roots", "region", "spectral_abscissa", "dominant", "strictly_dominant"}
     assert doc["strictly_dominant"] is True
