@@ -94,34 +94,33 @@ class Lemma3Report:
     certified: float
 
 
-def _check_square(M: np.ndarray) -> np.ndarray:
+def _check_square(M: np.ndarray, stacked: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if not (M.ndim == 2 or stacked and M.ndim > 2) or M.shape[-1] != M.shape[-2]:
         raise ValueError("expected a square matrix")
     return M
 
 
-def log_norm(M: np.ndarray, norm: Norm) -> float:
+def log_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
     """Logarithmic norm mu(M) = lim_{eps->0+} (||I + eps M|| - 1)/eps.
 
     Closed forms: column sums of off-diagonal moduli plus diagonal real part
     (one norm), the same over rows (infinity norm), and the largest eigenvalue
-    of the Hermitian part (two norm).
+    of the Hermitian part (two norm).  M may be a stack of shape (..., n, n);
+    the result is then an array of shape (...), and a float for one matrix.
     """
-    M = _check_square(M)
+    M = _check_square(M, stacked=True)
     norm = Norm(norm)
-    if norm == Norm.ONE:
+    if norm in (Norm.ONE, Norm.INFINITY):
         absM = np.abs(M)
-        cols = M.real.diagonal() + absM.sum(axis=0) - absM.diagonal()
-        return float(cols.max())
-    if norm == Norm.INFINITY:
-        absM = np.abs(M)
-        rows = M.real.diagonal() + absM.sum(axis=1) - absM.diagonal()
-        return float(rows.max())
-    if norm == Norm.TWO:
-        herm = (M + M.conj().T) / 2.0
-        return float(np.linalg.eigvalsh(herm).max())
-    raise ValueError(f"logarithmic norm undefined for the {norm.value} norm")
+        sums = absM.sum(axis=-2 if norm == Norm.ONE else -1)  # columns or rows
+        mu = (M.real.diagonal(0, -2, -1) + sums - absM.diagonal(0, -2, -1)).max(axis=-1)
+    elif norm == Norm.TWO:
+        herm = (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
+        mu = np.linalg.eigvalsh(herm).max(axis=-1)
+    else:
+        raise ValueError(f"logarithmic norm undefined for the {norm.value} norm")
+    return float(mu) if M.ndim == 2 else mu
 
 
 def matrix_norm(M: np.ndarray, norm: Norm) -> float:
@@ -180,11 +179,11 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
         return log_norm(A1 * np.exp(1j * theta), norm)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    values = [f(t) for t in thetas]
+    values = log_norm(A1 * np.exp(1j * thetas)[:, None, None], norm)
     i = int(np.argmax(values))
     step = thetas[1] - thetas[0]
     best = _golden_max(f, thetas[i] - step, thetas[i] + step, 1e-8)
-    best = max(best, values[i])
+    best = max(best, float(values[i]))
     value = log_norm(-1j * pair.A0, norm) + best
     return BoundReport(BoundMethod.TISSIR_HMAMED, norm, 1, 0.0, value)
 
@@ -273,18 +272,22 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int):
     sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty);
     envelope = max_phi sqrt(H^2 - sigma^2) bounds every feasible omega at any
     sigma' >= sigma with the same H, and drives the scan's tail cut.
+
+    The coefficients must be real: then E(conj c) = conj E(c), so
+    H(2 pi - phi) = H(phi) and H is evaluated on phi in [0, pi] only.
     """
+    if coeffs.imag.any():
+        raise ValueError("feasibility sweeps need a real pair (A0, A1)")
     two_pi = 2.0 * math.pi
     phis = np.linspace(0.0, two_pi, grid, endpoint=False)
     phis_ext = np.append(phis, two_pi)
-    rot = np.exp(-1j * phis)
+    rot = np.exp(-1j * phis[: grid // 2 + 1])
+    fold = np.minimum(np.arange(grid), grid - np.arange(grid))  # phi_(grid-j) mirrors phi_j
     m = sigmas.size
     sup = np.full(m, -math.inf)
     env = np.full(m, -math.inf)
     offset = np.zeros(m)  # 2 pi k* of the winning residue class
-    lo = np.zeros(m)
-    hi = np.zeros(m)
-    active = np.zeros(m, dtype=bool)
+    arg = np.zeros(m, dtype=np.intp)  # the bracket [phi_arg, phi_(arg+1)]
     rows = max(1, _MAX_STACK // grid)
     for start in range(0, m, rows):
         blk = slice(start, start + rows)
@@ -293,29 +296,25 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int):
         H = _stacked_h(coeffs, c.ravel(), norm).reshape(c.shape)
         W2 = H * H - s * s
         reach = (W2 >= 0.0).any(axis=1)
-        W = np.sqrt(np.maximum(W2, 0.0))
+        W = np.sqrt(np.maximum(W2, 0.0))[:, fold]
         # W >= 0 = phis[0], so every row has a feasible class once W exists
         kmax = np.floor((W - phis) / two_pi)
         omega = np.where(W >= phis, phis + two_pi * kmax, -math.inf)
         r = np.arange(W.shape[0])
+        # the crossing W(phi) = phi + 2 pi k* lies in [phi_i, phi_(i+1)] at the
+        # argmax i: a later point (or the wrap) with W >= phi + 2 pi k* would
+        # sit in a class k >= k* and so beat omega[i]
         i = omega.argmax(axis=1)
-        k2pi = two_pi * kmax[r, i]
-        # last downward crossing of W(phi) = phi + 2 pi k* over [0, 2 pi]
-        g = np.concatenate((W, W[:, :1]), axis=1) - (phis_ext + k2pi[:, None])
-        cross = (g[:, :-1] >= 0.0) & (g[:, 1:] < 0.0)
-        j = grid - 1 - cross[:, ::-1].argmax(axis=1)
         sup[blk] = np.where(reach, omega[r, i], -math.inf)
         env[blk] = np.where(reach, W.max(axis=1), -math.inf)
-        offset[blk] = k2pi
-        lo[blk] = phis_ext[j]
-        hi[blk] = phis_ext[j + 1]
-        active[blk] = reach & cross.any(axis=1)
+        offset[blk] = two_pi * kmax[r, i]
+        arg[blk] = i
 
-    # polish every active crossing together
-    idx = np.flatnonzero(active)
+    # polish the crossing of every reachable sigma together
+    idx = np.flatnonzero(sup > -math.inf)
     for start in range(0, idx.size, _MAX_STACK):
         sel = idx[start:start + _MAX_STACK]
-        s, k2pi, a, b = sigmas[sel], offset[sel], lo[sel], hi[sel]
+        s, k2pi, a, b = sigmas[sel], offset[sel], phis_ext[arg[sel]], phis_ext[arg[sel] + 1]
         scale = np.exp(-s)
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (a + b)

@@ -287,7 +287,15 @@ def _inflated_count(q: Quasipolynomial, rect: Rectangle) -> tuple[Rectangle, int
     The inflation starts at 1e-6 and grows tenfold per retry, at most 5
     times, because around a root of multiplicity m the evaluation-cancellation
     floor is only cleared at distance ~(1e-12)^(1/m), far beyond 1e-6 for m >= 2.
+    A rect on which q overflows is rejected with ValueError.
     """
+    # e^(-lam Re z), lam >= 0, peaks on the left edge, and |z| at its corners
+    try:
+        scale = max(q.magnitude_scale(complex(rect.re_min, y)) for y in (rect.im_min, rect.im_max))
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"the quasipolynomial overflows at the left edge Re z = {rect.re_min:g}")
     delta = 0.0
     for k in range(6):
         attempt = rect.inflated(delta)

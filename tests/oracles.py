@@ -14,6 +14,10 @@ code with the argument-principle path it validates.
 
 The integrator oracles are a stagewise RK4 loop (four stages per step, each
 a pair of matvecs) and a delay-equation residual from finite differences.
+
+The feasibility-sweep oracle evaluates H on the whole phi grid, without the
+conjugate symmetry, and brackets the active crossing by the last downward
+crossing of W(phi) = phi + 2 pi k* over [0, 2 pi].
 """
 
 import math
@@ -21,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from midspec.bounds import _BISECTION_STEPS, _MAX_STACK, _stacked_h
 from midspec.quasipoly import RetardedSystem, companion, multiplicity_at
 
 
@@ -257,3 +262,59 @@ def delay_residual(sys, times, states):
     )
     scale = np.maximum(np.abs(terms).sum(axis=1), 1e-300)
     return float(np.max(np.abs(terms.sum(axis=1)) / scale))
+
+
+# --- feasibility sweeps -------------------------------------------------------------
+
+
+def omega_sup_full_grid(coeffs, norm, sigmas, grid):
+    """(sup, envelope) of |Im z| on each line Re z = sigma, as midspec.bounds
+    computes them, with H evaluated at every one of the grid phis."""
+    two_pi = 2.0 * math.pi
+    phis = np.linspace(0.0, two_pi, grid, endpoint=False)
+    phis_ext = np.append(phis, two_pi)
+    rot = np.exp(-1j * phis)
+    m = sigmas.size
+    sup = np.full(m, -math.inf)
+    env = np.full(m, -math.inf)
+    offset = np.zeros(m)
+    lo = np.zeros(m)
+    hi = np.zeros(m)
+    active = np.zeros(m, dtype=bool)
+    rows = max(1, _MAX_STACK // grid)
+    for start in range(0, m, rows):
+        blk = slice(start, start + rows)
+        s = sigmas[blk, None]
+        c = np.exp(-s) * rot
+        H = _stacked_h(coeffs, c.ravel(), norm).reshape(c.shape)
+        W2 = H * H - s * s
+        reach = (W2 >= 0.0).any(axis=1)
+        W = np.sqrt(np.maximum(W2, 0.0))
+        kmax = np.floor((W - phis) / two_pi)
+        omega = np.where(W >= phis, phis + two_pi * kmax, -math.inf)
+        r = np.arange(W.shape[0])
+        i = omega.argmax(axis=1)
+        k2pi = two_pi * kmax[r, i]
+        g = np.concatenate((W, W[:, :1]), axis=1) - (phis_ext + k2pi[:, None])
+        cross = (g[:, :-1] >= 0.0) & (g[:, 1:] < 0.0)
+        j = grid - 1 - cross[:, ::-1].argmax(axis=1)
+        sup[blk] = np.where(reach, omega[r, i], -math.inf)
+        env[blk] = np.where(reach, W.max(axis=1), -math.inf)
+        offset[blk] = k2pi
+        lo[blk] = phis_ext[j]
+        hi[blk] = phis_ext[j + 1]
+        active[blk] = reach & cross.any(axis=1)
+
+    idx = np.flatnonzero(active)
+    for start in range(0, idx.size, _MAX_STACK):
+        sel = idx[start:start + _MAX_STACK]
+        s, k2pi, a, b = sigmas[sel], offset[sel], lo[sel], hi[sel]
+        scale = np.exp(-s)
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (a + b)
+            h = _stacked_h(coeffs, scale * np.exp(-1j * (mid % two_pi)), norm)
+            up = np.sqrt(np.maximum(h * h - s * s, 0.0)) - (mid + k2pi) >= 0.0
+            a = np.where(up, mid, a)
+            b = np.where(up, b, mid)
+        sup[sel] = np.maximum(sup[sel], a + k2pi)
+    return sup, env

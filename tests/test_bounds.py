@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from midspec.bounds import (
     BoundReport,
@@ -19,6 +22,7 @@ from midspec.bounds import (
 from midspec import bounds
 from midspec.quasipoly import normalize
 from midspec.spectral import CompanionPair, companion_pair
+from oracles import omega_sup_full_grid
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,28 @@ def test_log_norm_two_against_root_oracle():
         a, b, c, d = H[0, 0].real, H[0, 1], H[1, 0], H[1, 1].real
         lam = np.roots([1.0, -(a + d), a * d - (b * c).real])
         assert abs(log_norm(M, Norm.TWO) - lam.real.max()) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_log_norm_stack_matches_loop(n):
+    # the Tissir-Hmamed theta scan as one stacked call and as one call per theta
+    rng = np.random.default_rng(30 + n)
+    A1 = rng.normal(size=(n, n))
+    thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    stack = A1 * np.exp(1j * thetas)[:, None, None]
+    for norm in (Norm.ONE, Norm.TWO, Norm.INFINITY):
+        loop = [log_norm(A1 * np.exp(1j * t), norm) for t in thetas]
+        assert all(type(v) is float for v in loop)
+        got = log_norm(stack, norm)
+        assert got.shape == thetas.shape
+        assert np.array_equal(got, loop), norm
+        assert np.array_equal(log_norm(stack.reshape(8, 90, n, n), norm), got.reshape(8, 90))
+
+
+def test_log_norm_rejects_non_square():
+    for M in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+        with pytest.raises(ValueError):
+            log_norm(M, Norm.ONE)
 
 
 # --- classical bounds -----------------------------------------------------------
@@ -258,10 +284,15 @@ def test_sweep_stacked_calls_respect_cap(std_pair, monkeypatch):
         sizes.append(c.size)
         return kernel(coeffs, c, norm)
 
+    def half_grid_block(grid):
+        return max(1, bounds._MAX_STACK // grid) * (grid // 2 + 1)
+
     monkeypatch.setattr(bounds, "_stacked_h", spy)
     bound_norm_power(std_pair, Norm.ONE, 2)
     bound_spectral_radius_curve(std_pair)
     assert max(sizes) <= bounds._MAX_STACK
+    # grid blocks evaluate H on phi in [0, pi] only; bisection calls are smaller
+    assert max(sizes) <= max(half_grid_block(g) for g in (bounds._COARSE_GRID, bounds._FINE_GRID))
 
     # one bisection serves every sigma of a call: grid blocks plus 50 steps
     sizes.clear()
@@ -269,7 +300,82 @@ def test_sweep_stacked_calls_respect_cap(std_pair, monkeypatch):
     boundary_curve(std_pair, sigmas, Norm.FROBENIUS, 2)
     assert max(sizes) <= bounds._MAX_STACK
     rows = bounds._MAX_STACK // bounds._CURVE_GRID
-    assert len(sizes) <= math.ceil(sigmas.size / rows) + bounds._BISECTION_STEPS
+    blocks = math.ceil(sigmas.size / rows)
+    assert len(sizes) <= blocks + bounds._BISECTION_STEPS
+    assert all(size <= half_grid_block(bounds._CURVE_GRID) for size in sizes[:blocks])
+    assert all(size <= sigmas.size for size in sizes[blocks:])
+
+
+# --- the half grid ------------------------------------------------------------------
+
+
+def _coeffs(pair, power):
+    return bounds._power_coefficients(pair.A0.astype(complex), pair.A1.astype(complex), power)
+
+
+_SWEEP_KEYS = (("rho", 1), (Norm.ONE, 1), (Norm.TWO, 2), (Norm.FROBENIUS, 2), (Norm.INFINITY, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_h_conjugate_symmetry(n):
+    # a real pair has E(conj c) = conj E(c), so H(2 pi - phi) = H(phi)
+    rng = np.random.default_rng(40 + n)
+    pair = CompanionPair(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+    c = np.exp(-rng.uniform(-0.5, 2.0, 256) - 1j * rng.uniform(0.0, 2 * math.pi, 256))
+    rho = _coeffs(pair, 1)
+    np.testing.assert_array_equal(bounds._stacked_h(rho, c, "rho"), bounds._stacked_h(rho, c.conj(), "rho"))
+    for p in (1, 2, 3):
+        coeffs = _coeffs(pair, p)
+        for norm in bounds.SUBMULTIPLICATIVE_NORMS:
+            got = bounds._stacked_h(coeffs, c, norm)
+            np.testing.assert_array_equal(got, bounds._stacked_h(coeffs, c.conj(), norm), f"{norm} p={p}")
+
+
+@pytest.mark.parametrize("grid", [bounds._COARSE_GRID, bounds._FINE_GRID, bounds._CURVE_GRID])
+def test_half_grid_matches_full_grid_oracle(grid, std_pair, example_system):
+    pairs = {
+        "standard": (std_pair, np.array([-0.5, 0.0, 0.013, 0.37, 1.0, 2.5, 6.0, 200.0])),
+        "order 3": (companion_pair(normalize(example_system, -0.5)), np.array([-0.3, 0.0, 0.7, 2.0, 200.0])),
+    }
+    for name, (pair, sigmas) in pairs.items():
+        for key, power in _SWEEP_KEYS:
+            coeffs = _coeffs(pair, power)
+            sup, env = bounds._omega_sup(coeffs, key, sigmas, grid)
+            want_sup, want_env = omega_sup_full_grid(coeffs, key, sigmas, grid)
+            assert sup[-1] == -math.inf  # the last sigma is infeasible
+            np.testing.assert_array_equal(sup, want_sup, f"{name} {key} p={power}")
+            # the envelope's maximum is H at phi_j on the half grid; the oracle
+            # also evaluates phi_(grid-j), whose last bit may differ
+            np.testing.assert_allclose(env, want_env, rtol=2 * np.finfo(float).eps, atol=0.0)
+
+
+def test_sweep_rejects_complex_coefficients():
+    A0 = np.array([[0.0, 1.0], [-2.0, 1j]])
+    coeffs = bounds._power_coefficients(A0, np.eye(2, dtype=complex), 1)
+    with pytest.raises(ValueError, match="real"):
+        bounds._omega_sup(coeffs, Norm.ONE, np.zeros(1), bounds._COARSE_GRID)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_argmax_bracket_holds_the_last_crossing(data):
+    # W(phi) - phi - 2 pi k* is >= 0 at the argmax phi_i and < 0 at every later
+    # grid point and at the wrap, so [phi_i, phi_(i+1)] is the last downward crossing
+    n = data.draw(st.sampled_from([2, 3]))
+    entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0))
+    pair = CompanionPair(data.draw(entries), data.draw(entries))
+    key, power = data.draw(st.sampled_from(_SWEEP_KEYS))
+    sigma = data.draw(st.floats(-1.0, 2.0))
+    grid = 512
+    phis = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    H = bounds._stacked_h(_coeffs(pair, power), np.exp(-sigma - 1j * phis), key)
+    W = np.sqrt(np.maximum(H * H - sigma * sigma, 0.0))
+    kmax = np.floor((W - phis) / (2 * math.pi))
+    omega = np.where(W >= phis, phis + 2 * math.pi * kmax, -math.inf)
+    i = int(omega.argmax())
+    g = np.append(W, W[0]) - (np.append(phis, 2 * math.pi) + 2 * math.pi * kmax[i])
+    assert g[i] >= 0.0
+    assert (g[i + 1:] < 0.0).all()
 
 
 def test_bound_report_validation():

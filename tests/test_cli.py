@@ -395,6 +395,16 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     assert err.startswith("error: "), err
 
 
+def test_spectrum_s0_overflow_exit_2(example_dir, tmp_path):
+    # the default region Re z >= s0 - 5 makes e^(-tau Re z) overflow
+    r = run_cli("spectrum", str(example_dir / "system.json"), "--s0", "-400",
+                "--out-dir", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: "), r.stderr
+    assert "overflows" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+
+
 # --- round trip -------------------------------------------------------------------
 
 
