@@ -266,12 +266,15 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
     return h ** (1.0 / power)
 
 
-def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int):
+def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf):
     """(sup, envelope) of |Im z| on each line Re z = sigma, sigma in sigmas.
 
     sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty);
     envelope = max_phi sqrt(H^2 - sigma^2) bounds every feasible omega at any
     sigma' >= sigma with the same H, and drives the scan's tail cut.
+
+    Only rows whose sup could exceed floor are polished: a row whose bracket
+    ends at or below floor keeps its grid value, which is then <= floor too.
 
     The coefficients must be real: then E(conj c) = conj E(c), so
     H(2 pi - phi) = H(phi) and H is evaluated on phi in [0, pi] only.
@@ -310,8 +313,9 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int):
         offset[blk] = two_pi * kmax[r, i]
         arg[blk] = i
 
-    # polish the crossing of every reachable sigma together
-    idx = np.flatnonzero(sup > -math.inf)
+    # polish the crossings together; the polished sup never passes its
+    # bracket's right end, so rows that end at or below floor are skipped
+    idx = np.flatnonzero((sup > -math.inf) & (phis_ext[arg + 1] + offset > floor))
     for start in range(0, idx.size, _MAX_STACK):
         sel = idx[start:start + _MAX_STACK]
         s, k2pi, a, b = sigmas[sel], offset[sel], phis_ext[arg[sel]], phis_ext[arg[sel] + 1]
@@ -333,8 +337,11 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
     envelope stays below the running maximum for 100 consecutive steps,
     then a fine rescan (step 1e-4, denser phi grid) around the argmax.
     The coarse scan evaluates sigmas a block at a time and replays these
-    sequential rules over each block.
+    sequential rules over each block.  Each block, and the fine rescan,
+    bisects only the crossings that could raise the running maximum.
     """
+    if not math.isfinite(sigma_min):
+        raise ValueError(f"sigma_min must be finite, got {sigma_min}")
     # no feasible z beyond sigma_cap: |z| >= sigma there exceeds every
     # attainable ||M^p||^(1/p) <= ||A0|| + ||A1|| e^(-sigma)
     capnorm = Norm.FROBENIUS if (norm == "rho" or norm == Norm.TWO) else norm
@@ -353,7 +360,8 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
         sigmas = sigmas[sigmas <= sigma_cap]
         if not sigmas.size:
             break
-        sups, envs = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID)
+        # a row at or below the running maximum cannot pass `v > best`
+        sups, envs = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best)
         for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
             if v > best:
                 best, best_sigma = v, sigma
@@ -369,7 +377,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
     hi = best_sigma + _COARSE_SIGMA_STEP
     fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
-    sups, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID)
+    sups, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID, best)
     return float(max(best, sups.max()))
 
 

@@ -292,6 +292,8 @@ def normalize(sys: RetardedSystem, s0: float) -> NormalizedSystem:
     e^(-s0 tau) coming from e^(-(s0 + z/tau) tau) = e^(-s0 tau) e^(-z).
     """
     s0 = float(s0)
+    if not math.isfinite(s0):
+        raise ValueError(f"shift s0 must be finite, got {s0}")
     n, tau = sys.n, sys.tau
 
     def shifted(coeffs):

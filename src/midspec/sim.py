@@ -268,8 +268,8 @@ def simulate(
     is tau/500.  Raises SimulationError if the state stops being finite.
     """
     tau = sys.tau
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     if step is None:
         step = tau / 500.0
     if not step > 0:

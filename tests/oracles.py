@@ -15,9 +15,11 @@ code with the argument-principle path it validates.
 The integrator oracles are a stagewise RK4 loop (four stages per step, each
 a pair of matvecs) and a delay-equation residual from finite differences.
 
-The feasibility-sweep oracle evaluates H on the whole phi grid, without the
-conjugate symmetry, and brackets the active crossing by the last downward
-crossing of W(phi) = phi + 2 pi k* over [0, 2 pi].
+The feasibility-sweep oracles evaluate H on the whole phi grid, without the
+conjugate symmetry, and bracket the active crossing by the last downward
+crossing of W(phi) = phi + 2 pi k* over [0, 2 pi]; and run the sigma sweep
+with every reachable crossing polished, not only those that could raise the
+running maximum.
 """
 
 import math
@@ -25,7 +27,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from midspec.bounds import _BISECTION_STEPS, _MAX_STACK, _stacked_h
+from midspec.bounds import (
+    _BISECTION_STEPS,
+    _COARSE_GRID,
+    _COARSE_SIGMA_STEP,
+    _FINE_GRID,
+    _FINE_SIGMA_STEP,
+    _MAX_STACK,
+    _TAIL_CUT_STEPS,
+    Norm,
+    _omega_sup,
+    _power_coefficients,
+    _stacked_h,
+    matrix_norm,
+)
 from midspec.quasipoly import RetardedSystem, companion, multiplicity_at
 
 
@@ -318,3 +333,43 @@ def omega_sup_full_grid(coeffs, norm, sigmas, grid):
             b = np.where(up, b, mid)
         sup[sel] = np.maximum(sup[sel], a + k2pi)
     return sup, env
+
+
+def feasibility_sup_every_polish(A0, A1, norm, power, sigma_min):
+    """sup |Im z| over the feasible set in {Re z >= sigma_min}, as
+    midspec.bounds computes it, with the crossing of every reachable sigma
+    bisected (no floor passed to _omega_sup)."""
+    capnorm = Norm.FROBENIUS if (norm == "rho" or norm == Norm.TWO) else norm
+    na0 = matrix_norm(A0, capnorm)
+    na1 = matrix_norm(A1, capnorm)
+    sigma_cap = na0 + na1 * math.exp(-min(0.0, sigma_min)) + 1.0
+    coeffs = _power_coefficients(A0, A1, power)
+
+    block = _MAX_STACK // _COARSE_GRID
+    best = -math.inf
+    best_sigma = sigma_min
+    below = 0
+    start = 0
+    while below < _TAIL_CUT_STEPS:
+        sigmas = sigma_min + np.arange(start, start + block) * _COARSE_SIGMA_STEP
+        sigmas = sigmas[sigmas <= sigma_cap]
+        if not sigmas.size:
+            break
+        sups, envs = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID)
+        for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
+            if v > best:
+                best, best_sigma = v, sigma
+            if env < best:
+                below += 1
+                if below >= _TAIL_CUT_STEPS:
+                    break
+            else:
+                below = 0
+        start += block
+    if best == -math.inf:
+        return 0.0
+    lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
+    hi = best_sigma + _COARSE_SIGMA_STEP
+    fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
+    sups, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID)
+    return float(max(best, sups.max()))

@@ -20,9 +20,9 @@ from midspec.bounds import (
     matrix_norm,
 )
 from midspec import bounds
-from midspec.quasipoly import normalize
+from midspec.quasipoly import mid_coefficients, normalize
 from midspec.spectral import CompanionPair, companion_pair
-from oracles import omega_sup_full_grid
+from oracles import feasibility_sup_every_polish, omega_sup_full_grid
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +304,77 @@ def test_sweep_stacked_calls_respect_cap(std_pair, monkeypatch):
     assert len(sizes) <= blocks + bounds._BISECTION_STEPS
     assert all(size <= half_grid_block(bounds._CURVE_GRID) for size in sizes[:blocks])
     assert all(size <= sigmas.size for size in sizes[blocks:])
+
+
+# --- bisecting only the crossings that can move the result --------------------------
+
+_STANDARD_SWEEPS = (("rho", 1),) + tuple(
+    (norm, p) for p in (1, 2) for norm in (Norm.ONE, Norm.FROBENIUS, Norm.INFINITY)
+)
+
+
+def _sweeps(sweep, pair, keys, sigma_min):
+    A0, A1 = pair.A0.astype(complex), pair.A1.astype(complex)
+    return [sweep(A0, A1, key, power, sigma_min) for key, power in keys]
+
+
+@pytest.mark.parametrize("sigma_min", [-0.5, 0.0, 0.3])
+def test_pruned_sweeps_match_every_polish_oracle(sigma_min, std_pair):
+    got = _sweeps(bounds._feasibility_sup, std_pair, _STANDARD_SWEEPS, sigma_min)
+    assert got == _sweeps(feasibility_sup_every_polish, std_pair, _STANDARD_SWEEPS, sigma_min)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pruned_designed_sweeps_match_every_polish_oracle(n):
+    # every norm at p = 1..3; the stacked-eigvals rho sweep only where it is cheap
+    pair = companion_pair(normalize(mid_coefficients(n, -0.5, 2.5), -0.5))
+    keys = [(norm, p) for norm in bounds.SUBMULTIPLICATIVE_NORMS for p in (1, 2, 3)]
+    keys += [("rho", 1)] if n <= 2 else []
+    got = _sweeps(bounds._feasibility_sup, pair, keys, 0.0)
+    want = _sweeps(feasibility_sup_every_polish, pair, keys, 0.0)
+    assert got == want, [key for key, g, w in zip(keys, got, want) if g != w]
+
+
+def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
+    # the every-polish oracle makes 7,075 calls here, 50 bisection steps per coarse block
+    calls = []
+    kernel = bounds._stacked_h
+
+    def spy(coeffs, c, norm):
+        calls.append(c.size)
+        return kernel(coeffs, c, norm)
+
+    monkeypatch.setattr(bounds, "_stacked_h", spy)
+    _sweeps(bounds._feasibility_sup, std_pair, _STANDARD_SWEEPS, 0.0)
+    assert len(calls) <= 1600
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_omega_sup_floor_contract(data):
+    # above floor the sup is the fully polished one; at or below it, it stays there
+    n = data.draw(st.sampled_from([2, 3]))
+    entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0))
+    pair = CompanionPair(data.draw(entries), data.draw(entries))
+    key, power = data.draw(st.sampled_from(_SWEEP_KEYS))
+    sigmas = np.array(data.draw(st.lists(st.floats(-1.0, 4.0), min_size=1, max_size=6)))
+    coeffs = _coeffs(pair, power)
+    sup, env = bounds._omega_sup(coeffs, key, sigmas, 512)
+    finite = sup[sup > -math.inf].tolist()
+    floor = data.draw(st.one_of(st.floats(-1.0, 40.0), st.sampled_from(finite or [-math.inf])))
+    got, got_env = bounds._omega_sup(coeffs, key, sigmas, 512, floor)
+    above = sup > floor
+    np.testing.assert_array_equal(got[above], sup[above])
+    assert (got[~above] <= floor).all()
+    np.testing.assert_array_equal(got_env, env)
+
+
+def test_sweep_rejects_non_finite_sigma_min(std_pair):
+    for sigma_min in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sigma_min must be finite"):
+            bound_spectral_radius_curve(std_pair, sigma_min)
+        with pytest.raises(ValueError, match="sigma_min must be finite"):
+            bound_norm_power(std_pair, Norm.ONE, 2, sigma_min)
 
 
 # --- the half grid ------------------------------------------------------------------

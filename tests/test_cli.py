@@ -16,9 +16,10 @@ from midspec import cli
 SRC = str(Path(midspec.__file__).resolve().parents[1])
 
 
-def run_python(*args, cwd=None, env=None):
+def run_python(*args, cwd=None, env=None, timeout=None):
     """Run a fresh interpreter that imports this midspec; ``env`` merges over
-    ``os.environ``."""
+    ``os.environ``; a child still running after ``timeout`` seconds fails
+    the test with ``subprocess.TimeoutExpired``."""
     child_env = {**os.environ, **(env or {})}
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, child_env.get("PYTHONPATH")) if p
@@ -29,12 +30,13 @@ def run_python(*args, cwd=None, env=None):
         text=True,
         cwd=cwd,
         env=child_env,
+        timeout=timeout,
     )
 
 
-def run_cli(*args, cwd=None, env=None):
+def run_cli(*args, cwd=None, env=None, timeout=None):
     """Run the CLI in a fresh process; ``env`` merges over ``os.environ``."""
-    return run_python("-m", "midspec.cli", *args, cwd=cwd, env=env)
+    return run_python("-m", "midspec.cli", *args, cwd=cwd, env=env, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +215,28 @@ def test_bounds_requires_pair(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_bounds_non_finite_sigma_min_exit_2(value, tmp_path):
+    # nan and inf once gave every sweep row 0; -inf never ended the tail cut
+    r = run_cli(
+        "bounds", "--standard-pair", "--all", f"--sigma-min={value}",
+        "--out-dir", str(tmp_path), timeout=60,
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: ") and "sigma_min must be finite" in r.stderr
+    assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_bounds_non_finite_s0_exit_2(example_dir, tmp_path):
+    r = run_cli(
+        "bounds", str(example_dir / "system.json"), "--s0=nan", "--method", "norm-power",
+        "--norm", "one", "--power", "1", "--out-dir", str(tmp_path),
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: ") and "s0 must be finite" in r.stderr
+    assert not (tmp_path / "bounds.csv").exists()
+
+
 def test_bounds_curves(tmp_path):
     r = run_cli(
         "bounds", "--standard-pair", "--method", "rho", "--curves",
@@ -297,6 +321,15 @@ def test_simulate_json_reports_step_and_steps(example_dir, tmp_path, capsys):
     assert set(payload["decay_rates"]) == set(payload["steps"])
 
 
+def test_simulate_infinite_t_end_exit_2(example_dir, tmp_path):
+    r = run_cli(
+        "simulate", str(example_dir / "system.json"), "--history", "y01", "--t-end=inf",
+        "--out-dir", str(tmp_path),
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: ") and "t_end must be positive and finite" in r.stderr
+
+
 def test_simulate_unknown_history_exit_2(example_dir, tmp_path):
     r = run_cli(
         "simulate", str(example_dir / "system.json"), "--history", "bogus",
@@ -370,7 +403,7 @@ def test_verify_missing_file_exit_2(tmp_path):
 
 @pytest.mark.parametrize(
     "case", ["one-column-history", "list-system", "scalar-coefficients", "design-s0-overflow",
-             "verify-s0-overflow"],
+             "verify-s0-overflow", "verify-s0-nan"],
 )
 def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     system = str(example_dir / "system.json")
@@ -388,11 +421,15 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         argv = ["verify", str(bad)]
     elif case == "design-s0-overflow":
         argv = ["design", "--n", "3", "--s0", "400", "--tau", "2.5"]
-    else:
+    elif case == "verify-s0-overflow":
         argv = ["verify", system, "--s0", "-400"]
+    else:
+        argv = ["verify", system, "--s0=nan"]
     assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: "), err
+    if case == "verify-s0-nan":
+        assert "s0 must be finite" in err and "overflows" not in err
 
 
 def test_spectrum_s0_overflow_exit_2(example_dir, tmp_path):

@@ -237,6 +237,12 @@ def test_normalized_mid_is_universal(s0, tau):
     assert np.allclose(ns.beta, (-6.0, -2.0), rtol=1e-10)
 
 
+@pytest.mark.parametrize("s0", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite_shift(s0, example_system):
+    with pytest.raises(ValueError, match="s0 must be finite"):
+        normalize(example_system, s0)
+
+
 def test_normalize_example_system(example_system):
     ns = normalize(example_system, -0.5)
     ref = mid_coefficients(3, 0.0, 1.0)

@@ -142,6 +142,9 @@ def test_convergence_order(example_system):
 def test_simulate_validation(example_system):
     with pytest.raises(ValueError):
         simulate(example_system, constant(1.0), -1.0)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(example_system, constant(1.0), t_end)
     with pytest.raises(ValueError):
         simulate(example_system, constant(1.0), 5.0, step=1e-12)
     short = sampled(np.linspace(-1.0, 0.0, 10), np.zeros(10))
