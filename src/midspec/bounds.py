@@ -239,6 +239,9 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
         E += S[:, :, None]
         E *= c
     E += coeffs[0][:, :, None]
+    if n == 1 and norm in ("rho", Norm.TWO):
+        # of a 1x1 matrix, spectral radius and two-norm are both |E|
+        return np.abs(E[0, 0]) ** (1.0 / power)
     if norm == "rho":
         if n == 2:
             # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs

@@ -372,6 +372,8 @@ def _resolve_histories(spec: str):
 def cmd_simulate(args, em: _Emitter) -> int:
     from . import sim
 
+    if not math.isfinite(args.t_start):
+        raise ValueError(f"t_start must be finite, got {args.t_start}")
     sys_ = _load_system(args.system)
     histories = _resolve_histories(args.history)
 
@@ -390,10 +392,11 @@ def cmd_simulate(args, em: _Emitter) -> int:
         outputs += [str(sol_path), str(traj_path)]
         try:
             rate = sim.decay_rate(traj, args.t_start)
-        except ValueError:
-            rate = None
+        except ValueError as exc:
+            rate, shown = None, f"n/a ({exc})"
+        else:
+            shown = f"{rate:+.6f}"
         rates[name] = rate
-        shown = "n/a (zero tail)" if rate is None else f"{rate:+.6f}"
         em.say(f"history {name}: decay rate over [{args.t_start:g}, {args.t_end:g}] = {shown}")
 
     em.payload = {"decay_rates": rates, "step": traj.step, "steps": steps}

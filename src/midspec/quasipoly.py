@@ -12,17 +12,22 @@ This module holds the representation, evaluation and differentiation,
 the exact integer design that places a real root of maximal multiplicity
 2n, the scale-aware numerical multiplicity test, and the companion
 matrices of the first-order form.
+
+numpy is imported inside the functions that take or return arrays, so the
+design itself runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Polynomial",
@@ -75,6 +80,8 @@ class Polynomial:
         return acc
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         acc = np.zeros_like(z, dtype=complex)
         for c in reversed(self.coefficients):
             acc = acc * z + c
@@ -137,6 +144,8 @@ class Quasipolynomial:
         return acc
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
         for lam, p in self.terms:
@@ -166,6 +175,8 @@ class Quasipolynomial:
         return acc
 
     def magnitude_scale_array(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         acc = np.zeros(z.shape, dtype=float)
         for lam, p in self.terms:
@@ -328,7 +339,11 @@ def denormalize(nsys: NormalizedSystem, s0: float, tau: float) -> RetardedSystem
     tau = float(tau)
     if not tau > 0:
         raise ValueError("delay tau must be positive")
+    if not math.isfinite(tau):
+        raise ValueError(f"delay tau must be finite, got {tau}")
     s0 = float(s0)
+    if not math.isfinite(s0):
+        raise ValueError(f"shift s0 must be finite, got {s0}")
     n = nsys.n
 
     def shifted(coeffs, m, acc):
@@ -392,6 +407,19 @@ def dominant_root_from_trace(n: int, a_top: float, tau: float) -> float:
     return -float(a_top) / n - n / tau
 
 
+@functools.cache
+def _unit_gauss_legendre():
+    """(t, w): 64 Gauss-Legendre nodes mapped to [0, 1] and their weights on
+    [-1, 1], built once per process and shared read-only."""
+    import numpy as np
+
+    x, w = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * (x + 1.0)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def factorization_residual(n: int, z: complex) -> float:
     """Relative residual of the integral factorization of the normalized
     order-n design q (root of multiplicity 2n at the origin, delay 1):
@@ -402,13 +430,14 @@ def factorization_residual(n: int, z: complex) -> float:
     difference is measured against q.magnitude_scale(z), so the residual
     stays comparable across orders whose terms grow like |z|^n.
     """
+    import numpy as np
+
     z = complex(z)
     if z == 0:
         raise ValueError("z = 0 excluded; compare against the moment identity instead")
     n = int(n)
     q = mid_normalized(n).quasipolynomial()
-    x, w = np.polynomial.legendre.leggauss(64)
-    t = 0.5 * (x + 1.0)
+    t, w = _unit_gauss_legendre()
     integral = 0.5 * np.sum(w * t ** (n - 1) * (1.0 - t) ** n * np.exp(-z * t))
     rhs = z ** (2 * n) / math.factorial(n - 1) * integral
     return abs(q(z) - rhs) / q.magnitude_scale(z)
@@ -421,6 +450,8 @@ def companion(b: Sequence[float], beta: Sequence[float]) -> tuple[np.ndarray, np
     The sign on the last rows is what makes det(zI - A0 - A1 e^(-z delay))
     equal z^n + sum b_k z^k + e^(-z delay) sum beta_k z^k.
     """
+    import numpy as np
+
     n = len(b)
     A0 = np.zeros((n, n))
     A1 = np.zeros((n, n))

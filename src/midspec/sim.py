@@ -264,19 +264,20 @@ def simulate(
 ) -> Trajectory:
     """Integrate the system from the given history up to t_end.
 
-    The step is adjusted downward so that it divides tau exactly; the default
-    is tau/500.  Raises SimulationError if the state stops being finite.
+    The step is adjusted downward so that it divides tau exactly (a step
+    above tau becomes tau); the default is tau/500.  Raises SimulationError
+    if the state stops being finite.
     """
     tau = sys.tau
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
     if step is None:
         step = tau / 500.0
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
     if not history.covers(tau):
         raise ValueError("sampled history grid does not cover [-tau, 0]")
-    m = int(math.ceil(tau / step - 1e-12))
+    m = max(1, int(math.ceil(tau / step - 1e-12)))
     h = tau / m
     if h < 1e-9:
         raise ValueError("adjusted step fell below 1e-9")
@@ -319,7 +320,13 @@ def decay_rate(traj: Trajectory, t_start: float) -> float:
     multiplicity > 1 contributes, so m estimates the root's real part rather
     than an average contaminated by the algebraic growth.  Pure exponentials
     are fitted exactly (j = 0).
+
+    Raises ValueError, naming the cause, when t_start is not finite, when no
+    delay interval lies in [t_start, end], or when the tail is zero or has
+    fewer than two nonzero envelope points.
     """
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start}")
     tau = traj.tau
     t_last = traj.times[-1]
     env_t, env_v = [], []
@@ -336,9 +343,11 @@ def decay_rate(traj: Trajectory, t_start: float) -> float:
         i = int(np.argmax(seg))
         env_t.append(float(traj.times[mask][i]))
         env_v.append(float(seg[i]))
+    if not env_v:
+        raise ValueError(f"no delay interval lies in [{t_start:g}, {t_last:g}]")
     env_t = np.array(env_t)
     env_v = np.array(env_v)
-    if env_v.size == 0 or np.all(env_v == 0.0):
+    if np.all(env_v == 0.0):
         raise ValueError("trajectory is identically zero beyond t_start")
     pos = env_v > 0.0
     env_t, env_v = env_t[pos], env_v[pos]

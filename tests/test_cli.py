@@ -330,6 +330,39 @@ def test_simulate_infinite_t_end_exit_2(example_dir, tmp_path):
     assert r.stderr.startswith("error: ") and "t_end must be positive and finite" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        ("--step=inf", "step must be positive and finite"),
+        ("--step=nan", "step must be positive and finite"),
+        ("--t-start=nan", "t_start must be finite, got nan"),
+        ("--t-start=inf", "t_start must be finite, got inf"),
+        ("--t-start=-inf", "t_start must be finite, got -inf"),
+    ],
+)
+def test_simulate_non_finite_step_or_t_start_exit_2(flag, message, example_dir, tmp_path, capsys):
+    # an infinite step once divided by zero (exit 1); a nan t_start read as a zero tail
+    argv = ["simulate", str(example_dir / "system.json"), "--history", "y01", "--t-end", "10",
+            flag, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "sol_y01.csv").exists()
+
+
+def test_simulate_step_above_tau_and_empty_fit_window(example_dir, tmp_path, capsys):
+    argv = ["simulate", str(example_dir / "system.json"), "--history", "y01", "--t-end", "10",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["--step", "1e300", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["step"] == 2.5 and payload["steps"] == {"y01": 4}
+
+    assert cli.main(argv + ["--t-start", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "= n/a (no delay interval lies in [100, 10])" in out
+    assert "zero tail" not in out
+
+
 def test_simulate_unknown_history_exit_2(example_dir, tmp_path):
     r = run_cli(
         "simulate", str(example_dir / "system.json"), "--history", "bogus",
@@ -403,7 +436,8 @@ def test_verify_missing_file_exit_2(tmp_path):
 
 @pytest.mark.parametrize(
     "case", ["one-column-history", "list-system", "scalar-coefficients", "design-s0-overflow",
-             "verify-s0-overflow", "verify-s0-nan"],
+             "verify-s0-overflow", "verify-s0-nan", "design-s0-nan", "design-s0-inf",
+             "design-tau-inf"],
 )
 def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     system = str(example_dir / "system.json")
@@ -423,13 +457,21 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         argv = ["design", "--n", "3", "--s0", "400", "--tau", "2.5"]
     elif case == "verify-s0-overflow":
         argv = ["verify", system, "--s0", "-400"]
-    else:
+    elif case == "verify-s0-nan":
         argv = ["verify", system, "--s0=nan"]
+    elif case in ("design-s0-nan", "design-s0-inf"):
+        argv = ["design", "--n", "3", f"--s0={case[-3:]}", "--tau", "2.5"]
+    else:
+        argv = ["design", "--n", "3", "--s0", "-0.5", "--tau=inf"]
     assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: "), err
     if case == "verify-s0-nan":
         assert "s0 must be finite" in err and "overflows" not in err
+    elif case in ("design-s0-nan", "design-s0-inf"):
+        assert f"shift s0 must be finite, got {case[-3:]}" in err, err
+    elif case == "design-tau-inf":
+        assert "delay tau must be finite, got inf" in err, err
 
 
 def test_spectrum_s0_overflow_exit_2(example_dir, tmp_path):
@@ -492,6 +534,52 @@ def test_certification_loads_no_bounds(command, example_dir, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "0 False"
+
+
+_NO_SWEEPS = ["midspec.bounds", "midspec.sim", "scipy"]
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["design", "--n", "3", "--s0", "-0.5", "--tau", "2.5"], ["numpy"]),
+        (["spectrum", "{system}"], _NO_SWEEPS),
+        (["verify", "{system}"], _NO_SWEEPS),
+        (["simulate", "{system}", "--history", "y01", "--t-end", "5"],
+         ["midspec.spectral", "midspec.bounds", "scipy"]),
+        (["bounds", "{system}", "--method", "mori-kokame", "--norm", "one"],
+         ["midspec.sim", "scipy"]),
+    ],
+    ids=["design", "spectrum", "verify", "simulate", "bounds"],
+)
+def test_command_import_matrix(argv, absent, example_dir, tmp_path):
+    # each command loads only the layers it runs; a package present in
+    # sys.modules means some module of it was imported
+    argv = [a.format(system=example_dir / "system.json") for a in argv]
+    argv += ["--out-dir", str(tmp_path), "--quiet"]
+    r = run_python(
+        "-c",
+        "import sys; from midspec import cli; "
+        f"code = cli.main({argv!r}); "
+        f"print(code, [m for m in {absent!r} if m in sys.modules])",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0 []"
+
+
+def test_design_loads_only_the_standard_library(tmp_path):
+    # the design is exact integer arithmetic: no numpy, no other midspec layer
+    r = run_python(
+        "-c",
+        "import sys; before = set(sys.modules); from midspec import cli; "
+        f"code = cli.main(['design', '--n', '8', '--s0', '-0.5', '--tau', '2.5', "
+        f"'--out-dir', {str(tmp_path)!r}, '--quiet']); "
+        "new = set(sys.modules) - before; "
+        "print(code, sorted(m for m in new if m.startswith('midspec')), "
+        "sorted({m.split('.')[0] for m in new} - set(sys.stdlib_module_names) - {'midspec'}))",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0 ['midspec', 'midspec.cli', 'midspec.quasipoly'] []"
 
 
 # --- thread cap -------------------------------------------------------------------

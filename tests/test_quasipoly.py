@@ -283,6 +283,20 @@ def test_normalize_round_trip_short_delay():
         assert rel_close(x, y, 1e-11)
 
 
+@pytest.mark.parametrize(
+    "s0,tau,message",
+    [
+        (math.nan, 2.5, "shift s0 must be finite, got nan"),
+        (math.inf, 2.5, "shift s0 must be finite, got inf"),
+        (-math.inf, 2.5, "shift s0 must be finite, got -inf"),
+        (-0.5, math.inf, "delay tau must be finite, got inf"),
+    ],
+)
+def test_denormalize_rejects_non_finite_input(s0, tau, message):
+    with pytest.raises(ValueError, match=message):
+        denormalize(mid_normalized(3), s0, tau)
+
+
 # --- multiplicity -----------------------------------------------------------------
 
 
@@ -366,6 +380,19 @@ def test_trace_identity_across_grid():
 def test_factorization_residual_pointwise():
     assert factorization_residual(2, 1.0) < 1e-10
     assert factorization_residual(2, 2j * math.pi) < 1e-10
+
+
+def test_factorization_residual_matches_fresh_quadrature():
+    # the shared nodes give bit for bit the residual of a rule built per call
+    x, w = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * (x + 1.0)
+    for n in range(1, 9):
+        q = mid_normalized(n).quasipolynomial()
+        for z in (1.0 + 0j, 2j * math.pi, 0.7 - 0.3j, -1.5 + 2.0j):
+            integral = 0.5 * np.sum(w * t ** (n - 1) * (1.0 - t) ** n * np.exp(-z * t))
+            rhs = z ** (2 * n) / math.factorial(n - 1) * integral
+            want = abs(q(z) - rhs) / q.magnitude_scale(z)
+            assert factorization_residual(n, z) == want, (n, z)
 
 
 def test_factorization_zero_rejected():

@@ -150,6 +150,11 @@ def test_simulate_validation(example_system):
     short = sampled(np.linspace(-1.0, 0.0, 10), np.zeros(10))
     with pytest.raises(ValueError):
         simulate(example_system, short, 5.0)  # grid does not cover [-tau, 0]
+    for step in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            simulate(example_system, constant(1.0), 5.0, step=step)
+    for step in (4.0, 1e13, 1e300):  # a step above tau shrinks to tau
+        assert simulate(example_system, constant(1.0), 5.0, step=step).step == 2.5
 
 
 @pytest.mark.parametrize("n,tau", [(1, 2.5), (2, 2.5), (3, 2.5), (4, 2.5), (3, 0.5)])
@@ -250,3 +255,14 @@ def test_decay_rate_zero_tail(example_system):
     traj = simulate(example_system, constant(0.0), 10.0)
     with pytest.raises(ValueError):
         decay_rate(traj, 2.0)
+
+
+def test_decay_rate_names_the_cause(example_system):
+    traj = simulate(example_system, builtin_history("y01"), 10.0)
+    for t_start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t_start must be finite"):
+            decay_rate(traj, t_start)
+    with pytest.raises(ValueError, match=r"no delay interval lies in \[40, 10\]"):
+        decay_rate(traj, 40.0)
+    with pytest.raises(ValueError, match="identically zero"):
+        decay_rate(simulate(example_system, constant(0.0), 10.0), 2.0)
