@@ -201,7 +201,19 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # M(c)^p = sum_k c^k S_k is a matrix polynomial in c = e^(-z): H comes from
 # the p + 1 coefficients S_k by Horner's rule, entry by entry, with no
 # stacked matrix products.  Sigmas travel as arrays: one stacked call covers
-# a (sigma x phi) block, and one bisection serves every sigma at once.
+# many (sigma, phi) points, and one bisection serves every sigma at once.
+#
+# The phi grid is worked a cell of _CELL points at a time.  Once the scan
+# has a running maximum (the floor), a norm sweep evaluates H at the cell
+# centres first and bounds H over each cell by a Lipschitz bound in phi
+# (Piyavskii-Shubert): with r = e^(-sigma),
+#     H(phi)^p <= H(phi_c)^p + |phi - phi_c| ||L||,  L = sum_k k r^k |S_k|,
+# entrywise, the norms being monotone in the entry moduli (the two-norm
+# through ||.||_F).  A cell is evaluated in full only if its bound lets it
+# yield a value above the floor, or reach the row's largest centre value;
+# the rest of the row cannot pass the floor, so every sup above the floor,
+# and every envelope, is exactly that of the full grid.  The spectral
+# radius has no such cheap bound over a cell and is never pruned.
 
 _COARSE_SIGMA_STEP = 1e-2
 _FINE_SIGMA_STEP = 1e-4
@@ -213,6 +225,11 @@ _BISECTION_STEPS = 50
 
 #: Most matrices one stacked evaluation holds; caps the sweeps' memory.
 _MAX_STACK = 16384
+
+#: Points per cell of the half phi grid, the unit the floored sweeps prune.
+_CELL = 32
+#: Relative slack that covers rounding in the cell bounds.
+_CELL_SLACK = 1e-10
 
 
 def _power_coefficients(A0: np.ndarray, A1: np.ndarray, power: int) -> np.ndarray:
@@ -244,19 +261,34 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
         return np.abs(E[0, 0]) ** (1.0 / power)
     if norm == "rho":
         if n == 2:
-            # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs
+            # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs:
+            # the eigenvalues (tr +- sqrt(tr^2 - 4 det)) / 2, formed in place
+            # so that a call holds few len(c) temporaries at once
             tr = E[0, 0] + E[1, 1]
-            det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
-            disc = np.sqrt(tr * tr - 4.0 * det)
-            return np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
+            det = E[0, 0] * E[1, 1]
+            det -= E[0, 1] * E[1, 0]
+            det *= 4.0
+            disc = tr * tr
+            disc -= det
+            del det
+            np.sqrt(disc, out=disc)
+            lam = tr + disc
+            lam /= 2.0
+            tr -= disc
+            tr /= 2.0
+            return np.maximum(np.abs(lam), np.abs(tr))
         return np.abs(np.linalg.eigvals(np.moveaxis(E, -1, 0))).max(axis=1)
     if norm == Norm.TWO and n != 2:
-        return np.linalg.svd(np.moveaxis(E, -1, 0), compute_uv=False)[:, 0] ** (1.0 / power)
-    sq = E.real**2 + E.imag**2
+        # sigma_max^2 is the top eigenvalue of the Gram matrix E^H E
+        M = np.moveaxis(E, -1, 0)
+        gram = np.linalg.eigvalsh(np.swapaxes(M.conj(), -1, -2) @ M)[:, -1]
+        return np.sqrt(np.maximum(gram, 0.0)) ** (1.0 / power)
+    sq = E.real**2
+    sq += E.imag**2  # in place: one n x n x len(c) temporary, not three
     if norm == Norm.ONE:
-        h = np.sqrt(sq).sum(axis=0).max(axis=0)
+        h = np.sqrt(sq, out=sq).sum(axis=0).max(axis=0)
     elif norm == Norm.INFINITY:
-        h = np.sqrt(sq).sum(axis=1).max(axis=0)
+        h = np.sqrt(sq, out=sq).sum(axis=1).max(axis=0)
     elif norm == Norm.FROBENIUS:
         h = np.sqrt(sq.sum(axis=(0, 1)))
     elif norm == Norm.TWO:  # 2x2 closed form
@@ -269,6 +301,142 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
     return h ** (1.0 / power)
 
 
+class _HalfGridCells:
+    """The half grid phi_0 .. phi_(grid//2) cut into cells of _CELL points
+    (the last may be shorter), the unit of work of _omega_sup.
+
+    Per cell:
+    first, size . . . . . .  its points first .. first + size - 1
+    rot_centre  . . . . . .  e^(-i phi) at a point near the cell's middle
+    delta . . . . . . . . .  the largest distance from the centre within the
+                             phi interval that holds every bracket the cell's
+                             points own; the mirrored point phi_(grid-q) owns
+                             [phi_(grid-q), phi_(grid-q+1)], the mirror image
+                             of [phi_(q-1), phi_q], so the interval starts one
+                             step before the cell
+    span, mirror_span . . .  (lo, hi) phi range of the full-grid brackets its
+                             direct points and its mirrored points own
+    mirrors . . . . . . . .  whether it has mirrored points at all
+    and per cell and column, each cell padded to _CELL columns by repeating
+    its last point:
+    rot, phi  . . . . . . .  e^(-i phi) and phi at the point
+    mirror_phi  . . . . . .  phi_(grid-q) of the mirrored point, in reversed
+                             column order (q = 0 and q = grid/2 map onto
+                             themselves, and repeat their direct point)
+    real  . . . . . . . . .  whether the column is a point of the cell's own
+    """
+
+    def __init__(self, grid: int, phis_ext: np.ndarray):
+        self.grid = grid
+        half = grid // 2 + 1
+        rot = np.exp(-1j * phis_ext[:half])
+        self.first = first = np.arange(0, half, _CELL)
+        self.size = size = np.minimum(_CELL, half - first)
+        left = np.maximum(first - 1, 0)
+        right = np.minimum(first + size, grid / 2.0)  # the last cell runs to pi
+        centre = np.clip(np.round((left + right) / 2.0).astype(np.intp), first, first + size - 1)
+        self.rot_centre = rot[centre]
+        self.delta = np.maximum(centre - left, right - centre) * (2.0 * math.pi / grid)
+        self.span = phis_ext[first], phis_ext[first + size]
+        # the mirrored points are q with 0 < q < grid - q, so phi_(grid-q) > pi
+        q_lo = np.maximum(first, 1)
+        q_hi = np.minimum(first + size - 1, (grid - 1) // 2)
+        self.mirrors = q_lo <= q_hi
+        self.mirror_span = phis_ext[grid - q_hi], phis_ext[grid - q_lo + 1]
+        cols = np.arange(_CELL)
+        self.real = cols < size[:, None]
+        pts = first[:, None] + np.minimum(cols, size[:, None] - 1)
+        self.rot = rot[pts]
+        self.phi = phis_ext[pts]
+        self.mirror_phi = np.ascontiguousarray(phis_ext[(grid - pts) % grid][:, ::-1])
+
+
+def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
+    """(H at the cell centres, an upper bound on H over each cell), both of
+    shape (sigmas x cells), from
+
+        H(phi)^p <= H(phi_c)^p + |phi - phi_c| ||L||,  L = sum_k k r^k |S_k|,
+
+    valid on the whole cell: E(phi) = sum_k S_k r^k e^(-i k phi), with
+    r = e^(-sigma), moves entrywise by at most |phi - phi_c| L, and the norms
+    are monotone in the entry moduli (the two-norm through ||.||_F).
+    """
+    power = coeffs.shape[0] - 1
+    r = np.exp(-s)
+    hc = _stacked_h(coeffs, (r[:, None] * cells.rot_centre).ravel(), norm).reshape(s.size, -1)
+    rk = r[:, None] ** np.arange(power + 1)
+    mods = np.abs(coeffs)
+    lip = _monotone_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), norm)
+    # rounding in H is relative to sum_k r^k |S_k|, whose norm bounds every ||E||
+    slack = _CELL_SLACK * _monotone_norm(np.tensordot(rk, mods, 1), norm)
+    return hc, (hc**power + cells.delta * lip[:, None] + slack[:, None]) ** (1.0 / power)
+
+
+def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float) -> np.ndarray:
+    """Which cells (sigmas x cells) could raise their row above floor, or
+    hold the row's largest H."""
+    two_pi = 2.0 * math.pi
+    hc, h_up = _cell_bounds(coeffs, norm, s, cells)
+    w_up = np.sqrt(np.maximum(h_up * h_up - (s * s)[:, None], 0.0))
+
+    def top(lo, hi):
+        # a grid value phi + 2 pi k, or a polished crossing, from a bracket in
+        # [lo, hi] has W <= w_up, so k <= floor((w_up - lo) / 2 pi)
+        return np.minimum(w_up, hi + two_pi * np.floor((w_up - lo) / two_pi))
+
+    u = np.maximum(top(*cells.span), np.where(cells.mirrors, top(*cells.mirror_span), -math.inf))
+    keep = (u + _CELL_SLACK * np.abs(u) > floor) | (h_up >= hc.max(axis=1, keepdims=True))
+    keep |= ~np.isfinite(h_up).all(axis=1, keepdims=True)  # overflow: no bound, keep the row
+    return keep
+
+
+def _monotone_norm(M: np.ndarray, norm) -> np.ndarray:
+    """Norms of a stack of entrywise nonnegative matrices, the Frobenius norm
+    standing in for the two-norm (it bounds the two-norm of every matrix with
+    these moduli)."""
+    if norm == Norm.ONE:
+        return M.sum(axis=-2).max(axis=-1)
+    if norm == Norm.INFINITY:
+        return M.sum(axis=-1).max(axis=-1)
+    return np.sqrt((M * M).sum(axis=(-2, -1)))
+
+
+def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.ndarray, s2: np.ndarray):
+    """H on every point of the cells kc, each on its own sigma row
+    (e^(-sigma) = scale, sigma^2 = s2), in one stacked call.
+
+    Per cell: the largest W^2 = H^2 - sigma^2, and for its direct points
+    phi_q and its mirrored points phi_(grid-q), the largest grid value
+    phi + 2 pi k and its full-grid index (the smallest on ties).
+    """
+    two_pi = 2.0 * math.pi
+    n = cells.size[kc]
+    real = cells.real[kc]
+    h = _stacked_h(coeffs, (cells.rot[kc] * scale[:, None])[real], norm)
+    # a padding column gets H = 0, so W and both values there are at most
+    # those of the point it repeats, which wins ties in either order
+    # (both are -inf unless phi = 0)
+    W2 = np.zeros(real.shape)
+    W2[real] = h
+    W2 *= W2
+    W2 -= s2[:, None]
+    W = np.maximum(W2, 0.0)
+    np.sqrt(W, out=W)
+    rows = np.arange(kc.size)
+    val, k = np.empty((kc.size, 2)), np.empty((kc.size, 2))
+    col = np.empty((kc.size, 2), dtype=np.intp)
+    for side, (phi, w) in enumerate(((cells.phi[kc], W), (cells.mirror_phi[kc], W[:, ::-1]))):
+        kmax = np.floor((w - phi) / two_pi)
+        omega = np.where(w >= phi, phi + two_pi * kmax, -math.inf)
+        # the first column: the smallest index, as the mirror runs backwards
+        i = omega.argmax(axis=1)
+        val[:, side], k[:, side], col[:, side] = omega[rows, i], kmax[rows, i], i
+    col[:, 1] = _CELL - 1 - col[:, 1]
+    q = cells.first[kc, None] + np.minimum(col, n[:, None] - 1)
+    q[:, 1] = (cells.grid - q[:, 1]) % cells.grid
+    return W2[rows, W2.argmax(axis=1)], val, k, q
+
+
 def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf):
     """(sup, envelope) of |Im z| on each line Re z = sigma, sigma in sigmas.
 
@@ -276,44 +444,78 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     envelope = max_phi sqrt(H^2 - sigma^2) bounds every feasible omega at any
     sigma' >= sigma with the same H, and drives the scan's tail cut.
 
-    Only rows whose sup could exceed floor are polished: a row whose bracket
-    ends at or below floor keeps its grid value, which is then <= floor too.
-
     The coefficients must be real: then E(conj c) = conj E(c), so
     H(2 pi - phi) = H(phi) and H is evaluated on phi in [0, pi] only.
+
+    The half grid is cut into cells (_HalfGridCells), the unit of work.
+    With a finite floor and a norm, H is first evaluated at the cell centres
+    only, and a cell is evaluated in full only if _cell_keep finds that it
+    could yield a value above floor, or that its bound on H reaches the
+    row's largest centre value (so the envelope and reachability are exact).
+    A row whose sup exceeds floor keeps its grid argmax, which is then also
+    the first argmax of the kept points; a row whose argmax is pruned ends at
+    or below floor, since a bracket in class k that is not the argmax
+    polishes to at most phi_(i+1) + 2 pi k, no more than the argmax's grid
+    value.  So every sup above floor, and every envelope, is that of the
+    full grid.  The spectral radius ("rho") is never pruned: no cheap bound
+    on it holds over a cell.
+
+    Only rows whose sup could exceed floor are polished: a row whose bracket
+    ends at or below floor keeps its grid value, which is then <= floor too.
     """
     if coeffs.imag.any():
         raise ValueError("feasibility sweeps need a real pair (A0, A1)")
     two_pi = 2.0 * math.pi
-    phis = np.linspace(0.0, two_pi, grid, endpoint=False)
-    phis_ext = np.append(phis, two_pi)
-    rot = np.exp(-1j * phis[: grid // 2 + 1])
-    fold = np.minimum(np.arange(grid), grid - np.arange(grid))  # phi_(grid-j) mirrors phi_j
+    phis_ext = np.append(np.linspace(0.0, two_pi, grid, endpoint=False), two_pi)
+    cells = _HalfGridCells(grid, phis_ext)
     m = sigmas.size
     sup = np.full(m, -math.inf)
     env = np.full(m, -math.inf)
     offset = np.zeros(m)  # 2 pi k* of the winning residue class
     arg = np.zeros(m, dtype=np.intp)  # the bracket [phi_arg, phi_(arg+1)]
-    rows = max(1, _MAX_STACK // grid)
+    block = max(1, _MAX_STACK // grid)  # the rows one stacked call could hold in full
+    cap = block * (grid // 2 + 1)  # points in one stacked call
+    prune = norm != "rho" and floor > -math.inf
+    # about as many cells per pass as points per call, in whole blocks
+    rows = block * max(1, cap // (block * cells.first.size))
     for start in range(0, m, rows):
         blk = slice(start, start + rows)
-        s = sigmas[blk, None]
-        c = np.exp(-s) * rot
-        H = _stacked_h(coeffs, c.ravel(), norm).reshape(c.shape)
-        W2 = H * H - s * s
-        reach = (W2 >= 0.0).any(axis=1)
-        W = np.sqrt(np.maximum(W2, 0.0))[:, fold]
-        # W >= 0 = phis[0], so every row has a feasible class once W exists
-        kmax = np.floor((W - phis) / two_pi)
-        omega = np.where(W >= phis, phis + two_pi * kmax, -math.inf)
-        r = np.arange(W.shape[0])
-        # the crossing W(phi) = phi + 2 pi k* lies in [phi_i, phi_(i+1)] at the
-        # argmax i: a later point (or the wrap) with W >= phi + 2 pi k* would
-        # sit in a class k >= k* and so beat omega[i]
-        i = omega.argmax(axis=1)
-        sup[blk] = np.where(reach, omega[r, i], -math.inf)
-        env[blk] = np.where(reach, W.max(axis=1), -math.inf)
-        offset[blk] = two_pi * kmax[r, i]
+        s = sigmas[blk]
+        if prune:
+            keep = _cell_keep(coeffs, norm, s, cells, floor)
+        else:
+            keep = np.ones((s.size, cells.first.size), dtype=bool)
+        krow, kcell = np.nonzero(keep)
+        scale, s2 = np.exp(-s), s * s
+        ends = np.cumsum(cells.size[kcell])
+        w2 = np.empty(kcell.size)
+        val, k = np.empty((kcell.size, 2)), np.empty((kcell.size, 2))
+        at = np.empty((kcell.size, 2), dtype=np.intp)
+        lo = 0
+        while lo < kcell.size:
+            # kept cells in stacked calls of at most cap points
+            hi = int(np.searchsorted(ends, ends[lo] - cells.size[kcell[lo]] + cap, side="right"))
+            r = krow[lo:hi]
+            w2[lo:hi], val[lo:hi], k[lo:hi], at[lo:hi] = _scan_cells(
+                coeffs, norm, cells, kcell[lo:hi], scale[r], s2[r]
+            )
+            lo = hi
+        # per row over its kept cells and both sides: the first argmax in
+        # full-grid order, and a nan envelope if H overflowed anywhere
+        counts = keep.sum(axis=1)
+        heads = np.cumsum(counts) - counts
+        w2 = np.maximum.reduceat(w2, heads)
+        val, k, at = val.ravel(), k.ravel(), at.ravel()
+        best = np.maximum.reduceat(val, 2 * heads)
+        ties = val == np.repeat(best, 2 * counts)
+        i = np.minimum.reduceat(np.where(ties, at, grid), 2 * heads)
+        # the class of point i, met on both sides when q = 0 or q = grid/2
+        winner = ties & (at == np.repeat(i, 2 * counts))
+        kstar = np.maximum.reduceat(np.where(winner, k, -math.inf), 2 * heads)
+        reach = ~(w2 < 0.0)
+        sup[blk] = np.where(reach, best, -math.inf)
+        env[blk] = np.where(reach, np.sqrt(np.maximum(w2, 0.0)), -math.inf)
+        offset[blk] = two_pi * kstar
         arg[blk] = i
 
     # polish the crossings together; the polished sup never passes its

@@ -399,7 +399,16 @@ def cmd_simulate(args, em: _Emitter) -> int:
         rates[name] = rate
         em.say(f"history {name}: decay rate over [{args.t_start:g}, {args.t_end:g}] = {shown}")
 
-    em.payload = {"decay_rates": rates, "step": traj.step, "steps": steps}
+    warnings = []
+    scale = sim.step_scale(sys_, traj.step)
+    if scale > 1.0:
+        warnings.append(
+            f"step {traj.step:g} times the spectral radius of A0 is {scale:.3g} > 1: "
+            "RK4 does not resolve this system at that step, so the decay rates are unreliable"
+        )
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    em.payload = {"decay_rates": rates, "step": traj.step, "steps": steps, "warnings": warnings}
     RunManifest(
         "simulate",
         {

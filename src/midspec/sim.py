@@ -40,6 +40,7 @@ __all__ = [
     "builtin_history",
     "BUILTIN_HISTORY_NAMES",
     "simulate",
+    "step_scale",
     "decay_rate",
 ]
 
@@ -308,6 +309,17 @@ def simulate(
     times = np.concatenate(([0.0], (starts[:, None] + h * np.arange(1, m + 1)).ravel()))
     keep = times <= t_end + 1e-9 * max(1.0, t_end)
     return Trajectory(times[keep], states[keep], h, tau)
+
+
+def step_scale(sys: RetardedSystem, step: float) -> float:
+    """h rho(A0): the step against the fastest rate of the undelayed part.
+
+    Above 1 the RK4 steps no longer resolve the solution, and a decay rate
+    fitted to it can even have the wrong sign.  The default step tau/500
+    keeps it below 0.03 for the MID designs up to order 8.
+    """
+    A0, _ = companion(sys.a, sys.alpha)
+    return step * float(np.abs(np.linalg.eigvals(A0)).max())
 
 
 def decay_rate(traj: Trajectory, t_start: float) -> float:

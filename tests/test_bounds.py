@@ -449,6 +449,82 @@ def test_argmax_bracket_holds_the_last_crossing(data):
     assert (g[i + 1:] < 0.0).all()
 
 
+# --- pruning whole cells of the phi grid ---------------------------------------------
+
+
+def _h_oracle(pair, norm, power, sigma, phi):
+    M = pair.A0 + np.exp(-sigma - 1j * phi) * pair.A1
+    return np.linalg.norm(np.linalg.matrix_power(M, power), _NORM_ORD[norm]) ** (1 / power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cell_bound_holds_on_every_cell(data):
+    # H_up bounds H at every grid point of a cell, at the ends of the brackets
+    # its points own (one step to either side, pi for the last cell), at the
+    # mirror images of all of these, and between grid points
+    n = data.draw(st.integers(1, 4))
+    entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0))
+    pair = CompanionPair(data.draw(entries), data.draw(entries))
+    norm = data.draw(st.sampled_from(bounds.SUBMULTIPLICATIVE_NORMS))
+    power = data.draw(st.integers(1, 3))
+    sigma = data.draw(st.floats(-1.0, 4.0))
+    grid = data.draw(st.sampled_from([200, 512, 777]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    phis_ext = np.append(np.linspace(0.0, 2 * math.pi, grid, endpoint=False), 2 * math.pi)
+    cells = bounds._HalfGridCells(grid, phis_ext)
+    _, h_up = bounds._cell_bounds(_coeffs(pair, power), norm, np.array([sigma]), cells)
+    half = grid // 2 + 1
+    firsts = range(0, half, bounds._CELL)
+    assert h_up.shape == (1, len(firsts))
+    for cell, first in enumerate(firsts):
+        last = min(first + bounds._CELL, half) - 1
+        phi = phis_ext[max(first - 1, 0):min(last + 1, grid // 2) + 1]
+        phi = np.concatenate((phi, [math.pi] if last == half - 1 else [], rng.uniform(phi[0], phi[-1], 4)))
+        h = [_h_oracle(pair, norm, power, sigma, x) for x in np.concatenate((phi, 2 * math.pi - phi))]
+        assert max(h) <= h_up[0, cell], (cell, max(h), h_up[0, cell])
+
+
+@pytest.mark.parametrize("grid", [bounds._COARSE_GRID, bounds._FINE_GRID, 1000])
+def test_floored_sweep_is_exact_above_the_floor(grid, std_pair, example_system):
+    # 1000: the half grid, 501 points, is no whole number of cells; at
+    # sigma = -400, H overflows (sup inf, envelope nan, as with the full grid)
+    pairs = {
+        "standard": (std_pair, np.array([-400.0, -0.3, 0.0, 0.013, 0.4, 1.5])),
+        "order 3": (companion_pair(normalize(example_system, -0.5)), np.array([-0.3, 0.0, 0.7])),
+    }
+    keys = [("rho", 1)] + [(norm, p) for norm in bounds.SUBMULTIPLICATIVE_NORMS for p in (1, 2)]
+    for name, (pair, sigmas) in pairs.items():
+        for key, power in keys:
+            coeffs = _coeffs(pair, power)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sup, env = bounds._omega_sup(coeffs, key, sigmas, grid)
+            finite = sup[np.isfinite(sup)]
+            for floor in (finite.min(), finite.mean(), np.nextafter(finite.max(), -math.inf)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, got_env = bounds._omega_sup(coeffs, key, sigmas, grid, floor)
+                what = f"{name} {key} p={power} floor={floor}"
+                above = sup > floor
+                np.testing.assert_array_equal(got[above], sup[above], what)
+                assert (got[~above] <= floor).all(), what
+                np.testing.assert_array_equal(got_env, env, what)
+
+
+def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
+    # every cell evaluated in full, the seven sweeps took 6,760,051 kernel
+    # points; pruned cells bring them to 1,886,002
+    points = []
+    kernel = bounds._stacked_h
+
+    def spy(coeffs, c, norm):
+        points.append(c.size)
+        return kernel(coeffs, c, norm)
+
+    monkeypatch.setattr(bounds, "_stacked_h", spy)
+    _sweeps(bounds._feasibility_sup, std_pair, _STANDARD_SWEEPS, 0.0)
+    assert sum(points) <= 2_450_000
+
+
 def test_bound_report_validation():
     with pytest.raises(ValueError):
         BoundReport(BoundMethod.NORM_POWER, Norm.ONE, 1, 0.0, -1.0)

@@ -363,6 +363,22 @@ def test_simulate_step_above_tau_and_empty_fit_window(example_dir, tmp_path, cap
     assert "zero tail" not in out
 
 
+def test_simulate_warns_when_the_step_outruns_the_system(example_dir, tmp_path, capsys):
+    # h rho(A0) is 3.37 at h = tau = 2.5, and 0.0067 at the default tau/500
+    argv = ["simulate", str(example_dir / "system.json"), "--history", "y01", "--t-end", "10",
+            "--out-dir", str(tmp_path), "--json"]
+    assert cli.main(argv + ["--step", "1e300"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["step"] == 2.5
+    assert len(payload["warnings"]) == 1 and "is 3.37 > 1" in payload["warnings"][0]
+    assert captured.err == f"warning: {payload['warnings'][0]}\n"
+
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["warnings"] == [] and captured.err == ""
+
+
 def test_simulate_unknown_history_exit_2(example_dir, tmp_path):
     r = run_cli(
         "simulate", str(example_dir / "system.json"), "--history", "bogus",

@@ -19,6 +19,7 @@ from midspec.sim import (
     sampled,
     simulate,
     sinusoid,
+    step_scale,
 )
 from oracles import delay_residual, rk4_stagewise
 
@@ -183,6 +184,15 @@ def test_unstable_system_aborts():
     sys_ = RetardedSystem(1, (-30.0,), (0.0,), 1.0)  # y' = 30 y
     with pytest.raises(SimulationError):
         simulate(sys_, constant(1.0), 40.0)
+
+
+def test_step_scale_is_the_step_times_the_largest_root(example_system):
+    # A0 is the companion matrix of z^n + sum a_k z^k, so rho(A0) is the
+    # largest modulus among that polynomial's roots
+    rho = np.abs(np.roots([1.0] + list(example_system.a[::-1]))).max()
+    for h in (2.5 / 500, 0.3, 2.5):
+        assert step_scale(example_system, h) == pytest.approx(h * rho, rel=1e-12)
+    assert step_scale(example_system, 2.5) > 1.0 > step_scale(example_system, 2.5 / 500)
 
 
 # --- trajectories and decay rates -----------------------------------------------------
