@@ -367,8 +367,11 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
     rk = r[:, None] ** np.arange(power + 1)
     mods = np.abs(coeffs)
     lip = _monotone_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), norm)
-    # rounding in H is relative to sum_k r^k |S_k|, whose norm bounds every ||E||
+    # rounding in H is relative to sum_k r^k |S_k|, whose norm bounds every
+    # ||E||, and absolute where squared moduli underflow: each |E_ij| may
+    # then lose up to 2 sqrt(2 tiny)
     slack = _CELL_SLACK * _monotone_norm(np.tensordot(rk, mods, 1), norm)
+    slack += 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
     return hc, (hc**power + cells.delta * lip[:, None] + slack[:, None]) ** (1.0 / power)
 
 
