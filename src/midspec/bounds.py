@@ -286,19 +286,29 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
     sq = E.real**2
     sq += E.imag**2  # in place: one n x n x len(c) temporary, not three
     if norm == Norm.ONE:
-        h = np.sqrt(sq, out=sq).sum(axis=0).max(axis=0)
+        h = _ordered_sum(np.sqrt(sq, out=sq)).max(axis=0)
     elif norm == Norm.INFINITY:
-        h = np.sqrt(sq, out=sq).sum(axis=1).max(axis=0)
+        h = _ordered_sum(np.sqrt(sq, out=sq).swapaxes(0, 1)).max(axis=0)
     elif norm == Norm.FROBENIUS:
-        h = np.sqrt(sq.sum(axis=(0, 1)))
+        h = np.sqrt(_ordered_sum(sq.reshape(-1, *sq.shape[2:])))
     elif norm == Norm.TWO:  # 2x2 closed form
-        f2 = sq.sum(axis=(0, 1))
+        f2 = _ordered_sum(sq.reshape(-1, *sq.shape[2:]))
         det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
         det2 = det.real**2 + det.imag**2
         h = np.sqrt((f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * det2, 0.0))) / 2.0)
     else:
         raise ValueError(f"unsupported norm: {norm}")
     return h ** (1.0 / power)
+
+
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis one slice at a time, in order, so a matrix
+    gets the same sum in a stack of any size (numpy's reduction of eight or
+    more terms can switch to pairwise summation when the stack holds one)."""
+    total = a[0].copy()
+    for part in a[1:]:
+        total += part
+    return total
 
 
 class _HalfGridCells:
@@ -555,7 +565,10 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
     capnorm = Norm.FROBENIUS if (norm == "rho" or norm == Norm.TWO) else norm
     na0 = matrix_norm(A0, capnorm)
     na1 = matrix_norm(A1, capnorm)
-    sigma_cap = na0 + na1 * math.exp(-min(0.0, sigma_min)) + 1.0
+    try:
+        sigma_cap = na0 + na1 * math.exp(-min(0.0, sigma_min)) + 1.0
+    except OverflowError:
+        raise ValueError(f"sigma_min = {sigma_min} overflows e^(-sigma_min)") from None
     coeffs = _power_coefficients(A0, A1, power)
 
     block = _MAX_STACK // _COARSE_GRID

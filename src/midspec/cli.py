@@ -1,9 +1,10 @@
 """Command-line front end: design / spectrum / bounds / simulate / verify.
 
-Each command reads or writes JSON system descriptions and CSV tables, writes
-files atomically (temp + rename), and finishes by writing a run manifest
-listing every produced file.  Exit codes: 0 success, 1 internal failure,
-2 invalid flags or inputs, 3 inconclusive spectrum/certification.
+Each command reads or writes JSON system descriptions and CSV tables.  A
+command that writes files writes them atomically (temp + rename) and finishes
+with a run manifest listing every produced file and every parsed input.
+Exit codes: 0 success, 1 internal failure, 2 invalid flags or inputs,
+3 inconclusive spectrum/certification.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,40 +50,44 @@ def _apply_thread_cap() -> None:
         os.environ[var] = str(cap if inherited is None else min(inherited, cap))
 
 
-@dataclass
-class RunManifest:
-    command: str
-    inputs: dict
-    outputs: list[str] = field(default_factory=list)
-    tool_version: str = __version__
-    timestamp: str = ""
-
-    def write(self, out_dir: Path) -> Path:
-        self.timestamp = datetime.now(timezone.utc).isoformat()
-        path = out_dir / "manifest.json"
-        _write_atomic(path, json.dumps(self.__dict__, indent=2) + "\n")
-        return path
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text)
     tmp.replace(path)
 
 
-class _Emitter:
-    """Routes human-readable lines to stdout and collects the JSON payload."""
+#: Parsed values that steer the output rather than the computation.
+_PLUMBING = ("command", "func", "out_dir", "json", "quiet")
 
-    def __init__(self, as_json: bool, quiet: bool):
-        self.as_json = as_json
-        self.quiet = quiet
+
+class _Run:
+    """One command's output: stdout lines, the --json payload, and the files
+    written into --out-dir, which finish() lists in manifest.json together
+    with the parsed inputs (a command adds the values it resolves itself)."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.command, self.as_json, self.quiet = args.command, args.json, args.quiet
+        self.out_dir = Path(args.out_dir) if "out_dir" in args else None  # verify writes none
+        self.inputs = {k: v for k, v in vars(args).items() if k not in _PLUMBING}
+        self.outputs: list[str] = []
         self.payload: dict = {}
 
     def say(self, line: str) -> None:
         if not (self.quiet or self.as_json):
             print(line)
 
+    def write(self, name: str, text: str) -> None:
+        if not self.outputs:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_atomic(self.out_dir / name, text)
+        self.outputs.append(str(self.out_dir / name))
+
     def finish(self) -> None:
+        if self.outputs:
+            manifest = {"command": self.command, "inputs": self.inputs, "outputs": self.outputs,
+                        "tool_version": __version__,
+                        "timestamp": datetime.now(timezone.utc).isoformat()}
+            _write_atomic(self.out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
         if self.as_json:
             print(json.dumps(self.payload, indent=2))
 
@@ -107,15 +112,11 @@ def _default_s0(sys_) -> float:
 # --- design -------------------------------------------------------------------
 
 
-def cmd_design(args, em: _Emitter) -> int:
+def cmd_design(args, run: _Run) -> int:
     from .quasipoly import mid_coefficients
 
     sys_ = mid_coefficients(args.n, args.s0, args.tau)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    system_path = out / "system.json"
-    _write_atomic(system_path, sys_.to_json() + "\n")
+    run.write("system.json", sys_.to_json() + "\n")
 
     lines = [f"order n = {sys_.n}, delay tau = {sys_.tau}, assigned root s0 = {args.s0}"]
     for k in range(sys_.n):
@@ -124,26 +125,18 @@ def cmd_design(args, em: _Emitter) -> int:
         lines.append(f"  alpha[{k}] = {sys_.alpha[k]: .15g}")
     identity = args.s0 + sys_.a[-1] / sys_.n + sys_.n / sys_.tau
     lines.append(f"trace identity s0 + a[n-1]/n + n/tau = {identity:.3e}")
-    listing = "\n".join(lines) + "\n"
-    listing_path = out / "design.txt"
-    _write_atomic(listing_path, listing)
+    run.write("design.txt", "\n".join(lines) + "\n")
 
     for line in lines:
-        em.say(line)
-    em.payload = {"system": sys_.to_json_dict(), "trace_identity": identity}
-    manifest = RunManifest(
-        "design",
-        {"n": args.n, "s0": args.s0, "tau": args.tau},
-        [str(system_path), str(listing_path)],
-    )
-    manifest.write(out)
+        run.say(line)
+    run.payload = {"system": sys_.to_json_dict(), "trace_identity": identity}
     return 0
 
 
 # --- spectrum -----------------------------------------------------------------
 
 
-def cmd_spectrum(args, em: _Emitter) -> int:
+def cmd_spectrum(args, run: _Run) -> int:
     from .spectral import (
         LocalizationError,
         Rectangle,
@@ -166,16 +159,16 @@ def cmd_spectrum(args, em: _Emitter) -> int:
     try:
         roots = find_roots(q, region)
     except LocalizationError as exc:
-        em.say(f"inconclusive: {exc}")
+        run.say(f"inconclusive: {exc}")
         return 3
     if not roots:
-        em.say("no roots in region")
+        run.say("no roots in region")
         return 3
 
     try:
         cert = certify_dominance(sys_, s0)
     except LocalizationError as exc:
-        em.say(f"inconclusive: {exc}")
+        run.say(f"inconclusive: {exc}")
         return 3
 
     # the located roots of the region, judged by the certified verdict
@@ -185,32 +178,32 @@ def cmd_spectrum(args, em: _Emitter) -> int:
         base, dominant=cert.dominant if strictly else base.dominant, strictly_dominant=strictly
     )
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "roots.csv"
-    _write_atomic(csv_path, roots_to_csv(report.roots))
-    json_path = out / "spectrum.json"
-    _write_atomic(json_path, report.to_json() + "\n")
+    run.write("roots.csv", roots_to_csv(report.roots))
+    run.write("spectrum.json", report.to_json() + "\n")
 
-    em.say(f"{len(report.roots)} root locations, total multiplicity "
-           f"{sum(r.multiplicity for r in report.roots)}")
-    em.say(f"spectral abscissa in region: {report.spectral_abscissa:.9g}")
-    em.say(f"strictly dominant at s0 = {s0:.9g}: {report.strictly_dominant}")
-    em.payload = report.to_json_dict() | {"s0": s0}
-    RunManifest(
-        "spectrum",
-        {"system": args.system, "s0": s0, "region": region.to_json_dict()},
-        [str(csv_path), str(json_path)],
-    ).write(out)
+    run.say(f"{len(report.roots)} root locations, total multiplicity "
+            f"{sum(r.multiplicity for r in report.roots)}")
+    run.say(f"spectral abscissa in region: {report.spectral_abscissa:.9g}")
+    run.say(f"strictly dominant at s0 = {s0:.9g}: {report.strictly_dominant}")
+    run.payload = report.to_json_dict() | {"s0": s0}
+    run.inputs |= {"s0": s0, "region": region.to_json_dict()}
     return 0
 
 
 # --- bounds -------------------------------------------------------------------
 
 
+#: The rows of --all: (method, norm, power), in table order.
+_ALL_BOUNDS = (
+    [("rho", "frobenius", 1)]
+    + [("norm-power", norm, p) for p in (1, 2) for norm in ("one", "frobenius", "infinity")]
+    + [(m, norm, 1) for m in ("mori-kokame", "tissir-hmamed") for norm in ("one", "two", "infinity")]
+    + [("lemma3", "frobenius", 2)]
+)
+
+
 def _bounds_rows(args, pair):
     from .bounds import (
-        Norm,
         bound_mori_kokame,
         bound_norm_power,
         bound_spectral_radius_curve,
@@ -218,54 +211,35 @@ def _bounds_rows(args, pair):
         lemma3_analytic_bound,
     )
 
-    rows = []
+    reports = {
+        "rho": lambda norm, power: bound_spectral_radius_curve(pair, args.sigma_min),
+        "norm-power": lambda norm, power: bound_norm_power(pair, norm, power, args.sigma_min),
+        "mori-kokame": lambda norm, power: bound_mori_kokame(pair, norm),
+        "tissir-hmamed": lambda norm, power: bound_tissir_hmamed(pair, norm),
+    }
 
-    def add(report):
-        rows.append(
-            (report.method.value, report.norm.value, report.power,
-             report.sigma_min, report.value)
-        )
+    def rows(method, norm, power):
+        if method == "lemma3":
+            rep = lemma3_analytic_bound(pair)  # ValueError outside the standard pair
+            return [(f"lemma3-{step}", "frobenius", 2, 0.0, getattr(rep, step))
+                    for step in ("coarse", "refined", "certified")]
+        r = reports[method](norm, power)
+        return [(r.method.value, r.norm.value, r.power, r.sigma_min, r.value)]
 
-    def add_lemma3():
-        rep = lemma3_analytic_bound(pair)  # ValueError outside the standard pair
-        for step, value in (("coarse", rep.coarse), ("refined", rep.refined),
-                            ("certified", rep.certified)):
-            rows.append((f"lemma3-{step}", "frobenius", 2, 0.0, value))
-
-    if args.all:
-        add(bound_spectral_radius_curve(pair, args.sigma_min))
-        for norm in (Norm.ONE, Norm.FROBENIUS, Norm.INFINITY):
-            add(bound_norm_power(pair, norm, 1, args.sigma_min))
-        for norm in (Norm.ONE, Norm.FROBENIUS, Norm.INFINITY):
-            add(bound_norm_power(pair, norm, 2, args.sigma_min))
-        for norm in (Norm.ONE, Norm.TWO, Norm.INFINITY):
-            add(bound_mori_kokame(pair, norm))
-        for norm in (Norm.ONE, Norm.TWO, Norm.INFINITY):
-            add(bound_tissir_hmamed(pair, norm))
+    if not args.all:
+        return rows(args.method, args.norm, args.power)
+    table = []
+    for method, norm, power in _ALL_BOUNDS:
         try:
-            add_lemma3()
+            table += rows(method, norm, power)
         except ValueError:
-            pass  # the analytic chain covers the standard pair only
-        return rows
-
-    norm = Norm(args.norm)
-    if args.method == "rho":
-        add(bound_spectral_radius_curve(pair, args.sigma_min))
-    elif args.method == "norm-power":
-        add(bound_norm_power(pair, norm, args.power, args.sigma_min))
-    elif args.method == "mori-kokame":
-        add(bound_mori_kokame(pair, norm))
-    elif args.method == "tissir-hmamed":
-        add(bound_tissir_hmamed(pair, norm))
-    elif args.method == "lemma3":
-        add_lemma3()
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
-    return rows
+            if method != "lemma3":
+                raise  # the analytic chain covers the standard pair only
+    return table
 
 
-def cmd_bounds(args, em: _Emitter) -> int:
-    from .bounds import Norm, boundary_curve
+def cmd_bounds(args, run: _Run) -> int:
+    from .bounds import boundary_curve
     from .spectral import standard_pair, companion_pair
     from .quasipoly import normalize
     import numpy as np
@@ -284,49 +258,28 @@ def cmd_bounds(args, em: _Emitter) -> int:
 
     rows = _bounds_rows(args, pair)
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["method,norm,power,sigma_min,value"]
     for method, norm, power, smin, value in rows:
         lines.append(f"{method},{norm},{power},{smin:.17g},{value:.17g}")
-    csv_path = out / "bounds.csv"
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
-    outputs = [str(csv_path)]
+    run.write("bounds.csv", "\n".join(lines) + "\n")
 
     if args.curves:
         sigmas = np.arange(args.sigma_min, args.sigma_min + 3.0 + 1e-9, 0.02)
-        curve_specs = [("rho", None, 1)]
-        for norm in (Norm.ONE, Norm.FROBENIUS, Norm.INFINITY):
-            curve_specs.append((f"norm-power-{norm.value}-p2", norm, 2))
-        for name, norm, power in curve_specs:
-            data = boundary_curve(pair, sigmas, norm, power)
+        curves = [("rho", None, 1)]
+        curves += [(f"norm-power-{norm}-p2", norm, 2) for norm in ("one", "frobenius", "infinity")]
+        for name, norm, power in curves:
             body = ["sigma,omega_boundary"]
-            body += [f"{s:.9g},{w:.9g}" for s, w in data]
-            cpath = out / f"curve_{name}.csv"
-            _write_atomic(cpath, "\n".join(body) + "\n")
-            outputs.append(str(cpath))
+            body += [f"{s:.9g},{w:.9g}" for s, w in boundary_curve(pair, sigmas, norm, power)]
+            run.write(f"curve_{name}.csv", "\n".join(body) + "\n")
 
     for line in lines:
-        em.say(line)
-    em.payload = {
+        run.say(line)
+    run.payload = {
         "rows": [
             {"method": m, "norm": n, "power": p, "sigma_min": s, "value": v}
             for m, n, p, s, v in rows
         ]
     }
-    RunManifest(
-        "bounds",
-        {
-            "system": args.system,
-            "standard_pair": args.standard_pair,
-            "method": args.method,
-            "norm": args.norm,
-            "power": args.power,
-            "sigma_min": args.sigma_min,
-            "all": args.all,
-        },
-        outputs,
-    ).write(out)
     return 0
 
 
@@ -369,7 +322,7 @@ def _resolve_histories(spec: str):
     raise ValueError(f"unknown history kind {spec!r}")
 
 
-def cmd_simulate(args, em: _Emitter) -> int:
+def cmd_simulate(args, run: _Run) -> int:
     from . import sim
 
     if not math.isfinite(args.t_start):
@@ -377,19 +330,13 @@ def cmd_simulate(args, em: _Emitter) -> int:
     sys_ = _load_system(args.system)
     histories = _resolve_histories(args.history)
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
     rates = {}
     steps = {}
     for name, hist in histories:
         traj = sim.simulate(sys_, hist, args.t_end, args.step)
         steps[name] = traj.times.size - 1
-        sol_path = out / f"sol_{name}.csv"
-        _write_atomic(sol_path, traj.plot_csv())
-        traj_path = out / f"traj_{name}.csv"
-        _write_atomic(traj_path, traj.to_csv())
-        outputs += [str(sol_path), str(traj_path)]
+        run.write(f"sol_{name}.csv", traj.plot_csv())
+        run.write(f"traj_{name}.csv", traj.to_csv())
         try:
             rate = sim.decay_rate(traj, args.t_start)
         except ValueError as exc:
@@ -397,7 +344,7 @@ def cmd_simulate(args, em: _Emitter) -> int:
         else:
             shown = f"{rate:+.6f}"
         rates[name] = rate
-        em.say(f"history {name}: decay rate over [{args.t_start:g}, {args.t_end:g}] = {shown}")
+        run.say(f"history {name}: decay rate over [{args.t_start:g}, {args.t_end:g}] = {shown}")
 
     warnings = []
     scale = sim.step_scale(sys_, traj.step)
@@ -408,25 +355,14 @@ def cmd_simulate(args, em: _Emitter) -> int:
         )
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
-    em.payload = {"decay_rates": rates, "step": traj.step, "steps": steps, "warnings": warnings}
-    RunManifest(
-        "simulate",
-        {
-            "system": args.system,
-            "history": args.history,
-            "t_end": args.t_end,
-            "step": args.step,
-            "t_start": args.t_start,
-        },
-        outputs,
-    ).write(out)
+    run.payload = {"decay_rates": rates, "step": traj.step, "steps": steps, "warnings": warnings}
     return 0
 
 
 # --- verify -------------------------------------------------------------------
 
 
-def cmd_verify(args, em: _Emitter) -> int:
+def cmd_verify(args, run: _Run) -> int:
     from .quasipoly import (
         factorization_residual,
         mid_normalized,
@@ -481,14 +417,15 @@ def cmd_verify(args, em: _Emitter) -> int:
     failed = any(ok is not None and not ok for _, ok, _ in checks)
     for name, ok, detail in checks:
         label = "INCONCLUSIVE" if ok is None else "PASS" if ok else "FAIL"
-        em.say(f"{label} {name}: {detail}")
+        run.say(f"{label} {name}: {detail}")
     if all_ok:
-        em.say("verdict: all checks passed")
+        run.say("verdict: all checks passed")
     else:
-        em.say("verdict: " + ("FAILURES detected" if failed else "inconclusive"))
-    em.payload = {
+        run.say("verdict: " + ("FAILURES detected" if failed else "inconclusive"))
+    run.payload = {
         "s0": s0,
-        "checks": [{"name": n_, "passed": ok, "detail": d} for n_, ok, d in checks],
+        "checks": [{"name": n_, "passed": None if ok is None else bool(ok), "detail": d}
+                   for n_, ok, d in checks],
         "passed": all_ok,
     }
     return 0 if all_ok else 1 if failed else 3
@@ -506,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out-dir", default=".", help="output directory (default: .)")
+    def common(p, writes=True):
+        if writes:
+            p.add_argument("--out-dir", default=".", help="output directory (default: .)")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
         p.add_argument("--quiet", action="store_true", help="suppress normal output")
 
@@ -562,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="one-shot design checks")
     p.add_argument("system", help="system JSON file")
     p.add_argument("--s0", type=float, default=None)
-    common(p)
+    common(p, writes=False)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -576,16 +514,16 @@ def main(argv=None) -> int:
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)
-    em = _Emitter(args.json, args.quiet)
+    run = _Run(args)
     try:
-        code = args.func(args, em)
+        code = args.func(args, run)
+        run.finish()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    em.finish()
     return code
 
 

@@ -140,6 +140,35 @@ def test_tissir_never_exceeds_mori(std_pair):
         assert th <= mk + 1e-9
 
 
+def _designed_pair(n):
+    return companion_pair(normalize(mid_coefficients(n, -0.4, 2.5), -0.4))
+
+
+def test_tissir_hmamed_closed_forms():
+    # one and infinity norms: |M_ij| does not move with theta and
+    # max_theta Re(a e^(i theta)) = |a|, so the theta maximum is ||A1|| and
+    # the bound is Mori-Kokame's.  Two-norm: the theta maximum is the
+    # numerical radius, for the rank-one A1 = e_n a^T of a companion pair
+    # (|a_n| + ||a||_2) / 2
+    rng = np.random.default_rng(12)
+    general = [CompanionPair(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+               for n in (1, 2, 3, 5) for _ in range(5)]
+    designed = [_designed_pair(n) for n in range(1, 9)]
+    for pair in general + designed:
+        for norm in (Norm.ONE, Norm.INFINITY):
+            th = bound_tissir_hmamed(pair, norm).value
+            mk = bound_mori_kokame(pair, norm).value
+            assert th == pytest.approx(mk, rel=1e-12), (pair.n, norm)
+
+    companions = [CompanionPair(np.eye(n, k=1), np.eye(n)[:, [-1]] * rng.normal(size=n))
+                  for n in (1, 2, 3, 5) for _ in range(5)]
+    for pair in companions + designed:
+        a = pair.A1[-1]
+        radius = (abs(a[-1]) + np.linalg.norm(a)) / 2.0
+        want = log_norm(-1j * pair.A0, Norm.TWO) + radius
+        assert bound_tissir_hmamed(pair, Norm.TWO).value == pytest.approx(want, rel=1e-12), pair.n
+
+
 # --- feasibility sweeps -----------------------------------------------------------
 
 
@@ -367,6 +396,36 @@ def test_omega_sup_floor_contract(data):
     np.testing.assert_array_equal(got[above], sup[above])
     assert (got[~above] <= floor).all()
     np.testing.assert_array_equal(got_env, env)
+
+
+def test_norm_sums_do_not_depend_on_the_stack():
+    # the entry sums of the norms were once pairwise for a lone matrix and in
+    # order for a stack, from eight terms on, so a row polished alone under a
+    # floor changed its last bit (6.2604447173799995 against 6.260444717379998)
+    pair = CompanionPair(2.0 * np.ones((3, 3)), [[3.5, 0, -1], [-1, -1, -1], [-1, -1, -1]])
+    coeffs = _coeffs(pair, 2)
+    sigmas = np.array([0.0, 1.0])
+    sup, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512)
+    got, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512, 6.0)
+    assert sup[0] > 6.0
+    assert got[0] == sup[0]
+    rng = np.random.default_rng(5)
+    c = rng.uniform(0.2, 2.0, 200) * np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+    for n in (3, 8):
+        pair = CompanionPair(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+        coeffs = _coeffs(pair, 2)
+        for norm in (Norm.ONE, Norm.INFINITY, Norm.FROBENIUS):
+            stacked = bounds._stacked_h(coeffs, c, norm)
+            alone = [bounds._stacked_h(coeffs, c[i:i + 1], norm)[0] for i in range(c.size)]
+            np.testing.assert_array_equal(stacked, alone, f"n={n} {norm.value}")
+
+
+def test_sweep_rejects_overflowing_sigma_min(std_pair):
+    # e^(-sigma_min) in the sweep's sigma cap overflows a float below about -709
+    with pytest.raises(ValueError, match="sigma_min = -800.0 overflows"):
+        bound_spectral_radius_curve(std_pair, -800.0)
+    with pytest.raises(ValueError, match="sigma_min = -800.0 overflows"):
+        bound_norm_power(std_pair, Norm.ONE, 1, -800.0)
 
 
 def test_sweep_rejects_non_finite_sigma_min(std_pair):

@@ -227,6 +227,18 @@ def test_bounds_non_finite_sigma_min_exit_2(value, tmp_path):
     assert not (tmp_path / "bounds.csv").exists()
 
 
+@pytest.mark.parametrize("method", [["rho"], ["norm-power", "--norm", "one"]], ids=["rho", "norm-power"])
+def test_bounds_overflowing_sigma_min_exit_2(method, tmp_path):
+    # e^(-sigma_min) overflows a float; this once exited 1 with a math range error
+    r = run_cli(
+        "bounds", "--standard-pair", "--method", *method, "--sigma-min", "-800",
+        "--out-dir", str(tmp_path), timeout=60,
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: ") and "sigma_min = -800.0 overflows" in r.stderr
+    assert not (tmp_path / "bounds.csv").exists()
+
+
 def test_bounds_non_finite_s0_exit_2(example_dir, tmp_path):
     r = run_cli(
         "bounds", str(example_dir / "system.json"), "--s0=nan", "--method", "norm-power",
@@ -391,7 +403,7 @@ def test_simulate_unknown_history_exit_2(example_dir, tmp_path):
 
 
 def test_verify_passes_on_design(example_dir, tmp_path):
-    r = run_cli("verify", str(example_dir / "system.json"), "--out-dir", str(tmp_path))
+    r = run_cli("verify", str(example_dir / "system.json"))
     assert r.returncode == 0, r.stdout + r.stderr
     assert "PASS multiplicity" in r.stdout
     assert "PASS dominance" in r.stdout
@@ -402,7 +414,7 @@ def test_verify_detects_perturbation(example_dir, tmp_path):
     doc["a"][0] += 0.01
     bad = tmp_path / "perturbed.json"
     bad.write_text(json.dumps(doc))
-    r = run_cli("verify", str(bad), "--s0", "-0.5", "--out-dir", str(tmp_path))
+    r = run_cli("verify", str(bad), "--s0", "-0.5")
     assert r.returncode == 1
     assert "FAIL multiplicity" in r.stdout
 
@@ -410,7 +422,7 @@ def test_verify_detects_perturbation(example_dir, tmp_path):
 def test_verify_n2_runs_factorization(tmp_path):
     r = run_cli("design", "--n", "2", "--s0", "-0.3", "--tau", "1.4", "--out-dir", str(tmp_path))
     assert r.returncode == 0
-    r = run_cli("verify", str(tmp_path / "system.json"), "--out-dir", str(tmp_path))
+    r = run_cli("verify", str(tmp_path / "system.json"))
     assert r.returncode == 0, r.stdout
     assert "PASS factorization-residual" in r.stdout
 
@@ -450,6 +462,15 @@ def test_verify_missing_file_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_verify_takes_no_out_dir(example_dir, tmp_path, capsys):
+    # verify writes no file, so it has no output directory to be told of
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", str(example_dir / "system.json"), "--out-dir", str(tmp_path / "v")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize(
     "case", ["one-column-history", "list-system", "scalar-coefficients", "design-s0-overflow",
              "verify-s0-overflow", "verify-s0-nan", "design-s0-nan", "design-s0-inf",
@@ -479,7 +500,9 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         argv = ["design", "--n", "3", f"--s0={case[-3:]}", "--tau", "2.5"]
     else:
         argv = ["design", "--n", "3", "--s0", "-0.5", "--tau=inf"]
-    assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    if argv[0] != "verify":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: "), err
     if case == "verify-s0-nan":
@@ -500,6 +523,47 @@ def test_spectrum_s0_overflow_exit_2(example_dir, tmp_path):
     assert "RuntimeWarning" not in r.stderr
 
 
+# --- manifest ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--n", "2", "--s0", "-0.3", "--tau", "1.5"],
+        ["spectrum", "{system}"],
+        ["bounds", "{system}", "--method", "mori-kokame", "--norm", "one"],
+        ["simulate", "{system}", "--history", "all", "--t-end", "5"],
+    ],
+    ids=["design", "spectrum", "bounds", "simulate"],
+)
+def test_manifest_lists_outputs_and_parsed_inputs(argv, example_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [a.format(system=example_dir / "system.json") for a in argv]
+    argv += ["--out-dir", str(out), "--quiet"]
+    assert cli.main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    created = {str(p) for p in out.rglob("*") if p.name != "manifest.json"}
+    assert manifest["command"] == argv[0]
+    assert len(manifest["outputs"]) == len(created) and set(manifest["outputs"]) == created
+    parsed = vars(cli.build_parser().parse_args(argv))
+    for key in ("command", "func", "out_dir", "json", "quiet"):
+        del parsed[key]
+    assert parsed and set(parsed) <= set(manifest["inputs"])
+    for key, value in parsed.items():
+        if value is not None:  # a value the command resolves itself may replace None
+            assert manifest["inputs"][key] == value, key
+    if argv[0] == "spectrum":
+        assert manifest["inputs"]["s0"] == pytest.approx(-0.5)
+        assert set(manifest["inputs"]["region"]) == {"re_min", "re_max", "im_min", "im_max"}
+
+
+def test_verify_creates_no_file(example_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", str(example_dir / "system.json"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- round trip -------------------------------------------------------------------
 
 
@@ -518,7 +582,7 @@ def test_design_spectrum_verify_round_trip(n, tmp_path):
     doc = json.loads(r.stdout)
     assert doc["strictly_dominant"] is True
     assert abs(doc["spectral_abscissa"] - s0) < 1e-6
-    r = run_cli("verify", str(tmp_path / "system.json"), "--out-dir", str(tmp_path))
+    r = run_cli("verify", str(tmp_path / "system.json"))
     assert r.returncode == 0, r.stdout
 
 
@@ -541,11 +605,13 @@ def test_library_import_loads_no_scipy():
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 def test_certification_loads_no_bounds(command, example_dir, tmp_path):
     # the certification box comes from the modulus cut, not the bound sweeps
+    argv = [command, str(example_dir / "system.json"), "--quiet"]
+    if command == "spectrum":
+        argv += ["--out-dir", str(tmp_path)]
     r = run_python(
         "-c",
         "import sys; from midspec import cli; "
-        f"code = cli.main([{command!r}, {str(example_dir / 'system.json')!r}, "
-        f"'--out-dir', {str(tmp_path)!r}, '--quiet']); "
+        f"code = cli.main({argv!r}); "
         "print(code, 'midspec.bounds' in sys.modules)",
     )
     assert r.returncode == 0, r.stderr
@@ -571,8 +637,9 @@ _NO_SWEEPS = ["midspec.bounds", "midspec.sim", "scipy"]
 def test_command_import_matrix(argv, absent, example_dir, tmp_path):
     # each command loads only the layers it runs; a package present in
     # sys.modules means some module of it was imported
-    argv = [a.format(system=example_dir / "system.json") for a in argv]
-    argv += ["--out-dir", str(tmp_path), "--quiet"]
+    argv = [a.format(system=example_dir / "system.json") for a in argv] + ["--quiet"]
+    if argv[0] != "verify":
+        argv += ["--out-dir", str(tmp_path)]
     r = run_python(
         "-c",
         "import sys; from midspec import cli; "
