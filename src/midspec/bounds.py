@@ -251,14 +251,20 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
     M(c) (coefficients built with p = 1).
     """
     power, n = coeffs.shape[0] - 1, coeffs.shape[1]
+    if n == 1:
+        # every norm of a 1x1 matrix, and its spectral radius, is |e|; Horner
+        # in real arithmetic gives a point the same value alone as in a stack,
+        # which numpy's complex multiply does not
+        s = coeffs[:, 0, 0]
+        re, im = np.full(c.shape, s[-1].real), np.full(c.shape, s[-1].imag)
+        for sk in s[-2::-1]:
+            re, im = re * c.real - im * c.imag + sk.real, re * c.imag + im * c.real + sk.imag
+        return np.hypot(re, im) ** (1.0 / power)
     E = np.multiply.outer(coeffs[-1], c)  # entries of M(c)^p, shape (n, n, len(c))
     for S in coeffs[-2:0:-1]:
         E += S[:, :, None]
         E *= c
     E += coeffs[0][:, :, None]
-    if n == 1 and norm in ("rho", Norm.TWO):
-        # of a 1x1 matrix, spectral radius and two-norm are both |E|
-        return np.abs(E[0, 0]) ** (1.0 / power)
     if norm == "rho":
         if n == 2:
             # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs:

@@ -79,14 +79,6 @@ class Polynomial:
             acc = acc * s + c
         return acc
 
-    def eval_array(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        acc = np.zeros_like(z, dtype=complex)
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
-
     def delayed_derivative(self, lam: float) -> "Polynomial":
         """p' - lam p, the polynomial factor of the derivative of p(s) e^(-lam s)."""
         c = self.coefficients + (0.0,)
@@ -149,7 +141,7 @@ class Quasipolynomial:
         z = np.asarray(z, dtype=complex)
         acc = np.zeros_like(z)
         for lam, p in self.terms:
-            acc += p.eval_array(z) * np.exp(-lam * z)
+            acc += p(z) * np.exp(-lam * z)
         return acc
 
     def derivative(self, order: int = 1) -> "Quasipolynomial":

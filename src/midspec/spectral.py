@@ -222,59 +222,51 @@ def roots_to_csv(roots: Iterable[Root]) -> str:
 # --- winding number by phase continuation ------------------------------------
 
 
-def _edge_phase_change(
-    q: Quasipolynomial, qp: Quasipolynomial, a: complex, b: complex, delays_max: float
-) -> float:
-    """Continuous argument change of q along the segment a -> b.
+def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
+    """Winding number of q around the rectangle boundary, traversed
+    counterclockwise; raises if it fails to come out close to an integer.
 
+    The boundary is walked as one closed polyline through the corners.
     Samples are refined until (i) every observed phase increment is below
     _PHASE_STEP and (ii) the local phase-speed budget |dz| |q'/q| is small.
     The second criterion matters: |d arg q / dz| <= |q'/q|, so it rules out
     aliasing by full turns near high-multiplicity roots that the
     principal-branch increments alone cannot see.
     """
-    budget = delays_max * abs((b - a).imag) + math.pi * max(q.degree, 1)
-    n0 = 17 + int(budget / 1.2)
-    length = abs(b - a)
+    delays_max = max((abs(lam) for lam, _ in q.terms), default=0.0)
+    qp = q.derivative()
 
-    def probe(tv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = a + tv * (b - a)
+    def probe(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = q.eval_array(z)
         av = np.abs(v)
         if np.any(av <= _BOUNDARY_FLOOR * q.magnitude_scale_array(z)):
             raise _BoundaryProximity
         return v / av, np.abs(qp.eval_array(z)) / av
 
-    t = np.linspace(0.0, 1.0, n0)
-    u, g = probe(t)
+    corners = rect.corners()
+    edges = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        budget = delays_max * abs((b - a).imag) + math.pi * max(q.degree, 1)
+        edges.append(a + np.linspace(0.0, 1.0, 17 + int(budget / 1.2))[:-1] * (b - a))
+    z = np.concatenate(edges)
+    u, g = probe(z)
+    # close the walk: the last sample is the first corner again
+    z, u, g = np.append(z, z[0]), np.append(u, u[0]), np.append(g, g[0])
     for _ in range(48):
         dphi = np.angle(u[1:] * np.conj(u[:-1]))
-        seg = (t[1:] - t[:-1]) * length
-        speed = 0.5 * (g[1:] + g[:-1]) * seg
+        speed = 0.5 * (g[1:] + g[:-1]) * np.abs(np.diff(z))
         bad = (np.abs(dphi) > _PHASE_STEP) | (speed > 2.0)
         if not bad.any():
             break
         idx = np.nonzero(bad)[0]
-        tm = 0.5 * (t[idx] + t[idx + 1])
-        um, gm = probe(tm)
-        t = np.insert(t, idx + 1, tm)
+        zm = 0.5 * (z[idx] + z[idx + 1])
+        um, gm = probe(zm)
+        z = np.insert(z, idx + 1, zm)
         u = np.insert(u, idx + 1, um)
         g = np.insert(g, idx + 1, gm)
     else:
         raise LocalizationError("contour refinement did not converge (root on boundary?)")
-    return float(np.angle(u[1:] * np.conj(u[:-1])).sum())
-
-
-def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
-    """Winding number of q around the rectangle boundary, traversed
-    counterclockwise; raises if it fails to come out close to an integer."""
-    delays_max = max((abs(lam) for lam, _ in q.terms), default=0.0)
-    qp = q.derivative()
-    corners = rect.corners()
-    total = 0.0
-    for i in range(4):
-        total += _edge_phase_change(q, qp, corners[i], corners[(i + 1) % 4], delays_max)
-    w = total / (2.0 * math.pi)
+    w = float(dphi.sum()) / (2.0 * math.pi)
     if abs(w - round(w)) > 0.1:
         raise LocalizationError(f"winding number {w:.4f} is not close to an integer")
     return int(round(w))
@@ -477,16 +469,10 @@ def _ranked_splits(q: Quasipolynomial, lo: float, hi: float, fixed_lo: float, fi
     still graze a root.
     """
     t = np.linspace(fixed_lo, fixed_hi, 65)
-    ranked = []
-    for frac in _SPLIT_FRACTIONS:
-        x = lo + frac * (hi - lo)
-        z = (x + 1j * t) if vertical else (t + 1j * x)
-        vals = np.abs(q.eval_array(z))
-        scale = q.magnitude_scale_array(z)
-        clear = float((vals / np.maximum(scale, 1e-300)).min())
-        ranked.append((clear, x))
-    ranked.sort(key=lambda c: -c[0])
-    return [x for _, x in ranked]
+    x = lo + np.array(_SPLIT_FRACTIONS)[:, None] * (hi - lo)
+    z = (x + 1j * t) if vertical else (t + 1j * x)
+    clear = (np.abs(q.eval_array(z)) / np.maximum(q.magnitude_scale_array(z), 1e-300)).min(axis=1)
+    return x[np.argsort(-clear, kind="stable"), 0].tolist()
 
 
 def _split_and_count(
@@ -497,9 +483,7 @@ def _split_and_count(
     order until the four child counts succeed and are additive."""
     xs = _ranked_splits(q, box.re_min, box.re_max, box.im_min, box.im_max, vertical=True)
     ys = _ranked_splits(q, box.im_min, box.im_max, box.re_min, box.re_max, vertical=False)
-    for k in range(max(len(xs), len(ys))):
-        xm = xs[min(k, len(xs) - 1)]
-        ym = ys[min(k, len(ys) - 1)]
+    for xm, ym in zip(xs, ys):
         children = [
             Rectangle(box.re_min, xm, box.im_min, ym),
             Rectangle(xm, box.re_max, box.im_min, ym),
@@ -548,7 +532,6 @@ def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
         if m == 0:
             continue
         z0, converged = _refine_newton(q, qp, qpp, box.center, box)
-        accepted = False
         # strict containment: boxes tile the search region with root-free
         # boundaries, so each box's roots lie strictly inside it and a
         # refined point outside means Newton escaped to a neighbor's root
@@ -560,9 +543,7 @@ def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
                 mult = -1
             if mult == m:
                 roots.append(finish(z0, m))
-                accepted = True
-        if accepted:
-            continue
+                continue
         if box.diameter < max(_DIAMETER_FLOOR, floor * (1.0 + abs(box.center))):
             # diameter floor: keep the best available point for the whole count
             if not converged:
@@ -586,31 +567,22 @@ def _symmetrize_conjugates(roots: list[Root]) -> list[Root]:
     refined locations are made to honor that exactly.
     """
     out: list[Root] = []
-    used = [False] * len(roots)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
+    unpaired = list(roots)
+    while unpaired:
+        r = unpaired.pop(0)
         z = r.location
         if abs(z.imag) <= 1e-10 * (1.0 + abs(z)):
             out.append(Root(complex(z.real, 0.0), r.multiplicity, r.residual))
-            used[i] = True
             continue
-        partner = None
-        for j in range(i + 1, len(roots)):
-            if used[j]:
-                continue
-            w = roots[j].location
-            if abs(w - z.conjugate()) <= 1e-7 * (1.0 + abs(z)):
-                partner = j
-                break
-        if partner is None:
+        j = next((j for j, w in enumerate(unpaired)
+                  if abs(w.location - z.conjugate()) <= 1e-7 * (1.0 + abs(z))), None)
+        if j is None:
             out.append(r)
-            used[i] = True
             continue
-        mean = 0.5 * (z + roots[partner].location.conjugate())
+        partner = unpaired.pop(j)
+        mean = 0.5 * (z + partner.location.conjugate())
         out.append(Root(mean, r.multiplicity, r.residual))
-        out.append(Root(mean.conjugate(), roots[partner].multiplicity, roots[partner].residual))
-        used[i] = used[partner] = True
+        out.append(Root(mean.conjugate(), partner.multiplicity, partner.residual))
     return out
 
 

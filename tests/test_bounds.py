@@ -382,7 +382,7 @@ def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
 @given(data=st.data())
 def test_omega_sup_floor_contract(data):
     # above floor the sup is the fully polished one; at or below it, it stays there
-    n = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.sampled_from([1, 2, 3]))
     entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0))
     pair = CompanionPair(data.draw(entries), data.draw(entries))
     key, power = data.draw(st.sampled_from(_SWEEP_KEYS))
@@ -411,13 +411,29 @@ def test_norm_sums_do_not_depend_on_the_stack():
     assert got[0] == sup[0]
     rng = np.random.default_rng(5)
     c = rng.uniform(0.2, 2.0, 200) * np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi, 200))
-    for n in (3, 8):
+    # at n = 1 the complex Horner step once rounded 10 of these points (15 for
+    # the two-norm) differently in the stack than alone
+    for n in (3, 8, 1):
         pair = CompanionPair(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
         coeffs = _coeffs(pair, 2)
-        for norm in (Norm.ONE, Norm.INFINITY, Norm.FROBENIUS):
+        norms = (Norm.ONE, Norm.INFINITY, Norm.FROBENIUS) + ((Norm.TWO,) if n == 1 else ())
+        for norm in norms:
             stacked = bounds._stacked_h(coeffs, c, norm)
             alone = [bounds._stacked_h(coeffs, c[i:i + 1], norm)[0] for i in range(c.size)]
             np.testing.assert_array_equal(stacked, alone, f"n={n} {norm.value}")
+
+
+def test_n1_floored_sup_equals_the_unfloored_one():
+    # at n = 1 the complex Horner step once rounded a point differently in a
+    # stack than alone: row 1 read 13.226358280554047 unfloored and
+    # 13.226358280554045 floored
+    coeffs = _coeffs(CompanionPair([[3.725218240843976]], [[5.078878971171399]]), 2)
+    sigmas = np.array([1.2259678662413322, -0.6877304356954841])
+    floor = 9.092710044878068
+    sup, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512)
+    got, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512, floor)
+    assert sup[1] > floor
+    assert got[1] == sup[1]
 
 
 def test_sweep_rejects_overflowing_sigma_min(std_pair):

@@ -722,3 +722,30 @@ def test_thread_cap_rejects_non_positive(blas_env, raw):
     blas_env.setenv("MIDSPEC_THREADS", raw)
     with pytest.raises(ValueError, match="positive integer"):
         cli._apply_thread_cap()
+
+
+# --- packaging ------------------------------------------------------------------
+
+
+def test_test_imports_are_declared():
+    # every third-party module the tests import is a dependency of the
+    # package or of its "test" extra in pyproject.toml
+    import ast
+    import re
+
+    tomllib = pytest.importorskip("tomllib")
+    tests = Path(__file__).resolve().parent
+    project = tomllib.loads((tests.parent / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project.get("optional-dependencies", {}).get("test", [])
+    declared = {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in requirements}
+    local = {"midspec"} | {path.stem for path in tests.glob("*.py")}
+    imported = set()
+    for path in tests.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party, "no third-party import found under tests/"
+    assert third_party <= declared, sorted(third_party - declared)

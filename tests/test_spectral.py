@@ -168,6 +168,22 @@ def test_find_example_region(example_system):
     assert all(a == b for a, b in zip(ups, downs))
 
 
+def test_find_roots_eval_budget(example_system, monkeypatch):
+    # the default spectrum region of the showcase; walking each box edge by
+    # edge took 2,198 eval_array calls here, one closed boundary walk 858
+    calls = []
+    evaluate = Quasipolynomial.eval_array
+
+    def spy(self, z):
+        calls.append(np.size(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(Quasipolynomial, "eval_array", spy)
+    roots = find_roots(example_system.quasipolynomial(), Rectangle(-5.5, 0.5, -30, 30))
+    assert sum(r.multiplicity for r in roots) > 6
+    assert len(calls) <= 1000
+
+
 def test_find_agrees_with_derivative_multiplicity():
     for n, s0, tau in [(1, -0.3, 0.8), (2, 0.2, 1.5), (3, -0.5, 2.5)]:
         sys_ = mid_coefficients(n, s0, tau)
