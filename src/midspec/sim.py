@@ -10,11 +10,20 @@ boundaries coincide with grid nodes, so the derivative jumps that the method
 of steps propagates never fall inside an integration step.
 
 For constant coefficients one RK4 step is an affine map, built once per call:
-x <- x + (D x + Q0 d0 + Qm dm + Q1 d1), with d0, dm, d1 the delayed state at
-the step start, midpoint and end.  Each window's delayed forcing is one array
-expression and the step loop is one matvec.  The increment stays apart from x:
-folding I + D into one matrix would round away the low bits of every O(h)
-increment, which the 2n-fold root then amplifies.
+x <- x + (D x + f), with f = Q0 d0 + Qm dm + Q1 d1 and d0, dm, d1 the delayed
+state at the step start, midpoint and end.  Each window's delayed forcing is
+one array expression, and its steps are taken b = 16 at a time by the exact
+b-step map: with D_i = (I + D)^i - I and g_l = D x_j + f_l,
+
+    x_{j+i} = x_j + (sum_{l<i} g_l + sum_{l<i} D_{i-1-l} g_l),   i = 1..b,
+
+one small matvec, one running sum and one Toeplitz matvec per block.  The
+increment stays apart from x: I + D is never formed (D_i is built as
+D_{i+1} = D_i + D + D D_i, and the identity part of (I + D)^k is the running
+sum), since folding I + D into one matrix would round away the low bits of
+every O(h) increment, which the 2n-fold root then amplifies.  Each g_l is
+formed first, as in the one-step map, so the per-step cancellation of D x
+against f happens before any D_i multiplies it.
 """
 
 from __future__ import annotations
@@ -257,6 +266,25 @@ def _rk4_increment(A0: np.ndarray, A1: np.ndarray, h: float) -> list[np.ndarray]
     return np.hsplit((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 4)
 
 
+#: RK4 steps taken per block.  Measured against extended precision for
+#: b h rho(A0) <= 0.45; the default step tau/500 keeps h rho(A0) below 0.03
+#: for the MID designs up to order 8 (a test pins this), so b = 16 stays there.
+_BLOCK = 16
+
+
+def _block_toeplitz(D: np.ndarray, b: int) -> np.ndarray:
+    """The (b n, b n) block-lower-triangular Toeplitz matrix with block
+    (i, l) = D_{i-l} for l < i (blocks counted from 0, zero elsewhere), where
+    D_k = (I + D)^k - I is built as D_{k+1} = D_k + D + D D_k.  Applied to the
+    stacked increments g of one block, it gives the sums over D_{i-1-l} g_l
+    of the b-step map in the module docstring.
+    """
+    powers = [D]
+    for _ in range(b - 2):
+        powers.append(powers[-1] + D + D @ powers[-1])
+    return sum(np.kron(np.eye(b, k=-k), Dk) for k, Dk in enumerate(powers, 1))
+
+
 def simulate(
     sys: RetardedSystem,
     history: HistoryFunction,
@@ -268,6 +296,10 @@ def simulate(
     The step is adjusted downward so that it divides tau exactly (a step
     above tau becomes tau); the default is tau/500.  Raises SimulationError
     if the state stops being finite.
+
+    Each window takes its m steps in blocks of b = min(16, m) through the
+    b-step map of the module docstring; with b = 1 it is exactly the one-step
+    map x + (D x + f).
     """
     tau = sys.tau
     if not 0 < t_end < math.inf:
@@ -285,6 +317,8 @@ def simulate(
 
     n = sys.n
     D, Q0, Qm, Q1 = _rk4_increment(*companion(sys.a, sys.alpha), h)
+    b = min(_BLOCK, m)
+    T = _block_toeplitz(D, b)
     windows = int(math.ceil(t_end / tau - 1e-12))
 
     # first window reads the history exactly, at nodes and stage midpoints
@@ -299,9 +333,12 @@ def simulate(
             delayed_mids = _midpoints(delayed)
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = delayed[:-1] @ Q0.T + delayed_mids @ Qm.T + delayed[1:] @ Q1.T
-            for row, f in enumerate(forcing, k * m + 1):
-                x = x + (D @ x + f)
-                states[row] = x
+            for lo in range(0, m, b):
+                g = forcing[lo : lo + b] + D @ x
+                X = x + (g.cumsum(axis=0) + (T[: g.size, : g.size] @ g.ravel()).reshape(g.shape))
+                row = k * m + 1 + lo
+                states[row : row + len(g)] = X
+                x = X[-1]
         if not np.all(np.isfinite(states[k * m : (k + 1) * m + 1])):
             raise SimulationError(f"state became non-finite in window {k}")
 

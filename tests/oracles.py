@@ -13,7 +13,8 @@ confirm with the derivative-based multiplicity test.  None of this shares
 code with the argument-principle path it validates.
 
 The integrator oracles are a stagewise RK4 loop (four stages per step, each
-a pair of matvecs) and a delay-equation residual from finite differences.
+a pair of matvecs; in float, or in np.longdouble as an extended-precision
+reference) and a delay-equation residual from finite differences.
 
 The feasibility-sweep oracles evaluate H on the whole phi grid, without the
 conjugate symmetry, and bracket the active crossing by the last downward
@@ -212,41 +213,45 @@ def _cubic_midpoints(grid):
     m = grid.shape[0] - 1
     if m < 3:
         return 0.5 * (grid[:-1] + grid[1:])
-    mid = np.empty((m,) + grid.shape[1:])
+    mid = np.empty_like(grid[:-1])
     mid[1:-1] = (-grid[:-3] + 9.0 * grid[1:-2] + 9.0 * grid[2:-1] - grid[3:]) / 16.0
     mid[0] = (5.0 * grid[0] + 15.0 * grid[1] - 5.0 * grid[2] + grid[3]) / 16.0
     mid[-1] = (grid[-4] - 5.0 * grid[-3] + 15.0 * grid[-2] + 5.0 * grid[-1]) / 16.0
     return mid
 
 
-def rk4_stagewise(sys, history, t_end, step):
+def rk4_stagewise(sys, history, t_end, step, dtype=float):
     """(times, states) of classic RK4 by the method of steps, stage by stage.
 
     Same grid, delayed data and stage scheme as midspec.sim.simulate, with
     every stage evaluated as A0 @ x + A1 @ x(t - tau) in its own arithmetic.
+    The stages run in dtype (np.longdouble for an extended-precision
+    reference) on the float coefficients, step and history values; the times
+    stay float.
     """
     tau, n = sys.tau, sys.n
     m = int(math.ceil(tau / step - 1e-12))
     h = tau / m
-    A0, A1 = companion(sys.a, sys.alpha)
+    hs = dtype(h)
+    A0, A1 = (A.astype(dtype) for A in companion(sys.a, sys.alpha))
     windows = int(math.ceil(t_end / tau - 1e-12))
 
-    nodes = history.state_values(np.linspace(-tau, 0.0, m + 1), n)
-    mids = history.state_values(np.linspace(-tau + h / 2.0, -h / 2.0, m), n)
+    nodes = history.state_values(np.linspace(-tau, 0.0, m + 1), n).astype(dtype)
+    mids = history.state_values(np.linspace(-tau + h / 2.0, -h / 2.0, m), n).astype(dtype)
     times, states = [np.array([0.0])], [nodes[-1:].copy()]
     x = nodes[-1].copy()
     t0 = 0.0
     for k in range(windows):
         if k > 0:
             mids = _cubic_midpoints(nodes)
-        cur = np.empty((m + 1, n))
+        cur = np.empty((m + 1, n), dtype)
         cur[0] = x
         for i in range(m):
             k1 = A0 @ x + A1 @ nodes[i]
-            k2 = A0 @ (x + 0.5 * h * k1) + A1 @ mids[i]
-            k3 = A0 @ (x + 0.5 * h * k2) + A1 @ mids[i]
-            k4 = A0 @ (x + h * k3) + A1 @ nodes[i + 1]
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = A0 @ (x + 0.5 * hs * k1) + A1 @ mids[i]
+            k3 = A0 @ (x + 0.5 * hs * k2) + A1 @ mids[i]
+            k4 = A0 @ (x + hs * k3) + A1 @ nodes[i + 1]
+            x = x + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             cur[i + 1] = x
         times.append(t0 + h * np.arange(1, m + 1))
         states.append(cur[1:])

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from midspec.quasipoly import RetardedSystem, mid_coefficients
+from midspec.quasipoly import RetardedSystem, companion, mid_coefficients
 from midspec.sim import (
     BUILTIN_HISTORY_NAMES,
     HistoryFunction,
     HistoryKind,
     SimulationError,
     Trajectory,
+    _midpoints,
+    _rk4_increment,
     _table_csv,
     builtin_history,
     constant,
@@ -172,6 +174,63 @@ def test_simulate_matches_stagewise_oracle(n, tau):
         assert err.max() <= 1e-6 * np.abs(states).max(), name
 
 
+@pytest.mark.parametrize("m", [1, 7, 15, 16, 17, 37])
+def test_block_edges_match_stagewise_oracle(m):
+    # steps per window around the block size b = 16, a window of one step
+    # (b = 1) and a coarse one: m = 7 has step_scale 0.48, so its one block
+    # spans b h rho(A0) = 3.4
+    sys_ = mid_coefficients(3, -0.5, 2.5)
+    for name in BUILTIN_HISTORY_NAMES:
+        hist = builtin_history(name)
+        traj = simulate(sys_, hist, 20.0, step=2.5 / m)
+        times, states = rk4_stagewise(sys_, hist, 20.0, 2.5 / m)
+        assert np.array_equal(traj.times, times)
+        first = times <= 2.5
+        err = np.abs(traj.states - states)
+        assert err[first].max() <= 1e-12 * np.abs(states[first]).max(), name
+        assert err.max() <= 1e-6 * np.abs(states).max(), name
+    if m == 7:
+        assert 0.45 < step_scale(sys_, traj.step) < 0.5
+
+
+def test_single_step_windows_take_the_one_step_map():
+    # one step per window: the block map must be x <- x + (D x + f) exactly
+    sys_ = mid_coefficients(3, -0.5, 2.5)
+    hist = builtin_history("y04")
+    traj = simulate(sys_, hist, 20.0, step=2.5)
+    D, Q0, Qm, Q1 = _rk4_increment(*companion(sys_.a, sys_.alpha), 2.5)
+    delayed = hist.state_values(np.array([-2.5, 0.0]), 3)
+    mids = hist.state_values(np.array([-1.25]), 3)
+    rows = [delayed[-1]]
+    for k in range(8):
+        if k > 0:
+            delayed = np.array(rows[-2:])
+            mids = _midpoints(delayed)
+        f = (delayed[:-1] @ Q0.T + mids @ Qm.T + delayed[1:] @ Q1.T)[0]
+        rows.append(rows[-1] + (D @ rows[-1] + f))
+    assert np.array_equal(traj.states, np.array(rows))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is float64 here"
+)
+@pytest.mark.parametrize("n,bound", [(3, 2e-9), (4, 8e-7)])
+def test_simulate_tracks_extended_precision(n, bound):
+    # distance to the same RK4 scheme run in np.longdouble, relative to its
+    # largest state; the 2n-fold root amplifies float64 rounding, so the
+    # bound is on the median over s0 and the built-in histories, at twice
+    # the one-step loop's median (1.0e-9 at n = 3, 4.0e-7 at n = 4)
+    dists = []
+    for s0 in (-1.0, -0.5, 0.3):
+        sys_ = mid_coefficients(n, s0, 0.5)
+        for name in BUILTIN_HISTORY_NAMES:
+            hist = builtin_history(name)
+            _, ref = rk4_stagewise(sys_, hist, 10.0, 0.5 / 500.0, dtype=np.longdouble)
+            err = np.abs(simulate(sys_, hist, 10.0).states - ref).max()
+            dists.append(float(err / np.abs(ref).max()))
+    assert np.median(dists) <= bound, dists
+
+
 def test_order8_trajectory_solves_the_delay_equation():
     sys_ = mid_coefficients(8, -0.5, 2.5)
     for name in BUILTIN_HISTORY_NAMES:
@@ -182,8 +241,8 @@ def test_order8_trajectory_solves_the_delay_equation():
 
 def test_unstable_system_aborts():
     sys_ = RetardedSystem(1, (-30.0,), (0.0,), 1.0)  # y' = 30 y
-    with pytest.raises(SimulationError):
-        simulate(sys_, constant(1.0), 40.0)
+    with pytest.raises(SimulationError, match="non-finite in window 23$"):
+        simulate(sys_, constant(1.0), 40.0)  # e^(30 t) overflows at t = 23.7
 
 
 def test_step_scale_is_the_step_times_the_largest_root(example_system):
@@ -193,6 +252,15 @@ def test_step_scale_is_the_step_times_the_largest_root(example_system):
     for h in (2.5 / 500, 0.3, 2.5):
         assert step_scale(example_system, h) == pytest.approx(h * rho, rel=1e-12)
     assert step_scale(example_system, 2.5) > 1.0 > step_scale(example_system, 2.5 / 500)
+
+
+def test_default_step_scale_is_small():
+    # the default step tau/500 resolves every MID design up to order 8
+    # (README), and keeps b h rho(A0) <= 0.45 for the b = 16 step blocks
+    for n in range(1, 9):
+        for s0 in (-1.0, -0.5, 0.0, 0.5):
+            for tau in (0.5, 1.0, 2.5, 5.0):
+                assert step_scale(mid_coefficients(n, s0, tau), tau / 500.0) < 0.03, (n, s0, tau)
 
 
 # --- trajectories and decay rates -----------------------------------------------------
