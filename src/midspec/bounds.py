@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import CompanionPair
+from .spectral import CompanionPair, standard_pair
 
 __all__ = [
     "Norm",
@@ -664,12 +664,11 @@ def lemma3_analytic_bound(pair: CompanionPair) -> Lemma3Report:
     fourth root lies below 2 pi - a contradiction that excludes [2 pi, 6.75]
     entirely and certifies the 2 pi bound.
     """
-    A0_ref = np.array([[0.0, 1.0], [-6.0, 4.0]])
-    A1_ref = np.array([[0.0, 0.0], [6.0, 2.0]])
+    ref = standard_pair()
     if not (
         pair.A0.shape == (2, 2)
-        and np.allclose(pair.A0, A0_ref, rtol=0.0, atol=1e-12)
-        and np.allclose(pair.A1, A1_ref, rtol=0.0, atol=1e-12)
+        and np.allclose(pair.A0, ref.A0, rtol=0.0, atol=1e-12)
+        and np.allclose(pair.A1, ref.A1, rtol=0.0, atol=1e-12)
     ):
         raise ValueError("analytic chain applies only to the standard normalized pair")
 

@@ -330,19 +330,18 @@ def _refine_newton(
     """Polish a root starting from z0 by Newton iteration on q/q'.
 
     q/q' has a simple zero at any root of q regardless of multiplicity, so
-    the iteration z <- z - (q/q') / (1 - q q''/q'^2) is quadratic there.
-    Falls back to a damped plain Newton step when the denominator degenerates
-    and to a stencil descent on |q| when the iteration stalls.
+    the iteration z <- z - (q/q') / (1 - q q''/q'^2) is quadratic there;
+    a damped plain Newton step stands in when the denominator degenerates.
+    An iterate that leaves home ends the iteration unconverged.  One that
+    stalls returns its best iterate, converged only if that point's residual
+    passes _RESIDUAL_REL.  Either way the caller splits the box.
     """
-    z = complex(z0)
-    leash = 4.0 * home.diameter + 1e-12
-    best = z
-    best_res = abs(q(z)) / max(q.magnitude_scale(z), 1e-300)
+    z = best = complex(z0)
+    best_res = math.inf
     stale = 0
     for _ in range(100):
         f = q(z)
-        scale = max(q.magnitude_scale(z), 1e-300)
-        rel = abs(f) / scale
+        rel = abs(f) / max(q.magnitude_scale(z), 1e-300)
         if rel < best_res:
             best, best_res = z, rel
             stale = 0
@@ -355,45 +354,14 @@ def _refine_newton(
             z = z + 1e-9 * (1.0 + abs(z))
             continue
         step = _newton_u_step(f, fp, qpp(z))
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
         z = z - step
-        if abs(z - home.center) > leash:
-            break
+        if not home.contains(z):
+            return z, False
         if abs(step) <= 5e-16 * (1.0 + abs(z)):
             return z, True
         if stale > 12:
             break
-    # stall fallback: shrink a 3x3 stencil in modulus around the best point
-    z = best
-    h = max(home.width, home.height) / 8.0
-    for _ in range(60):
-        offsets = np.array(
-            [0, h, -h, 1j * h, -1j * h, h + 1j * h, h - 1j * h, -h + 1j * h, -h - 1j * h]
-        )
-        cand = z + offsets
-        vals = np.abs(q.eval_array(cand))
-        i = int(np.argmin(vals))
-        if i == 0:
-            h /= 2.0
-        else:
-            z = complex(cand[i])
-        if h < 1e-17 * (1.0 + abs(z)):
-            break
-    # one more Newton-on-u pass from the descended point
-    for _ in range(50):
-        f = q(z)
-        if abs(f) / max(q.magnitude_scale(z), 1e-300) < 1e-16:
-            return z, True
-        fp = qp(z)
-        if fp == 0:
-            break
-        step = _newton_u_step(f, fp, qpp(z))
-        z = z - step
-        if abs(step) <= 5e-16 * (1.0 + abs(z)):
-            return z, True
-    converged = abs(q(z)) <= _RESIDUAL_REL * q.magnitude_scale(z)
-    return z, converged
+    return best, best_res <= _RESIDUAL_REL
 
 
 def _polish_multiple(derivs: list[Quasipolynomial], z: complex, mult: int, radius: float) -> complex:
@@ -424,27 +392,17 @@ def _polish_multiple(derivs: list[Quasipolynomial], z: complex, mult: int, radiu
 def _stable_count_around(q: Quasipolynomial, z: complex, h0: float) -> int:
     """Multiplicity of the root at z by counting on shrinking squares.
 
-    Accepts once two consecutive shrink levels agree on a positive count;
-    squares grazing another root are nudged in size and retried.  Shrinking
-    stops once |q| on the square falls into cancellation territory (where
-    phases carry no information), keeping the last trustworthy count.
+    Accepts once two consecutive shrink levels agree on a positive count.
+    Shrinking stops at the first square that grazes a root or falls into
+    cancellation territory (where phases carry no information), keeping the
+    last count; a count that disagrees with the box's makes the caller split.
     """
     h = h0
     prev = -1
     for _ in range(9):
-        count = None
-        hh = h
-        for _ in range(6):
-            try:
-                count = _winding(
-                    q, Rectangle(z.real - hh, z.real + hh, z.imag - hh, z.imag + hh)
-                )
-                break
-            except _BoundaryProximity:
-                hh *= 1.0173
-        if count is None:
-            # every nudge grazed the cancellation floor; smaller squares
-            # would only be worse, so settle for the last stable count
+        try:
+            count = _winding(q, Rectangle(z.real - h, z.real + h, z.imag - h, z.imag + h))
+        except _BoundaryProximity:
             break
         if count == prev and count > 0:
             return count
@@ -505,7 +463,9 @@ def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
     Boxes are split until they carry a single root location; a box whose
     contour count matches the stabilized shrinking-square count at its
     Newton-refined point is accepted without further splitting, so multiple
-    roots do not force subdivision down to the diameter floor.  The returned
+    roots do not force subdivision down to the diameter floor.  Splitting is
+    the one recovery: a Newton start that stalls or leaves its box, or a
+    square count that disagrees with the box's, splits the box.  The returned
     multiplicities always sum to the total contour count of rect.
     """
     if q.is_zero:

@@ -9,7 +9,9 @@ below the term-magnitude scale) polished by a plain Newton iteration on q/q';
 a modulus scan can pin a root of multiplicity m only to within the
 cancellation plateau (~1e-16)^(1/m), so each polished cluster is resolved by
 trying candidate multiplicities: refine on the (m-1)-th derivative, then
-confirm with the derivative-based multiplicity test.  None of this shares
+confirm with the derivative-based multiplicity test.  Independently of
+both, a Chebyshev collocation of the delay equation's infinitesimal generator
+gives the characteristic roots as matrix eigenvalues.  None of this shares
 code with the argument-principle path it validates.
 
 The integrator oracles are a stagewise RK4 loop (four stages per step, each
@@ -202,6 +204,35 @@ def scan_roots(q, rect, grid=0.01, rel_cut=1e-2, cluster=0.05):
 def scan_count(q, rect, grid=0.01):
     """Brute-force root count with multiplicity inside rect."""
     return sum(m for _, m in scan_roots(q, rect, grid=grid))
+
+
+def chebyshev_eigenvalues(sys, N):
+    """Eigenvalues of the Chebyshev collocation of the delay equation's
+    infinitesimal generator on [-tau, 0] (Breda, Maset and Vermiglio, SIAM J.
+    Sci. Comput. 27, 2005), with N + 1 Chebyshev extremal nodes.
+
+    The state is x' = A0 x + A1 x(t - tau) with (A0, A1) the companion pair of
+    (a, alpha).  The generator differentiates on the nodes theta_j =
+    tau (cos(j pi / N) - 1) / 2 and its domain condition phi'(0) = A0 phi(0) +
+    A1 phi(-tau) replaces the theta = 0 block row.  The rightmost eigenvalues
+    converge spectrally in N to characteristic roots; a root of multiplicity
+    m is resolved only to about eps^(1/m), so this oracle suits systems
+    without clustered roots.
+    """
+    n = sys.n
+    A0, A1 = companion(sys.a, sys.alpha)
+    x = np.cos(np.pi * np.arange(N + 1) / N)
+    c = np.ones(N + 1)
+    c[[0, N]] = 2.0
+    c *= (-1.0) ** np.arange(N + 1)
+    dx = x[:, None] - x[None, :]
+    D = np.outer(c, 1.0 / c) / (dx + np.eye(N + 1))
+    D -= np.diag(D.sum(axis=1))
+    G = np.kron(D * (2.0 / sys.tau), np.eye(n))
+    G[:n, :] = 0.0
+    G[:n, :n] = A0
+    G[:n, -n:] = A1
+    return np.linalg.eigvals(G)
 
 
 # --- method-of-steps integration ---------------------------------------------------

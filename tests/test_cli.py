@@ -419,6 +419,17 @@ def test_verify_detects_perturbation(example_dir, tmp_path):
     assert "FAIL multiplicity" in r.stdout
 
 
+def test_verify_reaches_a_dominance_verdict_near_overflow(tmp_path):
+    # Newton from a certificate box's centre heads to where e^(-tau z) overflows
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"n": 1, "a": [2.7935980368783637],
+                                  "alpha": [0.9364441314744818], "tau": 3.6268159453484077}))
+    r = run_cli("verify", str(system), "--s0", "-1.0")
+    assert r.returncode == 1
+    assert "FAIL dominance" in r.stdout
+    assert "internal error" not in r.stderr
+
+
 def test_verify_n2_runs_factorization(tmp_path):
     r = run_cli("design", "--n", "2", "--s0", "-0.3", "--tau", "1.4", "--out-dir", str(tmp_path))
     assert r.returncode == 0
