@@ -13,6 +13,7 @@ quartic design.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -62,13 +63,15 @@ SUBMULTIPLICATIVE_NORMS = (Norm.ONE, Norm.TWO, Norm.FROBENIUS, Norm.INFINITY)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One computed bound on |Im z| over {Re z >= sigma_min}."""
+    """One computed bound on |Im z| over {Re z >= sigma_min}, and the number
+    of H evaluations its feasibility sweep made (0 for a closed form)."""
 
     method: BoundMethod
     norm: Norm
     power: int
     sigma_min: float
     value: float
+    kernel_points: int = 0
 
     def __post_init__(self):
         if self.value < 0:
@@ -212,8 +215,16 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # through ||.||_F).  A cell is evaluated in full only if its bound lets it
 # yield a value above the floor, or reach the row's largest centre value;
 # the rest of the row cannot pass the floor, so every sup above the floor,
-# and every envelope, is exactly that of the full grid.  The spectral
-# radius has no such cheap bound over a cell and is never pruned.
+# and every envelope, is exactly that of the full grid.
+#
+# The spectral radius goes through the same pruning with a Graeffe-Cauchy
+# bound.  q(w) = det(wI - (A0 + c A1)^2), one Graeffe step of the
+# characteristic polynomial, has the squared eigenvalues for roots, and its
+# coefficients q_k(c) are polynomials in c with the same Lipschitz bound in
+# phi as the S_k: |q_k(c)| <= |q_k(c_c)| + |phi - phi_c| sum_j j r^j |q_kj|.
+# Every root of q then lies in |w| <= R, the positive root of
+# x^n = sum_k m_k x^k with m_k these moduli bounds (Cauchy), so rho <= sqrt(R)
+# on the whole cell.
 
 _COARSE_SIGMA_STEP = 1e-2
 _FINE_SIGMA_STEP = 1e-4
@@ -367,6 +378,14 @@ class _HalfGridCells:
         self.mirror_phi = np.ascontiguousarray(phis_ext[(grid - pts) % grid][:, ::-1])
 
 
+@functools.lru_cache(maxsize=8)
+def _half_grid(grid: int) -> tuple[np.ndarray, _HalfGridCells]:
+    """phi_0 .. phi_grid = 2 pi and their _HalfGridCells, built once per grid
+    and shared by every sweep on it, which only reads them."""
+    phis_ext = np.append(np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False), 2.0 * math.pi)
+    return phis_ext, _HalfGridCells(grid, phis_ext)
+
+
 def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
     """(H at the cell centres, an upper bound on H over each cell), both of
     shape (sigmas x cells), from
@@ -375,11 +394,14 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
 
     valid on the whole cell: E(phi) = sum_k S_k r^k e^(-i k phi), with
     r = e^(-sigma), moves entrywise by at most |phi - phi_c| L, and the norms
-    are monotone in the entry moduli (the two-norm through ||.||_F).
+    are monotone in the entry moduli (the two-norm through ||.||_F).  For
+    "rho" the bound is _rho_cell_bound's.
     """
     power = coeffs.shape[0] - 1
     r = np.exp(-s)
     hc = _stacked_h(coeffs, (r[:, None] * cells.rot_centre).ravel(), norm).reshape(s.size, -1)
+    if norm == "rho":
+        return hc, _rho_cell_bound(coeffs, r, cells)
     rk = r[:, None] ** np.arange(power + 1)
     mods = np.abs(coeffs)
     lip = _monotone_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), norm)
@@ -389,6 +411,97 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
     slack = _CELL_SLACK * _monotone_norm(np.tensordot(rk, mods, 1), norm)
     slack += 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
     return hc, (hc**power + cells.delta * lip[:, None] + slack[:, None]) ** (1.0 / power)
+
+
+def _graeffe_coefficients(A0: np.ndarray, A1: np.ndarray) -> np.ndarray:
+    """G, shape (n, 2n + 1), with
+    det(wI - (A0 + c A1)^2) = w^n + sum_k w^k sum_j G[k, j] c^j.
+
+    A float is a dyadic rational, so D (A0, A1) is an integer pair for D the
+    largest denominator of the real entries.  Faddeev-LeVerrier on the
+    matrix polynomial (D (A0 + c A1))^2 = S_0 + c S_1 + c^2 S_2 then runs
+    exactly in integers, and each coefficient is rounded once.
+    """
+    n = A0.shape[0]
+    ratios = [x.as_integer_ratio() for x in np.concatenate((A0.ravel(), A1.ravel())).tolist()]
+    den = max(d for _, d in ratios)
+    B = np.array([num * (den // d) for num, d in ratios], dtype=object).reshape(2, n, n)
+    S = (B[0] @ B[0], B[0] @ B[1] + B[1] @ B[0], B[1] @ B[1])
+    eye = np.eye(n, dtype=int).astype(object)
+    coef = np.zeros(2 * n + 1, dtype=object)  # the current coefficient, a polynomial in c
+    coef[0] = 1
+    SM = np.zeros((2 * n + 1, n, n), dtype=object)  # S(c) M_(k-1)(c), S(c) M_0 = 0
+    G = np.empty((n, 2 * n + 1))
+    for k in range(1, n + 1):
+        M = SM + coef[:, None, None] * eye
+        SM = np.zeros_like(M)
+        for i, Si in enumerate(S):
+            SM[i:] += Si @ M[:M.shape[0] - i]  # degrees past 2n are zero
+        coef = -np.trace(SM, axis1=1, axis2=2) // k  # exact: an integer polynomial
+        G[n - k] = [_int_ratio(v, den ** (2 * k)) for v in coef]
+    return G
+
+
+def _int_ratio(num: int, den: int) -> float:
+    """num / den correctly rounded, +-inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.copysign(math.inf, num)
+
+
+def _rho_cell_bound(coeffs, r: np.ndarray, cells: _HalfGridCells) -> np.ndarray:
+    """An upper bound on rho(A0 + c A1), c = r e^(-i phi), over each cell
+    (sigmas x cells): sqrt of the Cauchy radius of det(wI - (A0 + c A1)^2)
+    with the coefficient moduli bounded over the cell by
+    |q_k(c)| <= |q_k(c_c)| + delta sum_j j r^j |G_kj|.
+
+    Rounding in q_k is relative to sum_j r^j |G_kj|; rounding in the radius
+    is relative.  Where products underflow, each m_k may lose up to tiny,
+    which the radius, subadditive in m, turns into at most 2 tiny^(1/n).
+    """
+    G = _graeffe_coefficients(coeffs[0].real, coeffs[1].real)
+    n, deg = G.shape[0], G.shape[1] - 1
+    c = r[:, None] * cells.rot_centre
+    q = np.broadcast_to(G[:, deg, None, None], (n,) + c.shape).astype(complex)
+    for j in range(deg - 1, -1, -1):
+        q *= c
+        q += G[:, j, None, None]
+    rj = r[:, None] ** np.arange(deg + 1)
+    mods = np.abs(G).T
+    lip, scale = (rj * np.arange(deg + 1)) @ mods, rj @ mods
+    m = np.abs(q) + cells.delta * lip.T[:, :, None] + _CELL_SLACK * scale.T[:, :, None]
+    tiny = np.finfo(float).tiny
+    return np.sqrt(_cauchy_radius(m)) * (1.0 + _CELL_SLACK) + 2.0 * tiny ** (0.5 / n)
+
+
+def _cauchy_radius(m: np.ndarray) -> np.ndarray:
+    """The positive root R of x^n = sum_k m[k] x^k, m >= 0 of shape (n, ...):
+    every root of a monic polynomial with coefficient moduli m lies in
+    |x| <= R (Cauchy), and R grows with each m[k].
+
+    With mu = max_k m[k]^(1/(n-k)), x = mu y gives y^n = sum_k w_k y^k with
+    w_k <= 1 and max 1, whose root lies in [1, min(2, sum_k w_k)].  Above
+    its root f(y) = y^n - sum_k w_k y^k is increasing and convex, so Newton
+    from that upper end decreases to the root and every iterate bounds it.
+    """
+    n = m.shape[0]
+    k = np.arange(n).reshape((n,) + (1,) * (m.ndim - 1))
+    t = m ** (1.0 / (n - k))
+    mu = t.max(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.where(mu > 0.0, t / mu, 0.0) ** (n - k)
+    y = np.clip(w.sum(axis=0), 1.0, 2.0)
+    for _ in range(64):
+        f, df = np.ones_like(y), np.zeros_like(y)
+        for wk in w[::-1]:  # Horner for f and f'
+            df = df * y + f
+            f = f * y - wk
+        step = f / df
+        y = y - step
+        if not (step > 4.0 * np.finfo(float).eps * y).any():
+            break
+    return mu * y
 
 
 def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float) -> np.ndarray:
@@ -457,7 +570,8 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
 
 
 def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf):
-    """(sup, envelope) of |Im z| on each line Re z = sigma, sigma in sigmas.
+    """(sup, envelope, points) of |Im z| on each line Re z = sigma, sigma
+    in sigmas; points counts the H evaluations made.
 
     sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty);
     envelope = max_phi sqrt(H^2 - sigma^2) bounds every feasible omega at any
@@ -467,17 +581,17 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     H(2 pi - phi) = H(phi) and H is evaluated on phi in [0, pi] only.
 
     The half grid is cut into cells (_HalfGridCells), the unit of work.
-    With a finite floor and a norm, H is first evaluated at the cell centres
-    only, and a cell is evaluated in full only if _cell_keep finds that it
-    could yield a value above floor, or that its bound on H reaches the
-    row's largest centre value (so the envelope and reachability are exact).
+    With a finite floor, H is first evaluated at the cell centres only, and
+    a cell is evaluated in full only if _cell_keep finds that it could yield
+    a value above floor, or that its bound on H reaches the row's largest
+    centre value (so the envelope and reachability are exact).  For every
+    norm and for rho (the Graeffe-Cauchy bound) the bound holds on the cell.
     A row whose sup exceeds floor keeps its grid argmax, which is then also
     the first argmax of the kept points; a row whose argmax is pruned ends at
     or below floor, since a bracket in class k that is not the argmax
     polishes to at most phi_(i+1) + 2 pi k, no more than the argmax's grid
     value.  So every sup above floor, and every envelope, is that of the
-    full grid.  The spectral radius ("rho") is never pruned: no cheap bound
-    on it holds over a cell.
+    full grid.
 
     Only rows whose sup could exceed floor are polished: a row whose bracket
     ends at or below floor keeps its grid value, which is then <= floor too.
@@ -485,8 +599,7 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     if coeffs.imag.any():
         raise ValueError("feasibility sweeps need a real pair (A0, A1)")
     two_pi = 2.0 * math.pi
-    phis_ext = np.append(np.linspace(0.0, two_pi, grid, endpoint=False), two_pi)
-    cells = _HalfGridCells(grid, phis_ext)
+    phis_ext, cells = _half_grid(grid)
     m = sigmas.size
     sup = np.full(m, -math.inf)
     env = np.full(m, -math.inf)
@@ -494,7 +607,8 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     arg = np.zeros(m, dtype=np.intp)  # the bracket [phi_arg, phi_(arg+1)]
     block = max(1, _MAX_STACK // grid)  # the rows one stacked call could hold in full
     cap = block * (grid // 2 + 1)  # points in one stacked call
-    prune = norm != "rho" and floor > -math.inf
+    prune = floor > -math.inf
+    points = 0
     # about as many cells per pass as points per call, in whole blocks
     rows = block * max(1, cap // (block * cells.first.size))
     for start in range(0, m, rows):
@@ -502,11 +616,13 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         s = sigmas[blk]
         if prune:
             keep = _cell_keep(coeffs, norm, s, cells, floor)
+            points += keep.size
         else:
             keep = np.ones((s.size, cells.first.size), dtype=bool)
         krow, kcell = np.nonzero(keep)
         scale, s2 = np.exp(-s), s * s
         ends = np.cumsum(cells.size[kcell])
+        points += int(cells.size[kcell].sum())
         w2 = np.empty(kcell.size)
         val, k = np.empty((kcell.size, 2)), np.empty((kcell.size, 2))
         at = np.empty((kcell.size, 2), dtype=np.intp)
@@ -551,11 +667,13 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
             a = np.where(up, mid, a)
             b = np.where(up, b, mid)
         sup[sel] = np.maximum(sup[sel], a + k2pi)
-    return sup, env
+    points += idx.size * _BISECTION_STEPS
+    return sup, env, points
 
 
-def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
-    """sup |Im z| over the feasible set in {Re z >= sigma_min}.
+def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float, int]:
+    """sup |Im z| over the feasible set in {Re z >= sigma_min}, and the
+    number of H evaluations made.
 
     Coarse sigma scan (step 1e-2) with the tail cut once the feasibility
     envelope stays below the running maximum for 100 consecutive steps,
@@ -582,13 +700,15 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
     best_sigma = sigma_min
     below = 0
     start = 0
+    points = 0
     while below < _TAIL_CUT_STEPS:
         sigmas = sigma_min + np.arange(start, start + block) * _COARSE_SIGMA_STEP
         sigmas = sigmas[sigmas <= sigma_cap]
         if not sigmas.size:
             break
         # a row at or below the running maximum cannot pass `v > best`
-        sups, envs = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best)
+        sups, envs, evals = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best)
+        points += evals
         for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
             if v > best:
                 best, best_sigma = v, sigma
@@ -600,12 +720,12 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> float:
                 below = 0
         start += block
     if best == -math.inf:
-        return 0.0
+        return 0.0, points
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
     hi = best_sigma + _COARSE_SIGMA_STEP
     fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
-    sups, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID, best)
-    return float(max(best, sups.max()))
+    sups, _, evals = _omega_sup(coeffs, norm, fine, _FINE_GRID, best)
+    return float(max(best, sups.max())), points + evals
 
 
 def bound_norm_power(
@@ -618,15 +738,15 @@ def bound_norm_power(
     power = int(power)
     if power < 1:
         raise ValueError("power must be a positive integer")
-    value = _feasibility_sup(pair.A0.astype(complex), pair.A1.astype(complex), norm, power, float(sigma_min))
-    return BoundReport(BoundMethod.NORM_POWER, norm, power, float(sigma_min), value)
+    value, points = _feasibility_sup(pair.A0.astype(complex), pair.A1.astype(complex), norm, power, float(sigma_min))
+    return BoundReport(BoundMethod.NORM_POWER, norm, power, float(sigma_min), value, points)
 
 
 def bound_spectral_radius_curve(pair: CompanionPair, sigma_min: float = 0.0) -> BoundReport:
     """Sharper sweep with the spectral radius in place of a norm:
     sup |Im z| subject to |z| <= rho(A0 + A1 e^(-z))."""
-    value = _feasibility_sup(pair.A0.astype(complex), pair.A1.astype(complex), "rho", 1, float(sigma_min))
-    return BoundReport(BoundMethod.SPECTRAL_RADIUS_CURVE, Norm.NONE, 1, float(sigma_min), value)
+    value, points = _feasibility_sup(pair.A0.astype(complex), pair.A1.astype(complex), "rho", 1, float(sigma_min))
+    return BoundReport(BoundMethod.SPECTRAL_RADIUS_CURVE, Norm.NONE, 1, float(sigma_min), value, points)
 
 
 def boundary_curve(
@@ -643,7 +763,7 @@ def boundary_curve(
     key, power = ("rho", 1) if norm is None else (Norm(norm), int(power))
     coeffs = _power_coefficients(pair.A0.astype(complex), pair.A1.astype(complex), power)
     sigmas = np.asarray(sigmas, dtype=float).ravel()
-    sups, _ = _omega_sup(coeffs, key, sigmas, _CURVE_GRID)
+    sups, _, _ = _omega_sup(coeffs, key, sigmas, _CURVE_GRID)
     return np.column_stack((sigmas, np.where(sups > -math.inf, sups, math.nan)))
 
 

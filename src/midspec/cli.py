@@ -221,10 +221,10 @@ def _bounds_rows(args, pair):
     def rows(method, norm, power):
         if method == "lemma3":
             rep = lemma3_analytic_bound(pair)  # ValueError outside the standard pair
-            return [(f"lemma3-{step}", "frobenius", 2, 0.0, getattr(rep, step))
+            return [(f"lemma3-{step}", "frobenius", 2, 0.0, getattr(rep, step), 0)
                     for step in ("coarse", "refined", "certified")]
         r = reports[method](norm, power)
-        return [(r.method.value, r.norm.value, r.power, r.sigma_min, r.value)]
+        return [(r.method.value, r.norm.value, r.power, r.sigma_min, r.value, r.kernel_points)]
 
     if not args.all:
         return rows(args.method, args.norm, args.power)
@@ -259,7 +259,7 @@ def cmd_bounds(args, run: _Run) -> int:
     rows = _bounds_rows(args, pair)
 
     lines = ["method,norm,power,sigma_min,value"]
-    for method, norm, power, smin, value in rows:
+    for method, norm, power, smin, value, _ in rows:
         lines.append(f"{method},{norm},{power},{smin:.17g},{value:.17g}")
     run.write("bounds.csv", "\n".join(lines) + "\n")
 
@@ -276,8 +276,8 @@ def cmd_bounds(args, run: _Run) -> int:
         run.say(line)
     run.payload = {
         "rows": [
-            {"method": m, "norm": n, "power": p, "sigma_min": s, "value": v}
-            for m, n, p, s, v in rows
+            {"method": m, "norm": n, "power": p, "sigma_min": s, "value": v, "kernel_points": k}
+            for m, n, p, s, v, k in rows
         ]
     }
     return 0

@@ -391,7 +391,7 @@ def feasibility_sup_every_polish(A0, A1, norm, power, sigma_min):
         sigmas = sigmas[sigmas <= sigma_cap]
         if not sigmas.size:
             break
-        sups, envs = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID)
+        sups, envs, _ = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID)
         for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
             if v > best:
                 best, best_sigma = v, sigma
@@ -407,5 +407,5 @@ def feasibility_sup_every_polish(A0, A1, norm, power, sigma_min):
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
     hi = best_sigma + _COARSE_SIGMA_STEP
     fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
-    sups, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID)
+    sups, _, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID)
     return float(max(best, sups.max()))

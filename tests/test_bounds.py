@@ -347,19 +347,24 @@ def _sweeps(sweep, pair, keys, sigma_min):
     return [sweep(A0, A1, key, power, sigma_min) for key, power in keys]
 
 
+def _pruned_sup(A0, A1, norm, power, sigma_min):
+    return bounds._feasibility_sup(A0, A1, norm, power, sigma_min)[0]
+
+
 @pytest.mark.parametrize("sigma_min", [-0.5, 0.0, 0.3])
 def test_pruned_sweeps_match_every_polish_oracle(sigma_min, std_pair):
-    got = _sweeps(bounds._feasibility_sup, std_pair, _STANDARD_SWEEPS, sigma_min)
+    got = _sweeps(_pruned_sup, std_pair, _STANDARD_SWEEPS, sigma_min)
     assert got == _sweeps(feasibility_sup_every_polish, std_pair, _STANDARD_SWEEPS, sigma_min)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pruned_designed_sweeps_match_every_polish_oracle(n):
-    # every norm at p = 1..3; the stacked-eigvals rho sweep only where it is cheap
+    # every norm at p = 1..3; rho up to n = 3, where the unpruned oracle's
+    # stacked eigvals still take seconds, not tens of them
     pair = companion_pair(normalize(mid_coefficients(n, -0.5, 2.5), -0.5))
     keys = [(norm, p) for norm in bounds.SUBMULTIPLICATIVE_NORMS for p in (1, 2, 3)]
-    keys += [("rho", 1)] if n <= 2 else []
-    got = _sweeps(bounds._feasibility_sup, pair, keys, 0.0)
+    keys += [("rho", 1)] if n <= 3 else []
+    got = _sweeps(_pruned_sup, pair, keys, 0.0)
     want = _sweeps(feasibility_sup_every_polish, pair, keys, 0.0)
     assert got == want, [key for key, g, w in zip(keys, got, want) if g != w]
 
@@ -374,7 +379,7 @@ def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
         return kernel(coeffs, c, norm)
 
     monkeypatch.setattr(bounds, "_stacked_h", spy)
-    _sweeps(bounds._feasibility_sup, std_pair, _STANDARD_SWEEPS, 0.0)
+    _sweeps(_pruned_sup, std_pair, _STANDARD_SWEEPS, 0.0)
     assert len(calls) <= 1600
 
 
@@ -388,10 +393,10 @@ def test_omega_sup_floor_contract(data):
     key, power = data.draw(st.sampled_from(_SWEEP_KEYS))
     sigmas = np.array(data.draw(st.lists(st.floats(-1.0, 4.0), min_size=1, max_size=6)))
     coeffs = _coeffs(pair, power)
-    sup, env = bounds._omega_sup(coeffs, key, sigmas, 512)
+    sup, env, _ = bounds._omega_sup(coeffs, key, sigmas, 512)
     finite = sup[sup > -math.inf].tolist()
     floor = data.draw(st.one_of(st.floats(-1.0, 40.0), st.sampled_from(finite or [-math.inf])))
-    got, got_env = bounds._omega_sup(coeffs, key, sigmas, 512, floor)
+    got, got_env, _ = bounds._omega_sup(coeffs, key, sigmas, 512, floor)
     above = sup > floor
     np.testing.assert_array_equal(got[above], sup[above])
     assert (got[~above] <= floor).all()
@@ -405,8 +410,8 @@ def test_norm_sums_do_not_depend_on_the_stack():
     pair = CompanionPair(2.0 * np.ones((3, 3)), [[3.5, 0, -1], [-1, -1, -1], [-1, -1, -1]])
     coeffs = _coeffs(pair, 2)
     sigmas = np.array([0.0, 1.0])
-    sup, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512)
-    got, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512, 6.0)
+    sup, _, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512)
+    got, _, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512, 6.0)
     assert sup[0] > 6.0
     assert got[0] == sup[0]
     rng = np.random.default_rng(5)
@@ -430,8 +435,8 @@ def test_n1_floored_sup_equals_the_unfloored_one():
     coeffs = _coeffs(CompanionPair([[3.725218240843976]], [[5.078878971171399]]), 2)
     sigmas = np.array([1.2259678662413322, -0.6877304356954841])
     floor = 9.092710044878068
-    sup, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512)
-    got, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512, floor)
+    sup, _, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512)
+    got, _, _ = bounds._omega_sup(coeffs, Norm.FROBENIUS, sigmas, 512, floor)
     assert sup[1] > floor
     assert got[1] == sup[1]
 
@@ -486,7 +491,7 @@ def test_half_grid_matches_full_grid_oracle(grid, std_pair, example_system):
     for name, (pair, sigmas) in pairs.items():
         for key, power in _SWEEP_KEYS:
             coeffs = _coeffs(pair, power)
-            sup, env = bounds._omega_sup(coeffs, key, sigmas, grid)
+            sup, env, _ = bounds._omega_sup(coeffs, key, sigmas, grid)
             want_sup, want_env = omega_sup_full_grid(coeffs, key, sigmas, grid)
             assert sup[-1] == -math.inf  # the last sigma is infeasible
             np.testing.assert_array_equal(sup, want_sup, f"{name} {key} p={power}")
@@ -528,21 +533,25 @@ def test_argmax_bracket_holds_the_last_crossing(data):
 
 
 def _h_oracle(pair, norm, power, sigma, phi):
+    # one matrix at a time: matrix_power and numpy's norms, or eigvals for rho
     M = pair.A0 + np.exp(-sigma - 1j * phi) * pair.A1
+    if norm == "rho":
+        return np.abs(np.linalg.eigvals(M)).max()
     return np.linalg.norm(np.linalg.matrix_power(M, power), _NORM_ORD[norm]) ** (1 / power)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_cell_bound_holds_on_every_cell(data):
     # H_up bounds H at every grid point of a cell, at the ends of the brackets
     # its points own (one step to either side, pi for the last cell), at the
-    # mirror images of all of these, and between grid points
+    # mirror images of all of these, and between grid points; for rho, dense
+    # pairs exercise Graeffe coefficients of every degree in c
     n = data.draw(st.integers(1, 4))
     entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0))
     pair = CompanionPair(data.draw(entries), data.draw(entries))
-    norm = data.draw(st.sampled_from(bounds.SUBMULTIPLICATIVE_NORMS))
-    power = data.draw(st.integers(1, 3))
+    norm = data.draw(st.one_of(st.just("rho"), st.sampled_from(bounds.SUBMULTIPLICATIVE_NORMS)))
+    power = 1 if norm == "rho" else data.draw(st.integers(1, 3))
     sigma = data.draw(st.floats(-1.0, 4.0))
     grid = data.draw(st.sampled_from([200, 512, 777]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -556,8 +565,30 @@ def test_cell_bound_holds_on_every_cell(data):
         last = min(first + bounds._CELL, half) - 1
         phi = phis_ext[max(first - 1, 0):min(last + 1, grid // 2) + 1]
         phi = np.concatenate((phi, [math.pi] if last == half - 1 else [], rng.uniform(phi[0], phi[-1], 4)))
-        h = [_h_oracle(pair, norm, power, sigma, x) for x in np.concatenate((phi, 2 * math.pi - phi))]
+        phi = np.concatenate((phi, 2 * math.pi - phi))
+        h = [_h_oracle(pair, norm, power, sigma, x) for x in phi]
+        h += bounds._stacked_h(_coeffs(pair, power), np.exp(-sigma - 1j * phi), norm).tolist()
         assert max(h) <= h_up[0, cell], (cell, max(h), h_up[0, cell])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_graeffe_coefficients_and_cauchy_radius_against_numpy(n):
+    # the pieces of the rho cell bound: G against the characteristic
+    # polynomial of M(c)^2 one matrix at a time, and the Cauchy radius
+    # against the positive root that numpy's companion eigenvalues give
+    rng = np.random.default_rng(60 + n)
+    A0, A1 = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    G = bounds._graeffe_coefficients(A0, A1)
+    for c in np.exp(-rng.uniform(-0.5, 2.0, 8) - 1j * rng.uniform(0.0, 2 * math.pi, 8)):
+        M = A0 + c * A1
+        want = np.poly(M @ M)[::-1][:n]
+        got = np.polynomial.polynomial.polyval(c, G.T)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+    m = rng.uniform(0.0, 3.0, (n, 6))
+    for col, radius in zip(m.T, bounds._cauchy_radius(m)):
+        roots = np.roots(np.concatenate(([1.0], -col[::-1])))
+        want = roots[np.abs(roots.imag) < 1e-9].real.max()
+        assert abs(radius - want) <= 1e-12 * want, (radius, want)
 
 
 @pytest.mark.parametrize("grid", [bounds._COARSE_GRID, bounds._FINE_GRID, 1000])
@@ -573,11 +604,11 @@ def test_floored_sweep_is_exact_above_the_floor(grid, std_pair, example_system):
         for key, power in keys:
             coeffs = _coeffs(pair, power)
             with np.errstate(over="ignore", invalid="ignore"):
-                sup, env = bounds._omega_sup(coeffs, key, sigmas, grid)
+                sup, env, _ = bounds._omega_sup(coeffs, key, sigmas, grid)
             finite = sup[np.isfinite(sup)]
             for floor in (finite.min(), finite.mean(), np.nextafter(finite.max(), -math.inf)):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got, got_env = bounds._omega_sup(coeffs, key, sigmas, grid, floor)
+                    got, got_env, _ = bounds._omega_sup(coeffs, key, sigmas, grid, floor)
                 what = f"{name} {key} p={power} floor={floor}"
                 above = sup > floor
                 np.testing.assert_array_equal(got[above], sup[above], what)
@@ -587,7 +618,8 @@ def test_floored_sweep_is_exact_above_the_floor(grid, std_pair, example_system):
 
 def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
     # every cell evaluated in full, the seven sweeps took 6,760,051 kernel
-    # points; pruned cells bring them to 1,886,002
+    # points; pruned norm cells brought them to 1,886,002, and pruned rho
+    # cells (934,543 -> 156,591) to 1,108,050
     points = []
     kernel = bounds._stacked_h
 
@@ -596,8 +628,14 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
         return kernel(coeffs, c, norm)
 
     monkeypatch.setattr(bounds, "_stacked_h", spy)
-    _sweeps(bounds._feasibility_sup, std_pair, _STANDARD_SWEEPS, 0.0)
-    assert sum(points) <= 2_450_000
+    A0, A1 = std_pair.A0.astype(complex), std_pair.A1.astype(complex)
+    counted = {}
+    for key, power in _STANDARD_SWEEPS:
+        points.clear()
+        counted[key, power] = bounds._feasibility_sup(A0, A1, key, power, 0.0)[1]
+        assert counted[key, power] == sum(points), key
+    assert counted["rho", 1] <= 200_000
+    assert sum(counted.values()) <= 1_450_000
 
 
 def test_bound_report_validation():

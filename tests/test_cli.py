@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import midspec
@@ -192,6 +193,36 @@ def test_bounds_all_on_designed_system(bounds_all, tmp_path):
     r = run_cli("bounds", system, "--method", "lemma3", "--out-dir", str(tmp_path))
     assert r.returncode == 2
     assert "standard normalized pair" in r.stderr
+
+
+def test_bounds_all_on_order3_design_bounds_its_roots(example_dir, tmp_path):
+    # the n >= 3 sweeps through the CLI; rho, the sharpest row, bounds |Im z|
+    # of every root in Re z >= sigma_min of the pair normalized at s0, by an
+    # independent spectral method (Chebyshev collocation of the generator)
+    from oracles import chebyshev_eigenvalues
+
+    system = example_dir / "system.json"
+    r = run_cli("bounds", str(system), "--all", "--out-dir", str(tmp_path), "--json")
+    assert r.returncode == 0, r.stderr
+    rows = json.loads(r.stdout)["rows"]
+    assert len(rows) == 13 and all(math.isfinite(row["value"]) for row in rows)
+    sweeps = [row for row in rows if row["method"] in ("rho", "norm-power")]
+    assert all(row["kernel_points"] > 0 for row in sweeps)
+    assert all(row["kernel_points"] == 0 for row in rows if row not in sweeps)
+    rho = rows[0]["value"]
+    assert rows[0]["method"] == "rho"
+    assert all(rho <= row["value"] for row in sweeps)
+
+    sys_ = cli._load_system(str(system))
+    z = sys_.tau * (chebyshev_eigenvalues(sys_, 60) - cli._default_s0(sys_))
+    assert np.abs(z[z.real >= 0.0].imag).max() <= rho
+    # left of the 6-fold root lie roots with |Im z| near 13 and 19
+    r = run_cli("bounds", str(system), "--method", "rho", "--sigma-min", "-2",
+                "--out-dir", str(tmp_path), "--json")
+    assert r.returncode == 0, r.stderr
+    rho2 = json.loads(r.stdout)["rows"][0]["value"]
+    assert np.abs(z[z.real >= -2.0].imag).max() > rho
+    assert np.abs(z[z.real >= -2.0].imag).max() <= rho2
 
 
 def test_bounds_invalid_combination_exit_2(tmp_path):
