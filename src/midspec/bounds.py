@@ -671,6 +671,43 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     return sup, env, points
 
 
+#: Natural log of the largest value a sweep may form: a factor 16 below the
+#: largest float, for the small terms added to the bounded ones.
+_LOG_RANGE = math.log(np.finfo(float).max / 16.0)
+
+
+def _check_range(coeffs, norm, sigma_min: float) -> None:
+    """Refuse, with a ValueError, a sweep on Re z >= sigma_min whose
+    arithmetic would overflow, judged from the coefficient moduli alone (O(1)
+    in the sweep's size).  With r = e^(-sigma_min), a norm sweep forms the
+    entries of M(c)^p, each at most U = sum_k r^k max|S_k|, and sums up to
+    n^2 of their squared moduli (the 2x2 two-norm squares that sum again);
+    the rho sweep forms r^j and sum_j j r^j |G_kj| for j <= 2n, which bound
+    rho^2 too.
+    """
+    n = coeffs.shape[1]
+    log_r = max(0.0, -sigma_min)
+    with np.errstate(divide="ignore"):  # log 0 = -inf drops a zero term
+        if norm == "rho":
+            G = np.log(np.abs(_graeffe_coefficients(coeffs[0].real, coeffs[1].real)))
+            deg = G.shape[1] - 1
+            terms = np.logaddexp.reduce(G + log_r * np.arange(deg + 1), axis=1).max()
+            log_big = max(deg * log_r, math.log(deg) + terms)
+            method, label, power = BoundMethod.SPECTRAL_RADIUS_CURVE.value, Norm.NONE.value, 1
+        else:
+            power = coeffs.shape[0] - 1
+            moduli = np.log(np.abs(coeffs).max(axis=(1, 2)))
+            log_u = np.logaddexp.reduce(moduli + log_r * np.arange(power + 1))
+            squares = 4 if norm == Norm.TWO and n == 2 else 2
+            log_big = squares * (math.log(n) + log_u)
+            method, label = BoundMethod.NORM_POWER.value, Norm(norm).value
+    if not log_big <= _LOG_RANGE:
+        raise ValueError(
+            f"sigma_min = {sigma_min} overflows the {method} sweep (norm {label}, "
+            f"power {power}): the values it forms reach about e^{log_big:.0f}, past the float range"
+        )
+
+
 def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float, int]:
     """sup |Im z| over the feasible set in {Re z >= sigma_min}, and the
     number of H evaluations made.
@@ -694,6 +731,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     except OverflowError:
         raise ValueError(f"sigma_min = {sigma_min} overflows e^(-sigma_min)") from None
     coeffs = _power_coefficients(A0, A1, power)
+    _check_range(coeffs, norm, sigma_min)
 
     block = _MAX_STACK // _COARSE_GRID
     best = -math.inf
@@ -763,6 +801,8 @@ def boundary_curve(
     key, power = ("rho", 1) if norm is None else (Norm(norm), int(power))
     coeffs = _power_coefficients(pair.A0.astype(complex), pair.A1.astype(complex), power)
     sigmas = np.asarray(sigmas, dtype=float).ravel()
+    if sigmas.size:
+        _check_range(coeffs, key, float(sigmas.min()))
     sups, _, _ = _omega_sup(coeffs, key, sigmas, _CURVE_GRID)
     return np.column_stack((sigmas, np.where(sups > -math.inf, sups, math.nan)))
 

@@ -333,7 +333,13 @@ def cmd_simulate(args, run: _Run) -> int:
     rates = {}
     steps = {}
     for name, hist in histories:
-        traj = sim.simulate(sys_, hist, args.t_end, args.step)
+        try:
+            traj = sim.simulate(sys_, hist, args.t_end, args.step)
+        except sim.SimulationError as exc:
+            raise ValueError(
+                f"history {name}: {exc}: the solution leaves the float range "
+                f"before --t-end {args.t_end:g}"
+            ) from None
         steps[name] = traj.times.size - 1
         run.write(f"sol_{name}.csv", traj.plot_csv())
         run.write(f"traj_{name}.csv", traj.to_csv())

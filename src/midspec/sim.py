@@ -12,23 +12,33 @@ of steps propagates never fall inside an integration step.
 For constant coefficients one RK4 step is an affine map, built once per call:
 x <- x + (D x + f), with f = Q0 d0 + Qm dm + Q1 d1 and d0, dm, d1 the delayed
 state at the step start, midpoint and end.  Each window's delayed forcing is
-one array expression, and its steps are taken b = 16 at a time by the exact
+one array expression, and its steps are taken b at a time by the exact
 b-step map: with D_i = (I + D)^i - I and g_l = D x_j + f_l,
 
     x_{j+i} = x_j + (sum_{l<i} g_l + sum_{l<i} D_{i-1-l} g_l),   i = 1..b,
 
-one small matvec, one running sum and one Toeplitz matvec per block.  The
-increment stays apart from x: I + D is never formed (D_i is built as
-D_{i+1} = D_i + D + D D_i, and the identity part of (I + D)^k is the running
-sum), since folding I + D into one matrix would round away the low bits of
-every O(h) increment, which the 2n-fold root then amplifies.  Each g_l is
-formed first, as in the one-step map, so the per-step cancellation of D x
-against f happens before any D_i multiplies it.
+where b = clamp(floor(0.45 / (h rho(A0))), 1, min(m, 64)) for m steps per
+window.  Only the block-end states are sequential: per block, one small
+matvec forms g, and the sum of g plus the last block row of the Toeplitz
+matrix of the D_i applied to g give the end state.  The interior states of
+all the window's blocks then come from one batched running sum and one
+matrix product.  The increment stays apart from x and is added to it in one
+rounding: I + D is never formed (D_i is built as D_{i+1} = D_i + D + D D_i,
+and the identity part of (I + D)^k is the running sum), since folding I + D
+into one matrix would round away the low bits of every O(h) increment, which
+the 2n-fold root then amplifies.  Each g_l is formed first, as in the
+one-step map, so the per-step cancellation of D x against f happens before
+any D_i multiplies it.
+
+Both CSV tables of a trajectory, t,y for plots and the full state, come from
+one formatting pass: each row's "t,y" text is formatted once and serves as
+the plot row and as the head of the state row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,27 +223,55 @@ class Trajectory:
         return self.states.shape[1]
 
     def to_csv(self) -> str:
-        header = ["t", "y"] + [f"y{k}" for k in range(1, self.order)]
-        return _table_csv(header, self.times, self.states)
+        """The state table t,y,y1,...,y(n-1), every value as %.12g."""
+        return self._csv(1)
 
     def plot_csv(self) -> str:
         """Two-column t,y export for solution plots."""
-        return _table_csv(["t", "y"], self.times, self.y)
+        return self._csv(0)
+
+    def _csv(self, which: int) -> str:
+        # One pass formats both tables (0: plot, 1: state).  The one not asked
+        # for is held, outside the frozen fields, until it is asked for once:
+        # a caller that takes both tables leaves no text on the trajectory.
+        held = self.__dict__.pop("_held_csv", None)
+        if held is not None and held[0] == which:
+            return held[1]
+        tables = _csv_tables(self.times, self.states)
+        self.__dict__["_held_csv"] = (1 - which, tables[1 - which])
+        return tables[which]
 
 
 #: Rows formatted per block; bounds the transient Python floats of a table.
 _CSV_BLOCK_ROWS = 4096
 
 
-def _table_csv(header: list[str], times: np.ndarray, cols: np.ndarray) -> str:
-    """CSV text of times and cols (one column or a 2-d array), every value as %.12g."""
-    table = np.column_stack([times, cols])
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    parts = [",".join(header) + "\n"]
-    for lo in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[lo : lo + _CSV_BLOCK_ROWS]
-        parts.append((row * block.shape[0]) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+def _csv_tables(times: np.ndarray, states: np.ndarray) -> tuple[str, str]:
+    """(t,y table, state table) as CSV text, every value as %.12g.
+
+    Each row's "t,y" text is formatted once: it is the plot row, and the head
+    to which the state row's other columns are appended.  At n = 1 the two
+    tables are one string.
+    """
+    n = states.shape[1]
+    plot = ["t,y\n"]
+    full = [",".join(["t", "y"] + [f"y{k}" for k in range(1, n)]) + "\n"]
+    tail_row = ",%.12g" * (n - 1) + "\n"
+    ty = np.empty((_CSV_BLOCK_ROWS, 2))
+    for lo in range(0, times.size, _CSV_BLOCK_ROWS):
+        x = states[lo : lo + _CSV_BLOCK_ROWS]
+        k = x.shape[0]
+        ty[:k, 0] = times[lo : lo + k]
+        ty[:k, 1] = x[:, 0]
+        heads = ("%.12g,%.12g\n" * k) % tuple(ty[:k].ravel().tolist())
+        plot.append(heads)
+        if n > 1:
+            tails = (tail_row * k) % tuple(x[:, 1:].ravel().tolist())
+            # each splits into k rows and a final "", so the join ends in "\n"
+            full.append("\n".join(map(operator.add, heads.split("\n"), tails.split("\n"))))
+    plot_text = "".join(plot)
+    del plot  # the peak is then one table's blocks and both texts
+    return plot_text, ("".join(full) if n > 1 else plot_text)
 
 
 def _midpoints(grid: np.ndarray) -> np.ndarray:
@@ -266,10 +304,22 @@ def _rk4_increment(A0: np.ndarray, A1: np.ndarray, h: float) -> list[np.ndarray]
     return np.hsplit((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 4)
 
 
-#: RK4 steps taken per block.  Measured against extended precision for
-#: b h rho(A0) <= 0.45; the default step tau/500 keeps h rho(A0) below 0.03
-#: for the MID designs up to order 8 (a test pins this), so b = 16 stays there.
-_BLOCK = 16
+#: RK4 steps per block: b = clamp(floor(_BLOCK_SPAN / (h rho(A0))), 1,
+#: min(m, _MAX_BLOCK)), so that one block spans b h rho(A0) <= 0.45, the
+#: envelope over which the b-step map was measured against extended
+#: precision.  The default step tau/500 keeps h rho(A0) below 0.03 for the
+#: MID designs up to order 8 (a test pins this), so b >= 15 there; at order 3
+#: b is 45 to 64.  The cap bounds the Toeplitz matrix, (b n)^2 entries.
+_BLOCK_SPAN = 0.45
+_MAX_BLOCK = 64
+
+
+def _block_size(sys: RetardedSystem, h: float, m: int) -> int:
+    """Steps per block for m steps of size h per window (see _BLOCK_SPAN)."""
+    scale = step_scale(sys, h)
+    if scale * _MAX_BLOCK <= _BLOCK_SPAN:
+        return min(m, _MAX_BLOCK)
+    return max(1, min(m, int(_BLOCK_SPAN / scale)))
 
 
 def _block_toeplitz(D: np.ndarray, b: int) -> np.ndarray:
@@ -277,12 +327,49 @@ def _block_toeplitz(D: np.ndarray, b: int) -> np.ndarray:
     (i, l) = D_{i-l} for l < i (blocks counted from 0, zero elsewhere), where
     D_k = (I + D)^k - I is built as D_{k+1} = D_k + D + D D_k.  Applied to the
     stacked increments g of one block, it gives the sums over D_{i-1-l} g_l
-    of the b-step map in the module docstring.
+    of the b-step map in the module docstring.  One gather from the stack of
+    the D_k places every block.
     """
-    powers = [D]
-    for _ in range(b - 2):
-        powers.append(powers[-1] + D + D @ powers[-1])
-    return sum(np.kron(np.eye(b, k=-k), Dk) for k, Dk in enumerate(powers, 1))
+    n = D.shape[0]
+    stack = np.zeros((b, n, n))  # D_0 = 0 fills the diagonal and above
+    if b > 1:
+        stack[1] = D
+    for k in range(2, b):
+        stack[k] = stack[k - 1] + D + D @ stack[k - 1]
+    lag = np.subtract.outer(np.arange(b), np.arange(b)).clip(min=0)
+    return stack[lag].transpose(0, 2, 1, 3).reshape(b * n, b * n)
+
+
+def _advance_window(x: np.ndarray, forcing: np.ndarray, D: np.ndarray, T: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """Take one window's m steps from state x under forcing (m, n), write the
+    m new states into out (m, n) and return the last.
+
+    The block-end states are taken in sequence; then the interior states of
+    every block follow in one batch.  A short last block is padded with zero
+    increments, which the lower-triangular T leaves out of its real rows.
+    """
+    m, n = forcing.shape
+    b = T.shape[0] // n
+    blocks = -(-m // b)
+    G = np.zeros((blocks * b, n))
+    rows = T.reshape(b, n, b * n)
+    x0 = x
+    for lo in range(0, m, b):
+        k = min(b, m - lo)
+        g = G[lo : lo + b]
+        np.add(forcing[lo : lo + k], D @ x, out=g[:k])
+        x = np.add(x, np.add.reduce(g[:k]) + rows[k - 1] @ g.ravel(), out=out[lo + k - 1])
+    if b > 1:
+        starts = np.concatenate((x0[None], out[b - 1 : m - 1 : b]))
+        inner = np.cumsum(G.reshape(blocks, b, n)[:, :-1], axis=1)
+        inner += (G.reshape(blocks, b * n) @ T[:-n].T).reshape(blocks, b - 1, n)
+        inner += starts[:, None]
+        full = m - m % b
+        out[:full].reshape(-1, b, n)[:, :-1] = inner[: full // b]
+        if full < m:
+            out[full : m - 1] = inner[-1, : m - full - 1]
+    return x
 
 
 def simulate(
@@ -297,7 +384,7 @@ def simulate(
     above tau becomes tau); the default is tau/500.  Raises SimulationError
     if the state stops being finite.
 
-    Each window takes its m steps in blocks of b = min(16, m) through the
+    Each window takes its m steps in blocks of b (_block_size) through the
     b-step map of the module docstring; with b = 1 it is exactly the one-step
     map x + (D x + f).
     """
@@ -317,8 +404,7 @@ def simulate(
 
     n = sys.n
     D, Q0, Qm, Q1 = _rk4_increment(*companion(sys.a, sys.alpha), h)
-    b = min(_BLOCK, m)
-    T = _block_toeplitz(D, b)
+    T = _block_toeplitz(D, _block_size(sys, h, m))
     windows = int(math.ceil(t_end / tau - 1e-12))
 
     # first window reads the history exactly, at nodes and stage midpoints
@@ -333,12 +419,7 @@ def simulate(
             delayed_mids = _midpoints(delayed)
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = delayed[:-1] @ Q0.T + delayed_mids @ Qm.T + delayed[1:] @ Q1.T
-            for lo in range(0, m, b):
-                g = forcing[lo : lo + b] + D @ x
-                X = x + (g.cumsum(axis=0) + (T[: g.size, : g.size] @ g.ravel()).reshape(g.shape))
-                row = k * m + 1 + lo
-                states[row : row + len(g)] = X
-                x = X[-1]
+            x = _advance_window(x, forcing, D, T, states[k * m + 1 : (k + 1) * m + 1])
         if not np.all(np.isfinite(states[k * m : (k + 1) * m + 1])):
             raise SimulationError(f"state became non-finite in window {k}")
 

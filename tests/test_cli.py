@@ -270,6 +270,35 @@ def test_bounds_overflowing_sigma_min_exit_2(method, tmp_path):
     assert not (tmp_path / "bounds.csv").exists()
 
 
+@pytest.mark.parametrize("sigma_min", ["-400", "-300"])
+def test_bounds_sweep_overflow_exit_2(sigma_min, tmp_path):
+    # e^(-sigma_min) is finite, but H or the terms that bound it are not: the
+    # sweeps once printed inf rows and numpy RuntimeWarnings, and exited 0
+    r = run_cli(
+        "bounds", "--standard-pair", "--all", "--sigma-min", sigma_min,
+        "--out-dir", str(tmp_path), timeout=60,
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr == (
+        f"error: sigma_min = {float(sigma_min)} overflows the rho sweep (norm none, power 1): "
+        f"the values it forms reach about e^{-4 * int(sigma_min)}, past the float range\n"
+    )
+    assert not (tmp_path / "bounds.csv").exists()
+    for norm in ("one", "frobenius", "infinity"):
+        for power, code in (("2", 2), ("1", 0 if sigma_min == "-300" else 2)):
+            r = run_cli(
+                "bounds", "--standard-pair", "--method", "norm-power", "--norm", norm,
+                "--power", power, "--sigma-min", sigma_min, "--out-dir", str(tmp_path), timeout=60,
+            )
+            assert r.returncode == code, (norm, power, r.stdout + r.stderr)
+            assert "RuntimeWarning" not in r.stderr
+            if code == 0:
+                assert math.isfinite(float(r.stdout.splitlines()[1].split(",")[-1])), r.stdout
+            else:
+                assert r.stderr.startswith(f"error: sigma_min = {float(sigma_min)} overflows the "
+                                           f"norm-power sweep (norm {norm}, power {power})")
+
+
 def test_bounds_non_finite_s0_exit_2(example_dir, tmp_path):
     r = run_cli(
         "bounds", str(example_dir / "system.json"), "--s0=nan", "--method", "norm-power",
@@ -428,6 +457,20 @@ def test_simulate_unknown_history_exit_2(example_dir, tmp_path):
         "--out-dir", str(tmp_path),
     )
     assert r.returncode == 2
+
+
+def test_simulate_overflow_exit_2(tmp_path):
+    # y' = 30 y leaves the float range at t = 23.7, in window 23; this once
+    # exited 1 as an internal error
+    system = tmp_path / "unstable.json"
+    system.write_text('{"n": 1, "a": [-30.0], "alpha": [0.0], "tau": 1.0}')
+    r = run_cli("simulate", str(system), "--history", "y01", "--out-dir", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr == (
+        "error: history y01: state became non-finite in window 23: "
+        "the solution leaves the float range before --t-end 40\n"
+    )
+    assert not (tmp_path / "out" / "sol_y01.csv").exists()
 
 
 # --- verify ----------------------------------------------------------------------

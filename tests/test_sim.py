@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from midspec.sim import (
     HistoryKind,
     SimulationError,
     Trajectory,
+    _block_size,
     _midpoints,
     _rk4_increment,
-    _table_csv,
     builtin_history,
     constant,
     decay_rate,
@@ -176,9 +177,9 @@ def test_simulate_matches_stagewise_oracle(n, tau):
 
 @pytest.mark.parametrize("m", [1, 7, 15, 16, 17, 37])
 def test_block_edges_match_stagewise_oracle(m):
-    # steps per window around the block size b = 16, a window of one step
-    # (b = 1) and a coarse one: m = 7 has step_scale 0.48, so its one block
-    # spans b h rho(A0) = 3.4
+    # coarse windows, where b = floor(0.45 / (h rho(A0))) is small: b = 2 at
+    # m = 15, 16, 17 (a short last block at odd m) and b = 4 at m = 37 (nine
+    # blocks and a short one); m = 1 and m = 7 (step_scale 0.48) take b = 1
     sys_ = mid_coefficients(3, -0.5, 2.5)
     for name in BUILTIN_HISTORY_NAMES:
         hist = builtin_history(name)
@@ -214,12 +215,13 @@ def test_single_step_windows_take_the_one_step_map():
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is float64 here"
 )
-@pytest.mark.parametrize("n,bound", [(3, 2e-9), (4, 8e-7)])
+@pytest.mark.parametrize("n,bound", [(3, 2e-9), (4, 8e-7), (5, 4.9e-5)])
 def test_simulate_tracks_extended_precision(n, bound):
     # distance to the same RK4 scheme run in np.longdouble, relative to its
     # largest state; the 2n-fold root amplifies float64 rounding, so the
     # bound is on the median over s0 and the built-in histories, at twice
-    # the one-step loop's median (1.0e-9 at n = 3, 4.0e-7 at n = 4)
+    # the one-step loop's median (1.0e-9 at n = 3, 4.0e-7 at n = 4) and at
+    # n = 5 twice that of fixed 16-step blocks (2.47e-5)
     dists = []
     for s0 in (-1.0, -0.5, 0.3):
         sys_ = mid_coefficients(n, s0, 0.5)
@@ -245,6 +247,21 @@ def test_unstable_system_aborts():
         simulate(sys_, constant(1.0), 40.0)  # e^(30 t) overflows at t = 23.7
 
 
+def test_block_size_keeps_blocks_within_the_measured_span():
+    # b = clamp(floor(0.45 / (h rho(A0))), 1, min(m, 64)): every block spans
+    # b h rho(A0) <= 0.45, and b is the largest such count under the cap
+    for n in range(1, 9):
+        for s0 in (-1.0, -0.5, 0.0, 0.5):
+            for tau in (0.5, 2.5):
+                sys_ = mid_coefficients(n, s0, tau)
+                scale = step_scale(sys_, tau / 500.0)
+                b = _block_size(sys_, tau / 500.0, 500)
+                assert 1 <= b <= 64 and b * scale <= 0.45, (n, s0, tau, b)
+                assert b == 64 or (b + 1) * scale > 0.45, (n, s0, tau, b)
+    assert _block_size(mid_coefficients(3, -0.5, 2.5), 2.5 / 7, 7) == 1  # step_scale 0.48
+    assert _block_size(RetardedSystem(1, (0.0,), (0.5,), 1.0), 0.5, 2) == 2  # rho(A0) = 0
+
+
 def test_step_scale_is_the_step_times_the_largest_root(example_system):
     # A0 is the companion matrix of z^n + sum a_k z^k, so rho(A0) is the
     # largest modulus among that polynomial's roots
@@ -256,7 +273,7 @@ def test_step_scale_is_the_step_times_the_largest_root(example_system):
 
 def test_default_step_scale_is_small():
     # the default step tau/500 resolves every MID design up to order 8
-    # (README), and keeps b h rho(A0) <= 0.45 for the b = 16 step blocks
+    # (README), so the step blocks hold at least 15 steps there
     for n in range(1, 9):
         for s0 in (-1.0, -0.5, 0.0, 0.5):
             for tau in (0.5, 1.0, 2.5, 5.0):
@@ -281,6 +298,7 @@ def _reference_csv(header, rows):
 
 
 def test_table_csv_matches_fstring_formatting():
+    # both tables, formatted in one pass, against per-value %.12g formatting
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, 1e-320, -1e-320, 1e300, -1e-300, 5e-324, 1.7976931348623157e308,
                0.1234567890125, 0.1234567890115, 999999999999.5, 9999999999995.0,
@@ -288,13 +306,32 @@ def test_table_csv_matches_fstring_formatting():
     spread = rng.standard_normal(9000) * 10.0 ** rng.integers(-12, 12, 9000)
     values = np.concatenate([special, spread])
     times = np.arange(values.size) * 0.005
-    cols = np.column_stack([values, values[::-1], -values])
-    header = ["t", "y", "y1", "y2"]
-    assert _table_csv(header, times, cols) == _reference_csv(header, np.column_stack([times, cols]))
-    # n = 1: the state table and the plot table share the t,y header
-    traj = Trajectory(times, values[:, None], 0.005, 2.5)
-    expected = _reference_csv(["t", "y"], np.column_stack([times, values]))
-    assert traj.to_csv() == traj.plot_csv() == expected
+    columns = [values, values[::-1], -values, np.roll(values, 7)]
+    for n in range(1, 5):
+        for t in (times, values[::-1]):  # special values in the t column too
+            traj = Trajectory(t, np.column_stack(columns[:n]), 0.005, 2.5)
+            header = ["t", "y"] + [f"y{k}" for k in range(1, n)]
+            full = _reference_csv(header, np.column_stack([t] + columns[:n]))
+            plot = _reference_csv(["t", "y"], np.column_stack([t, values]))
+            assert traj.plot_csv() == plot and traj.to_csv() == full, n
+            # either order, and a table asked for twice
+            assert traj.to_csv() == full and traj.to_csv() == full and traj.plot_csv() == plot, n
+
+
+def test_csv_tables_peak_memory():
+    # both tables of one n = 3, tau = 0.5 history fit in the peak that the
+    # state table alone took when each table was formatted on its own (a
+    # copy of the table, its text blocks and the joined text: 2.56 times the
+    # text), and neither text stays on the trajectory once both are taken
+    traj = simulate(mid_coefficients(3, -0.5, 0.5), builtin_history("y01"), 40.0)
+    tracemalloc.start()
+    try:
+        plot, full = traj.plot_csv(), traj.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plot) < len(full) and peak <= 2.6 * len(full), peak / len(full)
+    assert "_held_csv" not in vars(traj)
 
 
 def test_trajectory_immutable(example_system):
