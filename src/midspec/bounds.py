@@ -386,7 +386,7 @@ def _half_grid(grid: int) -> tuple[np.ndarray, _HalfGridCells]:
     return phis_ext, _HalfGridCells(grid, phis_ext)
 
 
-def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
+def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=None):
     """(H at the cell centres, an upper bound on H over each cell), both of
     shape (sigmas x cells), from
 
@@ -395,13 +395,16 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
     valid on the whole cell: E(phi) = sum_k S_k r^k e^(-i k phi), with
     r = e^(-sigma), moves entrywise by at most |phi - phi_c| L, and the norms
     are monotone in the entry moduli (the two-norm through ||.||_F).  For
-    "rho" the bound is _rho_cell_bound's.
+    "rho" the bound is _rho_cell_bound's, from the sweep's graeffe
+    coefficients (computed here if not given).
     """
     power = coeffs.shape[0] - 1
     r = np.exp(-s)
     hc = _stacked_h(coeffs, (r[:, None] * cells.rot_centre).ravel(), norm).reshape(s.size, -1)
     if norm == "rho":
-        return hc, _rho_cell_bound(coeffs, r, cells)
+        if graeffe is None:
+            graeffe = _sweep_graeffe(coeffs, norm)
+        return hc, _rho_cell_bound(graeffe, r, cells)
     rk = r[:, None] ** np.arange(power + 1)
     mods = np.abs(coeffs)
     lip = _monotone_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), norm)
@@ -411,6 +414,12 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells):
     slack = _CELL_SLACK * _monotone_norm(np.tensordot(rk, mods, 1), norm)
     slack += 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
     return hc, (hc**power + cells.delta * lip[:, None] + slack[:, None]) ** (1.0 / power)
+
+
+def _sweep_graeffe(coeffs, norm) -> np.ndarray | None:
+    """The Graeffe coefficients of a rho sweep's pair, computed once per
+    sweep and passed down; None for a norm sweep."""
+    return _graeffe_coefficients(coeffs[0].real, coeffs[1].real) if norm == "rho" else None
 
 
 def _graeffe_coefficients(A0: np.ndarray, A1: np.ndarray) -> np.ndarray:
@@ -450,17 +459,17 @@ def _int_ratio(num: int, den: int) -> float:
         return math.copysign(math.inf, num)
 
 
-def _rho_cell_bound(coeffs, r: np.ndarray, cells: _HalfGridCells) -> np.ndarray:
+def _rho_cell_bound(G: np.ndarray, r: np.ndarray, cells: _HalfGridCells) -> np.ndarray:
     """An upper bound on rho(A0 + c A1), c = r e^(-i phi), over each cell
     (sigmas x cells): sqrt of the Cauchy radius of det(wI - (A0 + c A1)^2)
     with the coefficient moduli bounded over the cell by
-    |q_k(c)| <= |q_k(c_c)| + delta sum_j j r^j |G_kj|.
+    |q_k(c)| <= |q_k(c_c)| + delta sum_j j r^j |G_kj|, G the pair's
+    _graeffe_coefficients.
 
     Rounding in q_k is relative to sum_j r^j |G_kj|; rounding in the radius
     is relative.  Where products underflow, each m_k may lose up to tiny,
     which the radius, subadditive in m, turns into at most 2 tiny^(1/n).
     """
-    G = _graeffe_coefficients(coeffs[0].real, coeffs[1].real)
     n, deg = G.shape[0], G.shape[1] - 1
     c = r[:, None] * cells.rot_centre
     q = np.broadcast_to(G[:, deg, None, None], (n,) + c.shape).astype(complex)
@@ -504,11 +513,12 @@ def _cauchy_radius(m: np.ndarray) -> np.ndarray:
     return mu * y
 
 
-def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float) -> np.ndarray:
+def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float,
+               graeffe=None) -> np.ndarray:
     """Which cells (sigmas x cells) could raise their row above floor, or
     hold the row's largest H."""
     two_pi = 2.0 * math.pi
-    hc, h_up = _cell_bounds(coeffs, norm, s, cells)
+    hc, h_up = _cell_bounds(coeffs, norm, s, cells, graeffe)
     w_up = np.sqrt(np.maximum(h_up * h_up - (s * s)[:, None], 0.0))
 
     def top(lo, hi):
@@ -569,9 +579,11 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
     return W2[rows, W2.argmax(axis=1)], val, k, q
 
 
-def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf):
+def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf,
+               graeffe=None):
     """(sup, envelope, points) of |Im z| on each line Re z = sigma, sigma
-    in sigmas; points counts the H evaluations made.
+    in sigmas; points counts the H evaluations made.  graeffe is the rho
+    sweep's _sweep_graeffe, if the caller holds it.
 
     sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty);
     envelope = max_phi sqrt(H^2 - sigma^2) bounds every feasible omega at any
@@ -615,7 +627,7 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         blk = slice(start, start + rows)
         s = sigmas[blk]
         if prune:
-            keep = _cell_keep(coeffs, norm, s, cells, floor)
+            keep = _cell_keep(coeffs, norm, s, cells, floor, graeffe)
             points += keep.size
         else:
             keep = np.ones((s.size, cells.first.size), dtype=bool)
@@ -676,20 +688,20 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
 _LOG_RANGE = math.log(np.finfo(float).max / 16.0)
 
 
-def _check_range(coeffs, norm, sigma_min: float) -> None:
+def _check_range(coeffs, norm, sigma_min: float, graeffe=None) -> None:
     """Refuse, with a ValueError, a sweep on Re z >= sigma_min whose
     arithmetic would overflow, judged from the coefficient moduli alone (O(1)
     in the sweep's size).  With r = e^(-sigma_min), a norm sweep forms the
     entries of M(c)^p, each at most U = sum_k r^k max|S_k|, and sums up to
     n^2 of their squared moduli (the 2x2 two-norm squares that sum again);
     the rho sweep forms r^j and sum_j j r^j |G_kj| for j <= 2n, which bound
-    rho^2 too.
+    rho^2 too (G = graeffe, the sweep's _sweep_graeffe).
     """
     n = coeffs.shape[1]
     log_r = max(0.0, -sigma_min)
     with np.errstate(divide="ignore"):  # log 0 = -inf drops a zero term
         if norm == "rho":
-            G = np.log(np.abs(_graeffe_coefficients(coeffs[0].real, coeffs[1].real)))
+            G = np.log(np.abs(graeffe))
             deg = G.shape[1] - 1
             terms = np.logaddexp.reduce(G + log_r * np.arange(deg + 1), axis=1).max()
             log_big = max(deg * log_r, math.log(deg) + terms)
@@ -731,7 +743,8 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     except OverflowError:
         raise ValueError(f"sigma_min = {sigma_min} overflows e^(-sigma_min)") from None
     coeffs = _power_coefficients(A0, A1, power)
-    _check_range(coeffs, norm, sigma_min)
+    graeffe = _sweep_graeffe(coeffs, norm)
+    _check_range(coeffs, norm, sigma_min, graeffe)
 
     block = _MAX_STACK // _COARSE_GRID
     best = -math.inf
@@ -745,7 +758,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
         if not sigmas.size:
             break
         # a row at or below the running maximum cannot pass `v > best`
-        sups, envs, evals = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best)
+        sups, envs, evals = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best, graeffe)
         points += evals
         for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
             if v > best:
@@ -762,7 +775,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
     hi = best_sigma + _COARSE_SIGMA_STEP
     fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
-    sups, _, evals = _omega_sup(coeffs, norm, fine, _FINE_GRID, best)
+    sups, _, evals = _omega_sup(coeffs, norm, fine, _FINE_GRID, best, graeffe)
     return float(max(best, sups.max())), points + evals
 
 
@@ -802,7 +815,7 @@ def boundary_curve(
     coeffs = _power_coefficients(pair.A0.astype(complex), pair.A1.astype(complex), power)
     sigmas = np.asarray(sigmas, dtype=float).ravel()
     if sigmas.size:
-        _check_range(coeffs, key, float(sigmas.min()))
+        _check_range(coeffs, key, float(sigmas.min()), _sweep_graeffe(coeffs, key))
     sups, _, _ = _omega_sup(coeffs, key, sigmas, _CURVE_GRID)
     return np.column_stack((sigmas, np.where(sups > -math.inf, sups, math.nan)))
 

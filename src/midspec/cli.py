@@ -133,6 +133,14 @@ def cmd_design(args, run: _Run) -> int:
     return 0
 
 
+def _certificate_doc(report) -> dict | None:
+    """The --json record of a dominance verdict from the exact design's disc
+    certificate; None when it came from a root search (or none was made)."""
+    if report is None or report.gap is None:
+        return None
+    return {"gap": report.gap, "discs": report.discs}
+
+
 # --- spectrum -----------------------------------------------------------------
 
 
@@ -185,7 +193,10 @@ def cmd_spectrum(args, run: _Run) -> int:
             f"{sum(r.multiplicity for r in report.roots)}")
     run.say(f"spectral abscissa in region: {report.spectral_abscissa:.9g}")
     run.say(f"strictly dominant at s0 = {s0:.9g}: {report.strictly_dominant}")
-    run.payload = report.to_json_dict() | {"s0": s0}
+    if cert.gap is not None:
+        run.say(f"exact MID design: the {2 * sys_.n}-fold root s0 is strictly dominant, "
+                f"every other root has Re s <= s0 - {cert.gap:.9g} ({cert.discs} discs)")
+    run.payload = report.to_json_dict() | {"s0": s0, "certificate": _certificate_doc(cert)}
     run.inputs |= {"s0": s0, "region": region.to_json_dict()}
     return 0
 
@@ -370,8 +381,9 @@ def cmd_simulate(args, run: _Run) -> int:
 
 def cmd_verify(args, run: _Run) -> int:
     from .quasipoly import (
+        MID_MATCH_TOL,
         factorization_residual,
-        mid_normalized,
+        mid_deviation,
         multiplicity_at,
         normalize,
     )
@@ -390,14 +402,9 @@ def cmd_verify(args, run: _Run) -> int:
     ok = abs(identity) <= 1e-12 * max(1.0, abs(s0))
     checks.append(("trace-identity", ok, f"s0 + a[n-1]/n + n/tau = {identity:.3e}"))
 
-    nsys = normalize(sys_, s0)
-    ref = mid_normalized(n)
-    dev = max(
-        abs(x - y) / max(1.0, abs(y))
-        for x, y in zip(nsys.b + nsys.beta, ref.b + ref.beta)
-    )
+    dev = mid_deviation(normalize(sys_, s0))
     checks.append(
-        ("normalization-universality", dev < 1e-10, f"max relative deviation {dev:.3e}")
+        ("normalization-universality", dev < MID_MATCH_TOL, f"max relative deviation {dev:.3e}")
     )
 
     worst = max(factorization_residual(n, z) for z in (1.0, 2j * math.pi, 0.7 - 0.3j))
@@ -405,16 +412,15 @@ def cmd_verify(args, run: _Run) -> int:
         ("factorization-residual", worst < 1e-12, f"max relative residual {worst:.3e}")
     )
 
+    cert = None
     try:
         cert = certify_dominance(sys_, s0)
-        checks.append(
-            (
-                "dominance",
-                cert.strictly_dominant,
-                f"strictly dominant: {cert.strictly_dominant}, "
-                f"spectral abscissa {cert.spectral_abscissa:.9g}",
-            )
-        )
+        detail = (f"strictly dominant: {cert.strictly_dominant}, "
+                  f"spectral abscissa {cert.spectral_abscissa:.9g}")
+        if cert.gap is not None:
+            detail += (f", every other root has Re s <= s0 - {cert.gap:.9g} "
+                       f"(exact MID design, {cert.discs} discs)")
+        checks.append(("dominance", cert.strictly_dominant, detail))
     except LocalizationError as exc:
         checks.append(("dominance", None, f"inconclusive: {exc}"))
 
@@ -433,6 +439,7 @@ def cmd_verify(args, run: _Run) -> int:
         "checks": [{"name": n_, "passed": None if ok is None else bool(ok), "detail": d}
                    for n_, ok, d in checks],
         "passed": all_ok,
+        "certificate": _certificate_doc(cert),
     }
     return 0 if all_ok else 1 if failed else 3
 

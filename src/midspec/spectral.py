@@ -8,6 +8,11 @@ continuous argument change.  Rectangles are quadrisected until each leaf
 carries a single root location, which is then polished by a Newton
 iteration on q/q' (quadratic also at multiple roots) and assigned its
 multiplicity by re-counting on shrinking squares around it.
+
+Dominance of the MID design itself is not searched for: it is the disc
+certificate of quasipoly.mid_disc_certificate.  numpy is imported inside the
+functions that use arrays, so certifying a design runs on the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -15,18 +20,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
-
-import numpy as np
+from sys import float_info
+from typing import TYPE_CHECKING, Iterable
 
 from .quasipoly import (
+    MID_MATCH_TOL,
+    LocalizationError,
     NormalizedSystem,
     Quasipolynomial,
     RetardedSystem,
+    _modulus_growth_radius,
     companion,
+    mid_deviation,
+    mid_disc_certificate,
     mid_normalized,
     normalize,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CompanionPair",
@@ -42,10 +54,6 @@ __all__ = [
     "certify_dominance",
     "roots_to_csv",
 ]
-
-
-class LocalizationError(RuntimeError):
-    """Raised when counting, refinement, or certification cannot conclude."""
 
 
 class _BoundaryProximity(Exception):
@@ -71,6 +79,8 @@ class CompanionPair:
     A1: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         A0 = np.asarray(self.A0, dtype=float)
         A1 = np.asarray(self.A1, dtype=float)
         if A0.shape != A1.shape or A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
@@ -86,6 +96,8 @@ class CompanionPair:
 
     def char_value(self, z: complex) -> complex:
         """det(zI - A0 - A1 e^(-z))."""
+        import numpy as np
+
         z = complex(z)
         M = z * np.eye(self.n) - self.A0 - self.A1 * np.exp(-z)
         return complex(np.linalg.det(M))
@@ -169,11 +181,18 @@ class Root:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """Located roots and the dominance verdict.  gap and discs are set when
+    the verdict is the disc certificate of the exact MID design: every root
+    other than the dominant one has Re s <= spectral_abscissa - gap, and
+    discs counts the certificate's discs."""
+
     roots: tuple[Root, ...]
     region: Rectangle
     spectral_abscissa: float
     dominant: Root | None
     strictly_dominant: bool
+    gap: float | None = None
+    discs: int = 0
 
     @staticmethod
     def from_roots(roots: Iterable[Root], region: Rectangle) -> "SpectrumReport":
@@ -233,6 +252,8 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
     aliasing by full turns near high-multiplicity roots that the
     principal-branch increments alone cannot see.
     """
+    import numpy as np
+
     delays_max = max((abs(lam) for lam, _ in q.terms), default=0.0)
     qp = q.derivative()
 
@@ -408,7 +429,7 @@ def _stable_count_around(q: Quasipolynomial, z: complex, h0: float) -> int:
             return count
         prev = count
         h /= 5.0
-        if h < 1e3 * np.finfo(float).eps * (1.0 + abs(z)):
+        if h < 1e3 * float_info.epsilon * (1.0 + abs(z)):
             break
     if prev > 0:
         return prev
@@ -426,6 +447,8 @@ def _ranked_splits(q: Quasipolynomial, lo: float, hi: float, fixed_lo: float, fi
     actual arbiter is the subsequent child count, which rejects lines that
     still graze a root.
     """
+    import numpy as np
+
     t = np.linspace(fixed_lo, fixed_hi, 65)
     x = lo + np.array(_SPLIT_FRACTIONS)[:, None] * (hi - lo)
     z = (x + 1j * t) if vertical else (t + 1j * x)
@@ -480,7 +503,7 @@ def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
     derivs = [q, qp, qpp]
     roots: list[Root] = []
     stack: list[tuple[Rectangle, int]] = [(region, total)]
-    floor = 1e3 * np.finfo(float).eps
+    floor = 1e3 * float_info.epsilon
 
     def finish(z: complex, mult: int) -> Root:
         if mult > 1:
@@ -554,69 +577,57 @@ def spectral_abscissa(q: Quasipolynomial, region: Rectangle) -> float:
     return max(r.location.real for r in roots)
 
 
-def _modulus_growth_radius(n: int, weights: list[float]) -> float:
-    """Smallest R with r^n > sum_k weights[k] r^k for every r >= R.
-
-    Any root z with the corresponding coefficient weights satisfies
-    |z|^n <= sum weights[k] |z|^k, so no root has modulus beyond R.  The gap
-    polynomial has a single sign change, located by doubling and bisection.
-    """
-    def gap(r: float) -> float:
-        return r**n - sum(w * r**k for k, w in enumerate(weights))
-
-    hi = 1.0
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - absurd coefficients
-            return hi
-    lo = hi / 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi + 0.25
+def _dominance_box(nsys: NormalizedSystem) -> Rectangle:
+    """The normalized box that holds every root with Re z >= 0: a Cauchy-type
+    modulus cut confines such roots to |z| <= R, where R is the largest root
+    of r^n = sum (|b_k| + |beta_k|) r^k, hence to Re z <= R and |Im z| <= R."""
+    radius = _modulus_growth_radius(
+        nsys.n, [abs(b) + abs(be) for b, be in zip(nsys.b, nsys.beta)]
+    )
+    B = radius + 0.1
+    return Rectangle(-0.25, max(radius, 1.0) + 0.1, -B, B)
 
 
 def certify_dominance(sys: RetardedSystem, s0: float) -> SpectrumReport:
     """Certify that s0 is the strictly dominant root of the system.
 
     Works on the delay-1 normalized form at s0, where roots s with
-    Re s >= s0 map to Re z >= 0.  A Cauchy-type modulus cut confines such
-    roots to |z| <= R, where R is the largest root of
-    r^n = sum (|b_k| + |beta_k|) r^k, hence to Re z <= R and |Im z| <= R.
-    Locating all roots in the remaining rectangle decides the verdict: strict
+    Re s >= s0 map to Re z >= 0.  A system whose normalized coefficients are
+    the MID design's to within MID_MATCH_TOL gets the verdict of the exact
+    design: q(z) = n!/(2n)! z^(2n) F_n(z), so z = 0 is a root of
+    multiplicity 2n, and when the disc certificate finds no zero of F_n with
+    Re z >= -1, every other root has Re s <= s0 - 1/tau (the reported gap).
+    Any other system has every root in _dominance_box located: strict
     dominance holds iff the only root with Re z >= 0 is z = 0 with the full
     multiplicity 2n.
     """
     s0 = float(s0)
     tau = sys.tau
     nsys = normalize(sys, s0)
-    nq = nsys.quasipolynomial()
-    radius = _modulus_growth_radius(
-        nsys.n, [abs(b) + abs(be) for b, be in zip(nsys.b, nsys.beta)]
-    )
-    B = radius + 0.1
-    region_n = Rectangle(-0.25, max(radius, 1.0) + 0.1, -B, B)
+    q_orig = sys.quasipolynomial()
+
+    def denormalized(rect: Rectangle) -> Rectangle:
+        return Rectangle(s0 + rect.re_min / tau, s0 + rect.re_max / tau,
+                         rect.im_min / tau, rect.im_max / tau)
 
     try:
-        roots_n = find_roots(nq, region_n)
+        if mid_deviation(nsys) < MID_MATCH_TOL:
+            cert = mid_disc_certificate(nsys.n)
+            if cert.winding == 0:  # else the zeros in the box are located below
+                root = Root(complex(s0), 2 * sys.n, abs(q_orig(s0)))
+                box = Rectangle(cert.re_min, cert.re_max, -cert.im_max, cert.im_max)
+                return SpectrumReport((root,), denormalized(box), s0, root, True,
+                                      gap=-cert.re_min / tau, discs=len(cert.discs))
+        region_n = _dominance_box(nsys)
+        roots_n = find_roots(nsys.quasipolynomial(), region_n)
     except LocalizationError as exc:
         raise LocalizationError(f"dominance certification inconclusive: {exc}") from exc
 
-    q_orig = sys.quasipolynomial()
     roots = [
         Root(s0 + r.location / tau, r.multiplicity, abs(q_orig(s0 + r.location / tau)))
         for r in roots_n
     ]
-    region = Rectangle(
-        s0 + region_n.re_min / tau,
-        s0 + region_n.re_max / tau,
-        region_n.im_min / tau,
-        region_n.im_max / tau,
-    )
-    report = SpectrumReport.from_roots(roots, region)
+    report = SpectrumReport.from_roots(roots, denormalized(region_n))
 
     zero_tol = 1e-6
     right = [r for r in roots_n if r.location.real >= -zero_tol]

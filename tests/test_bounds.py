@@ -638,6 +638,31 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
     assert sum(counted.values()) <= 1_450_000
 
 
+def test_graeffe_coefficients_once_per_rho_sweep(std_pair, example_system, monkeypatch):
+    # the coefficients depend on the pair only: the range check and every
+    # block's cell bound share one computation per sweep, and norm sweeps
+    # need none
+    calls = []
+    graeffe = bounds._graeffe_coefficients
+
+    def spy(A0, A1):
+        calls.append(A0.shape[0])
+        return graeffe(A0, A1)
+
+    monkeypatch.setattr(bounds, "_graeffe_coefficients", spy)
+    order3 = companion_pair(normalize(example_system, -0.5))
+    for pair in (std_pair, order3):
+        calls.clear()
+        bound_spectral_radius_curve(pair)
+        assert calls == [pair.n]
+    calls.clear()
+    boundary_curve(std_pair, np.arange(0.0, 1.0, 0.02))
+    assert calls == [2]
+    calls.clear()
+    bound_norm_power(std_pair, Norm.FROBENIUS, 2)
+    assert calls == []
+
+
 def test_bound_report_validation():
     with pytest.raises(ValueError):
         BoundReport(BoundMethod.NORM_POWER, Norm.ONE, 1, 0.0, -1.0)

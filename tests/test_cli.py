@@ -99,6 +99,18 @@ def test_spectrum_example(example_dir, tmp_path):
     assert abs(float(top[0]) + 0.5) < 1e-9 and int(top[2]) == 6
 
 
+def test_spectrum_prints_the_exact_design_verdict(example_dir, tmp_path):
+    r = run_cli("spectrum", str(example_dir / "system.json"), "--out-dir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert ("exact MID design: the 6-fold root s0 is strictly dominant, every other root "
+            "has Re s <= s0 - 0.4 (") in r.stdout
+    r = run_cli("spectrum", str(example_dir / "system.json"), "--out-dir", str(tmp_path), "--json")
+    doc = json.loads(r.stdout)
+    assert doc["certificate"]["gap"] == pytest.approx(0.4) and doc["certificate"]["discs"] > 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    assert set(report) == {"roots", "region", "spectral_abscissa", "dominant", "strictly_dominant"}
+
+
 def test_spectrum_small_region_quartic(tmp_path):
     r = run_cli("design", "--n", "2", "--s0", "0", "--tau", "1", "--out-dir", str(tmp_path))
     assert r.returncode == 0
@@ -542,6 +554,37 @@ def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
     assert "FAIL multiplicity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_verify_certifies_high_orders(n, tmp_path, capsys):
+    # the exact design's disc certificate decides dominance at every order
+    # (a root search on the stored rounding cluster was inconclusive here)
+    assert cli.main(["design", "--n", str(n), "--s0", "-0.5", "--tau", "2.5",
+                     "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert cli.main(["verify", str(tmp_path / "system.json")]) == 0
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines() if ln.startswith("PASS dominance: "))
+    assert "every other root has Re s <= s0 - 0.4 (exact MID design, " in line
+    assert out.endswith("verdict: all checks passed\n")
+    assert cli.main(["verify", str(tmp_path / "system.json"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    assert payload["certificate"]["gap"] == pytest.approx(0.4)
+    assert line.endswith(f", {payload['certificate']['discs']} discs)")
+
+
+def test_verify_searches_a_perturbed_system(example_dir, tmp_path, capsys):
+    # off the design there is no certificate: the verdict comes from find_roots
+    doc = json.loads((example_dir / "system.json").read_text())
+    doc["a"][0] += 0.01
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(bad), "--s0", "-0.5", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] is None
+    dominance = next(c for c in payload["checks"] if c["name"] == "dominance")
+    assert "exact MID design" not in dominance["detail"]
+
+
 def test_verify_missing_file_exit_2(tmp_path):
     r = run_cli("verify", str(tmp_path / "nope.json"))
     assert r.returncode == 2
@@ -711,7 +754,7 @@ _NO_SWEEPS = ["midspec.bounds", "midspec.sim", "scipy"]
     [
         (["design", "--n", "3", "--s0", "-0.5", "--tau", "2.5"], ["numpy"]),
         (["spectrum", "{system}"], _NO_SWEEPS),
-        (["verify", "{system}"], _NO_SWEEPS),
+        (["verify", "{system}"], _NO_SWEEPS + ["numpy"]),
         (["simulate", "{system}", "--history", "y01", "--t-end", "5"],
          ["midspec.spectral", "midspec.bounds", "scipy"]),
         (["bounds", "{system}", "--method", "mori-kokame", "--norm", "one"],

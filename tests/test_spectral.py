@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from midspec import spectral
 from midspec.quasipoly import (
     Polynomial,
     Quasipolynomial,
     RetardedSystem,
     mid_coefficients,
+    mid_disc_certificate,
     multiplicity_at,
     normalize,
 )
@@ -282,6 +284,55 @@ def test_certify_mid(n, s0, tau):
     assert abs(report.spectral_abscissa - s0) < 1e-8
     assert report.dominant is not None
     assert report.dominant.multiplicity == 2 * n
+
+
+@pytest.mark.parametrize(
+    "n,s0",
+    [
+        (4, -0.6173964613908675),
+        (4, -0.4840237680943267),
+        (4, -0.46350621634761957),
+        (3, -0.36339567170469833),
+        (3, -0.12085334731606379),
+        (3, -0.5861231348536904),
+    ],
+)
+def test_find_roots_on_rounded_designs(n, s0):
+    # the rounded designs of test_certify_mid now take the disc certificate;
+    # find_roots on the box certify_dominance searches for other systems
+    # still sees only the 2n-fold root at the origin in Re z >= 0
+    nsys = normalize(mid_coefficients(n, s0, 2.5), s0)
+    roots = find_roots(nsys.quasipolynomial(), spectral._dominance_box(nsys))
+    right = [r for r in roots if r.location.real >= -1e-6]
+    assert len(right) == 1, right
+    assert abs(right[0].location) <= 1e-6 and right[0].multiplicity == 2 * n
+
+
+def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
+    # the MID design gets the exact design's verdict without a root search;
+    # a perturbation beyond MID_MATCH_TOL is searched as before
+    calls = []
+    search = spectral.find_roots
+
+    def spy(q, rect):
+        calls.append(rect)
+        return search(q, rect)
+
+    monkeypatch.setattr(spectral, "find_roots", spy)
+    sys_ = mid_coefficients(3, -0.5, 2.5)
+    report = certify_dominance(sys_, -0.5)
+    assert calls == []
+    assert report.strictly_dominant and report.gap == 1.0 / 2.5
+    assert report.discs == len(mid_disc_certificate(3).discs)
+    assert report.roots == (report.dominant,) and report.dominant.location == -0.5
+    assert report.region.re_min == -0.5 - 1.0 / 2.5
+
+    a = list(sys_.a)
+    a[0] *= 1.0 + 1e-6
+    report = certify_dominance(RetardedSystem(3, a, sys_.alpha, 2.5), -0.5)
+    assert len(calls) == 1
+    assert report.gap is None and report.discs == 0
+    assert not report.strictly_dominant
 
 
 def test_certify_reaches_a_verdict_where_newton_would_overflow():
