@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .quasipoly import _Record
 from .spectral import CompanionPair, standard_pair
 
 __all__ = [
@@ -61,8 +61,7 @@ INDUCED_NORMS = (Norm.ONE, Norm.TWO, Norm.INFINITY)
 SUBMULTIPLICATIVE_NORMS = (Norm.ONE, Norm.TWO, Norm.FROBENIUS, Norm.INFINITY)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """One computed bound on |Im z| over {Re z >= sigma_min}, and the number
     of H evaluations its feasibility sweep made (0 for a closed form)."""
 
@@ -78,8 +77,7 @@ class BoundReport:
             raise ValueError("bound value must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Lemma3Report:
+class Lemma3Report(_Record):
     """Pieces of the analytic Frobenius power-2 chain for the standard pair.
 
     coarse. . . . . . . . .  fourth root of the discriminant-step constant

@@ -14,8 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -60,6 +59,12 @@ def _write_atomic(path: Path, text: str) -> None:
 _PLUMBING = ("command", "func", "out_dir", "json", "quiet")
 
 
+def _utc_now() -> str:
+    """The current UTC time in ISO 8601 to the microsecond, ending +00:00."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{micros:06d}+00:00"
+
+
 class _Run:
     """One command's output: stdout lines, the --json payload, and the files
     written into --out-dir, which finish() lists in manifest.json together
@@ -86,7 +91,7 @@ class _Run:
         if self.outputs:
             manifest = {"command": self.command, "inputs": self.inputs, "outputs": self.outputs,
                         "tool_version": __version__,
-                        "timestamp": datetime.now(timezone.utc).isoformat()}
+                        "timestamp": _utc_now()}
             _write_atomic(self.out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
         if self.as_json:
             print(json.dumps(self.payload, indent=2))
@@ -107,6 +112,14 @@ def _default_s0(sys_) -> float:
     from .quasipoly import dominant_root_from_trace
 
     return dominant_root_from_trace(sys_.n, sys_.a[-1], sys_.tau)
+
+
+def _shift(args, sys_) -> float:
+    """--s0, or else the root that the trace identity assigns; finite."""
+    s0 = args.s0 if args.s0 is not None else _default_s0(sys_)
+    if not math.isfinite(s0):
+        raise ValueError(f"shift s0 must be finite, got {s0}")
+    return s0
 
 
 # --- design -------------------------------------------------------------------
@@ -155,7 +168,7 @@ def cmd_spectrum(args, run: _Run) -> int:
     )
 
     sys_ = _load_system(args.system)
-    s0 = args.s0 if args.s0 is not None else _default_s0(sys_)
+    s0 = _shift(args, sys_)
     region = Rectangle(
         args.re_min if args.re_min is not None else s0 - 5.0,
         args.re_max if args.re_max is not None else s0 + 1.0,
@@ -182,8 +195,8 @@ def cmd_spectrum(args, run: _Run) -> int:
     # the located roots of the region, judged by the certified verdict
     base = SpectrumReport.from_roots(roots, region)
     strictly = cert.strictly_dominant
-    report = replace(
-        base, dominant=cert.dominant if strictly else base.dominant, strictly_dominant=strictly
+    report = base.replace(
+        dominant=cert.dominant if strictly else base.dominant, strictly_dominant=strictly
     )
 
     run.write("roots.csv", roots_to_csv(report.roots))
@@ -259,7 +272,7 @@ def cmd_bounds(args, run: _Run) -> int:
         pair = standard_pair()
     elif args.system:
         sys_ = _load_system(args.system)
-        s0 = args.s0 if args.s0 is not None else _default_s0(sys_)
+        s0 = _shift(args, sys_)
         pair = companion_pair(normalize(sys_, s0))
     else:
         raise ValueError("provide a system file or --standard-pair")
@@ -390,7 +403,7 @@ def cmd_verify(args, run: _Run) -> int:
     from .spectral import LocalizationError, certify_dominance
 
     sys_ = _load_system(args.system)
-    s0 = args.s0 if args.s0 is not None else _default_s0(sys_)
+    s0 = _shift(args, sys_)
     n = sys_.n
     checks: list[tuple[str, bool, str]] = []
 

@@ -15,7 +15,9 @@ the design's other roots lie left of Re z = -1, and the companion matrices
 of the first-order form.
 
 numpy is imported inside the functions that take or return arrays, so the
-design and its certificate run on the standard library alone.
+design and its certificate run on the standard library alone.  The value
+types of every module are immutable records on _Record, whose classes cost
+next to nothing to build when a command starts.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from sys import float_info
 from typing import TYPE_CHECKING, Sequence
 
@@ -53,6 +54,72 @@ __all__ = [
 ]
 
 
+class _Record:
+    """Base of the immutable value types.
+
+    The class annotations, in order, are the fields, and a class-level value
+    is a field's default.  A subclass without its own __init__ takes the
+    fields by position or keyword and then runs __post_init__.  Fields are
+    set once, through object.__setattr__; assigning or deleting an
+    attribute afterwards raises AttributeError.  ==, hash and repr go by
+    the field values.  Instances keep a __dict__ for what a type holds
+    outside its fields.  Building such a class takes no generated code, so
+    a command starts without the standard library's inspect, ast and dis.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        # object.__setattr__ rather than writes to __dict__: it keeps the
+        # attribute storage that makes reading a field fast
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                object.__setattr__(self, name, kwargs.pop(name))
+            elif hasattr(type(self), name):
+                object.__setattr__(self, name, getattr(type(self), name))
+            else:
+                raise TypeError(f"{type(self).__name__} misses field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unknown or repeated fields {list(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built through __init__."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+
 def _trim(coefficients) -> tuple[float, ...]:
     coeffs = [float(c) for c in coefficients]
     while coeffs and coeffs[-1] == 0.0:
@@ -60,8 +127,7 @@ def _trim(coefficients) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Real polynomial, coefficients[j] multiplying s**j, trailing zeros stripped.
 
     The zero polynomial is represented by an empty coefficient tuple and
@@ -102,8 +168,7 @@ class Polynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class Quasipolynomial:
+class Quasipolynomial(_Record):
     """Finite sum of (delay, polynomial) terms with pairwise distinct delays.
 
     terms are kept sorted by delay and identically-zero polynomials are
@@ -184,8 +249,7 @@ class Quasipolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class RetardedSystem:
+class RetardedSystem(_Record):
     """Data of a single-delay retarded equation of order n.
 
     a[k] and alpha[k] multiply the k-th derivative of the non-delayed and
@@ -239,8 +303,7 @@ class RetardedSystem:
         return RetardedSystem.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class NormalizedSystem:
+class NormalizedSystem(_Record):
     """Delay-1, shift-0 form of a retarded system.
 
     Normalizing a system at a point s0 rescales the spectrum by z = tau (s - s0);
@@ -516,8 +579,7 @@ _DISC_DEPTH = 8
 _ROUNDING_UNITS = 8.0
 
 
-@dataclass(frozen=True)
-class DiscCertificate:
+class DiscCertificate(_Record):
     """Zero count of F_n(z) = 1F1(n; 2n+1; -z) in the box
     [re_min, re_max] x [-im_max, im_max], from discs along its upper half.
 

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .quasipoly import RetardedSystem, companion
+from .quasipoly import RetardedSystem, _Record, companion
 
 __all__ = [
     "HistoryKind",
@@ -76,8 +75,7 @@ class HistoryKind(str, Enum):
     SAMPLED = "sampled"
 
 
-@dataclass(frozen=True)
-class HistoryFunction:
+class HistoryFunction(_Record):
     """Initial function on [-tau, 0] with analytically known derivatives.
 
     parameters by kind:
@@ -95,6 +93,10 @@ class HistoryFunction:
     values: np.ndarray | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.parameters)):
+            raise ValueError(
+                f"{self.kind.value} history needs finite parameters, got {self.parameters}"
+            )
         if self.kind == HistoryKind.SAMPLED:
             from scipy.interpolate import CubicSpline  # heavy import, sampled histories only
 
@@ -194,8 +196,7 @@ def builtin_history(name: str) -> HistoryFunction:
         raise ValueError(f"unknown builtin history {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Simulation output: uniform time grid and the state (y and its n-1
     derivatives) at each node."""
 
@@ -414,10 +415,10 @@ def simulate(
     states = np.empty((windows * m + 1, n))
     states[0] = x = delayed[-1]
     for k in range(windows):
-        if k > 0:
-            delayed = states[(k - 1) * m : k * m + 1]
-            delayed_mids = _midpoints(delayed)
         with np.errstate(over="ignore", invalid="ignore"):
+            if k > 0:
+                delayed = states[(k - 1) * m : k * m + 1]
+                delayed_mids = _midpoints(delayed)
             forcing = delayed[:-1] @ Q0.T + delayed_mids @ Qm.T + delayed[1:] @ Q1.T
             x = _advance_window(x, forcing, D, T, states[k * m + 1 : (k + 1) * m + 1])
         if not np.all(np.isfinite(states[k * m : (k + 1) * m + 1])):

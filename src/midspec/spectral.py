@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from sys import float_info
 from typing import TYPE_CHECKING, Iterable
 
@@ -29,6 +28,7 @@ from .quasipoly import (
     NormalizedSystem,
     Quasipolynomial,
     RetardedSystem,
+    _Record,
     _modulus_growth_radius,
     companion,
     mid_deviation,
@@ -70,8 +70,7 @@ _RESIDUAL_REL = 1e-8
 _DIAMETER_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class CompanionPair:
+class CompanionPair(_Record):
     """Matrices A0 (companion form) and A1 (delayed last row) with
     det(zI - A0 - A1 e^(-z)) equal to the delay-1 quasipolynomial."""
 
@@ -113,14 +112,16 @@ def standard_pair() -> CompanionPair:
     return companion_pair(mid_normalized(2))
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Record):
     re_min: float
     re_max: float
     im_min: float
     im_max: float
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"rectangle bounds must be finite, got {bounds}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("rectangle bounds must satisfy min < max")
 
@@ -168,8 +169,7 @@ class Rectangle:
         }
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Record):
     location: complex
     multiplicity: int
     residual: float
@@ -179,8 +179,7 @@ class Root:
             raise ValueError("multiplicity must be >= 1")
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Record):
     """Located roots and the dominance verdict.  gap and discs are set when
     the verdict is the disc certificate of the exact MID design: every root
     other than the dominant one has Re s <= spectral_abscissa - gap, and
@@ -637,4 +636,4 @@ def certify_dominance(sys: RetardedSystem, s0: float) -> SpectrumReport:
         and abs(right[0].location) <= zero_tol
         and right[0].multiplicity == 2 * sys.n
     )
-    return replace(report, strictly_dominant=strictly)
+    return report.replace(strictly_dominant=strictly)

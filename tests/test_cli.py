@@ -471,18 +471,27 @@ def test_simulate_unknown_history_exit_2(example_dir, tmp_path):
     assert r.returncode == 2
 
 
-def test_simulate_overflow_exit_2(tmp_path):
-    # y' = 30 y leaves the float range at t = 23.7, in window 23; this once
-    # exited 1 as an internal error
-    system = tmp_path / "unstable.json"
-    system.write_text('{"n": 1, "a": [-30.0], "alpha": [0.0], "tau": 1.0}')
-    r = run_cli("simulate", str(system), "--history", "y01", "--out-dir", str(tmp_path / "out"))
+@pytest.mark.parametrize(
+    "history,window", [("y01", 23), ("const:1e308", 1)], ids=["unstable", "huge-history"]
+)
+def test_simulate_overflow_exit_2(history, window, example_dir, tmp_path):
+    # y' = 30 y leaves the float range at t = 23.7, in window 23 (this once
+    # exited 1 as an internal error); the order-3 design from the constant
+    # 1e308 overflows in window 1, where it once also printed numpy's
+    # RuntimeWarnings from interpolating the delayed state
+    if history == "y01":
+        system = tmp_path / "unstable.json"
+        system.write_text('{"n": 1, "a": [-30.0], "alpha": [0.0], "tau": 1.0}')
+    else:
+        system = example_dir / "system.json"
+    r = run_cli("simulate", str(system), "--history", history, "--out-dir", str(tmp_path / "out"))
+    name = history.split(":")[0]
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stderr == (
-        "error: history y01: state became non-finite in window 23: "
+        f"error: history {name}: state became non-finite in window {window}: "
         "the solution leaves the float range before --t-end 40\n"
     )
-    assert not (tmp_path / "out" / "sol_y01.csv").exists()
+    assert not (tmp_path / "out" / f"sol_{name}.csv").exists()
 
 
 # --- verify ----------------------------------------------------------------------
@@ -602,7 +611,8 @@ def test_verify_takes_no_out_dir(example_dir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "case", ["one-column-history", "list-system", "scalar-coefficients", "design-s0-overflow",
              "verify-s0-overflow", "verify-s0-nan", "design-s0-nan", "design-s0-inf",
-             "design-tau-inf"],
+             "design-tau-inf", "history-nan", "history-inf", "spectrum-s0-nan",
+             "spectrum-s0-inf", "spectrum-re-max-nan"],
 )
 def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     system = str(example_dir / "system.json")
@@ -626,6 +636,12 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         argv = ["verify", system, "--s0=nan"]
     elif case in ("design-s0-nan", "design-s0-inf"):
         argv = ["design", "--n", "3", f"--s0={case[-3:]}", "--tau", "2.5"]
+    elif case in ("history-nan", "history-inf"):
+        argv = ["simulate", system, f"--history=const:{case[-3:]}", "--t-end", "5"]
+    elif case in ("spectrum-s0-nan", "spectrum-s0-inf"):
+        argv = ["spectrum", system, f"--s0={case[-3:]}"]
+    elif case == "spectrum-re-max-nan":
+        argv = ["spectrum", system, "--re-max=nan"]
     else:
         argv = ["design", "--n", "3", "--s0", "-0.5", "--tau=inf"]
     if argv[0] != "verify":
@@ -635,8 +651,12 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     assert err.startswith("error: "), err
     if case == "verify-s0-nan":
         assert "s0 must be finite" in err and "overflows" not in err
-    elif case in ("design-s0-nan", "design-s0-inf"):
+    elif case in ("design-s0-nan", "design-s0-inf", "spectrum-s0-nan", "spectrum-s0-inf"):
         assert f"shift s0 must be finite, got {case[-3:]}" in err, err
+    elif case in ("history-nan", "history-inf"):
+        assert err == f"error: constant history needs finite parameters, got ({case[-3:]},)\n", err
+    elif case == "spectrum-re-max-nan":
+        assert "rectangle bounds must be finite, got (" in err and "nan" in err, err
     elif case == "design-tau-inf":
         assert "delay tau must be finite, got inf" in err, err
 
@@ -747,14 +767,18 @@ def test_certification_loads_no_bounds(command, example_dir, tmp_path):
 
 
 _NO_SWEEPS = ["midspec.bounds", "midspec.sim", "scipy"]
+# standard-library modules that a numpy-free command has no use for: the
+# value types are built without dataclasses (which loads inspect), and the
+# manifest timestamp comes from time
+_NO_INTROSPECTION = ["dataclasses", "inspect", "datetime"]
 
 
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["design", "--n", "3", "--s0", "-0.5", "--tau", "2.5"], ["numpy"]),
+        (["design", "--n", "3", "--s0", "-0.5", "--tau", "2.5"], ["numpy"] + _NO_INTROSPECTION),
         (["spectrum", "{system}"], _NO_SWEEPS),
-        (["verify", "{system}"], _NO_SWEEPS + ["numpy"]),
+        (["verify", "{system}"], _NO_SWEEPS + ["numpy"] + _NO_INTROSPECTION),
         (["simulate", "{system}", "--history", "y01", "--t-end", "5"],
          ["midspec.spectral", "midspec.bounds", "scipy"]),
         (["bounds", "{system}", "--method", "mori-kokame", "--norm", "one"],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from midspec import quasipoly
+from midspec import bounds, quasipoly, sim, spectral
 from midspec.quasipoly import (
     MID_MATCH_TOL,
     LocalizationError,
@@ -552,3 +552,75 @@ def test_system_validation():
         RetardedSystem(2, (1.0, 2.0), (1.0, 2.0), -1.0)
     with pytest.raises(ValueError):
         NormalizedSystem(2, (1.0,), (1.0, 2.0))
+
+
+# --- value types ------------------------------------------------------------------
+
+
+def _one_root():
+    return spectral.Root(-0.5 + 0j, 6, 1e-15)
+
+
+# (make one instance, a field, a new value for it) for every value type; the
+# arrays of CompanionPair and Trajectory are 1 x 1, so their == is one bool
+VALUE_TYPES = {
+    "Polynomial": (lambda: Polynomial([1.0, 2.0]), "coefficients", (3.0,)),
+    "Quasipolynomial": (
+        lambda: Quasipolynomial([(0.0, Polynomial([1.0])), (1.0, Polynomial([2.0]))]),
+        "terms", ((2.0, Polynomial([5.0])),),
+    ),
+    "RetardedSystem": (lambda: RetardedSystem(1, [1.0], [2.0], 1.5), "tau", 2.0),
+    "NormalizedSystem": (lambda: NormalizedSystem(1, [1.0], [2.0]), "beta", (3.0,)),
+    "DiscCertificate": (
+        lambda: quasipoly.DiscCertificate(1, -1.0, 2.0, 2.0, 34, ((1 + 1j, 0.5),), 0),
+        "winding", 2,
+    ),
+    "CompanionPair": (
+        lambda: spectral.CompanionPair([[1.0]], [[2.0]]), "A1", np.array([[3.0]]),
+    ),
+    "Rectangle": (lambda: spectral.Rectangle(0.0, 1.0, -1.0, 1.0), "im_max", 2.0),
+    "Root": (_one_root, "multiplicity", 4),
+    "SpectrumReport": (
+        lambda: spectral.SpectrumReport(
+            (_one_root(),), spectral.Rectangle(-1.0, 0.0, -1.0, 1.0), -0.5, _one_root(), True
+        ),
+        "gap", 0.4,
+    ),
+    "HistoryFunction": (lambda: sim.constant(1.0), "parameters", (2.0,)),
+    "Trajectory": (lambda: sim.Trajectory([0.0], [[1.0]], 0.1, 2.5), "step", 0.2),
+    "BoundReport": (
+        lambda: bounds.BoundReport(bounds.BoundMethod.NORM_POWER, bounds.Norm.ONE, 2, 0.0, 3.5),
+        "value", 4.0,
+    ),
+    "Lemma3Report": (
+        lambda: bounds.Lemma3Report(7.0, 2401.0, 6.0, 1296.0, (2 * math.pi, 7.0), 2 * math.pi),
+        "certified", 6.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable_records(name):
+    make, field, new = VALUE_TYPES[name]
+    a, b = make(), make()
+    fields = list(type(a).__annotations__)  # the field list, in order
+    assert type(a).__name__ == name and field in fields
+    with pytest.raises(AttributeError):
+        setattr(a, field, new)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert a == b and not a != b and a is not b
+    if name in ("CompanionPair", "Trajectory"):
+        with pytest.raises(TypeError):  # an array field is unhashable
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert repr(a) == f"{name}(" + ", ".join(f"{f}={getattr(a, f)!r}" for f in fields) + ")"
+    c = a.replace(**{field: new})
+    assert type(c) is type(a) and repr(getattr(c, field)) == repr(new)
+    assert c != a and repr(a) == repr(b)
+    for f in fields:
+        if f != field:
+            assert repr(getattr(c, f)) == repr(getattr(a, f)), f
