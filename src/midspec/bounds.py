@@ -19,8 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quasipoly import _Record
-from .spectral import CompanionPair, standard_pair
+from .quasipoly import CompanionPair, _Record, companion, mid_normalized
 
 __all__ = [
     "Norm",
@@ -34,6 +33,7 @@ __all__ = [
     "bound_norm_power",
     "bound_spectral_radius_curve",
     "boundary_curve",
+    "standard_pair",
     "lemma3_analytic_bound",
 ]
 
@@ -821,6 +821,12 @@ def boundary_curve(
 # --- the analytic chain for the standard pair -------------------------------
 
 _COS_FLOOR = 0.893  # floor of cos(omega) for omega in [2 pi, 6.75]
+
+
+def standard_pair() -> CompanionPair:
+    """Companion pair of the normalized quartic design (n = 2, shift 0, delay 1)."""
+    nsys = mid_normalized(2)
+    return companion(nsys.b, nsys.beta)
 
 
 def lemma3_analytic_bound(pair: CompanionPair) -> Lemma3Report:

@@ -263,9 +263,8 @@ def _bounds_rows(args, pair):
 
 
 def cmd_bounds(args, run: _Run) -> int:
-    from .bounds import boundary_curve
-    from .spectral import standard_pair, companion_pair
-    from .quasipoly import normalize
+    from .bounds import boundary_curve, standard_pair
+    from .quasipoly import companion, normalize
     import numpy as np
 
     if args.standard_pair:
@@ -273,7 +272,8 @@ def cmd_bounds(args, run: _Run) -> int:
     elif args.system:
         sys_ = _load_system(args.system)
         s0 = _shift(args, sys_)
-        pair = companion_pair(normalize(sys_, s0))
+        nsys = normalize(sys_, s0)
+        pair = companion(nsys.b, nsys.beta)
     else:
         raise ValueError("provide a system file or --standard-pair")
 
@@ -395,7 +395,6 @@ def cmd_simulate(args, run: _Run) -> int:
 def cmd_verify(args, run: _Run) -> int:
     from .quasipoly import (
         MID_MATCH_TOL,
-        factorization_residual,
         mid_deviation,
         multiplicity_at,
         normalize,
@@ -418,11 +417,6 @@ def cmd_verify(args, run: _Run) -> int:
     dev = mid_deviation(normalize(sys_, s0))
     checks.append(
         ("normalization-universality", dev < MID_MATCH_TOL, f"max relative deviation {dev:.3e}")
-    )
-
-    worst = max(factorization_residual(n, z) for z in (1.0, 2j * math.pi, 0.7 - 0.3j))
-    checks.append(
-        ("factorization-residual", worst < 1e-12, f"max relative residual {worst:.3e}")
     )
 
     cert = None

@@ -46,10 +46,10 @@ __all__ = [
     "denormalize",
     "multiplicity_at",
     "dominant_root_from_trace",
-    "factorization_residual",
     "LocalizationError",
     "DiscCertificate",
     "mid_disc_certificate",
+    "CompanionPair",
     "companion",
 ]
 
@@ -513,44 +513,23 @@ def _unit_gauss_legendre(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(0.5 * (x + 1.0) for x, _ in rule), tuple(w for _, w in rule)
 
 
-def factorization_residual(n: int, z: complex) -> float:
-    """Relative residual of the integral factorization of the normalized
-    order-n design q (root of multiplicity 2n at the origin, delay 1):
-
-        q(z) = z^(2n)/(n-1)! * integral_0^1 t^(n-1) (1-t)^n e^(-z t) dt.
-
-    The integral is evaluated by 64-node Gauss-Legendre quadrature and the
-    difference is measured against q.magnitude_scale(z), so the residual
-    stays comparable across orders whose terms grow like |z|^n.
-    """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("z = 0 excluded; compare against the moment identity instead")
-    n = int(n)
-    q = mid_normalized(n).quasipolynomial()
-    t, w = _unit_gauss_legendre(64)
-    integral = 0.5 * sum(
-        wj * tj ** (n - 1) * (1.0 - tj) ** n * cmath.exp(-z * tj) for tj, wj in zip(t, w)
-    )
-    rhs = z ** (2 * n) / math.factorial(n - 1) * integral
-    return abs(q(z) - rhs) / q.magnitude_scale(z)
-
-
 def _modulus_growth_radius(n: int, weights: list[float]) -> float:
     """Smallest R with r^n > sum_k weights[k] r^k for every r >= R.
 
     Any root z with the corresponding coefficient weights satisfies
     |z|^n <= sum weights[k] |z|^k, so no root has modulus beyond R.  The gap
     polynomial has a single sign change, located by doubling and bisection.
+    Weights so large that R would pass 1e12 raise ValueError: a contour
+    around a box that wide would take about R samples.
     """
     def gap(r: float) -> float:
         return r**n - sum(w * r**k for k, w in enumerate(weights))
 
     hi = 1.0
     while gap(hi) <= 0.0:
+        if hi > 1e12:
+            raise ValueError(f"the modulus cut of the order-{n} coefficients exceeds 1e12")
         hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - absurd coefficients
-            return hi
     lo = hi / 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -697,8 +676,40 @@ def mid_disc_certificate(n: int, re_min: float = -1.0) -> DiscCertificate:
     return DiscCertificate(n, re_min, top, top, nodes, tuple(discs), round(winding))
 
 
-def companion(b: Sequence[float], beta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Companion matrices (A0, A1) of y^(n) + sum b_k y^(k) + sum beta_k y^(k)(t - delay):
+class CompanionPair(_Record):
+    """Matrices A0 (companion form) and A1 (delayed last row) with
+    det(zI - A0 - A1 e^(-z delay)) equal to the quasipolynomial."""
+
+    A0: np.ndarray
+    A1: np.ndarray
+
+    def __post_init__(self):
+        import numpy as np
+
+        A0 = np.asarray(self.A0, dtype=float)
+        A1 = np.asarray(self.A1, dtype=float)
+        if A0.shape != A1.shape or A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
+            raise ValueError("A0 and A1 must be square matrices of equal size")
+        A0.setflags(write=False)
+        A1.setflags(write=False)
+        object.__setattr__(self, "A0", A0)
+        object.__setattr__(self, "A1", A1)
+
+    @property
+    def n(self) -> int:
+        return self.A0.shape[0]
+
+    def char_value(self, z: complex) -> complex:
+        """det(zI - A0 - A1 e^(-z)), the delay-1 characteristic function."""
+        import numpy as np
+
+        z = complex(z)
+        M = z * np.eye(self.n) - self.A0 - self.A1 * np.exp(-z)
+        return complex(np.linalg.det(M))
+
+
+def companion(b: Sequence[float], beta: Sequence[float]) -> CompanionPair:
+    """Companion pair of y^(n) + sum b_k y^(k) + sum beta_k y^(k)(t - delay):
     ones on the superdiagonal of A0, last rows -b and -beta.
 
     The sign on the last rows is what makes det(zI - A0 - A1 e^(-z delay))
@@ -712,4 +723,4 @@ def companion(b: Sequence[float], beta: Sequence[float]) -> tuple[np.ndarray, np
     A0[np.arange(n - 1), np.arange(1, n)] = 1.0
     A0[-1, :] = np.negative(b)
     A1[-1, :] = np.negative(beta)
-    return A0, A1
+    return CompanionPair(A0, A1)

@@ -145,15 +145,6 @@ class HistoryFunction(_Record):
             return True
         return self.times[0] <= -tau + 1e-12 and self.times[-1] >= -1e-12
 
-    def scaled(self, factor: float) -> "HistoryFunction":
-        factor = float(factor)
-        if self.kind == HistoryKind.SAMPLED:
-            return HistoryFunction(self.kind, (), self.times, factor * self.values)
-        if self.kind == HistoryKind.SINUSOID:
-            amp, om, ph = self.parameters
-            return HistoryFunction(self.kind, (factor * amp, om, ph))
-        return HistoryFunction(self.kind, tuple(factor * x for x in self.parameters))
-
 
 def constant(value: float) -> HistoryFunction:
     return HistoryFunction(HistoryKind.CONSTANT, (float(value),))
@@ -218,10 +209,6 @@ class Trajectory(_Record):
     @property
     def y(self) -> np.ndarray:
         return self.states[:, 0]
-
-    @property
-    def order(self) -> int:
-        return self.states.shape[1]
 
     def to_csv(self) -> str:
         """The state table t,y,y1,...,y(n-1), every value as %.12g."""
@@ -404,7 +391,8 @@ def simulate(
         raise ValueError("adjusted step fell below 1e-9")
 
     n = sys.n
-    D, Q0, Qm, Q1 = _rk4_increment(*companion(sys.a, sys.alpha), h)
+    pair = companion(sys.a, sys.alpha)
+    D, Q0, Qm, Q1 = _rk4_increment(pair.A0, pair.A1, h)
     T = _block_toeplitz(D, _block_size(sys, h, m))
     windows = int(math.ceil(t_end / tau - 1e-12))
 
@@ -437,7 +425,7 @@ def step_scale(sys: RetardedSystem, step: float) -> float:
     fitted to it can even have the wrong sign.  The default step tau/500
     keeps it below 0.03 for the MID designs up to order 8.
     """
-    A0, _ = companion(sys.a, sys.alpha)
+    A0 = companion(sys.a, sys.alpha).A0
     return step * float(np.abs(np.linalg.eigvals(A0)).max())
 
 

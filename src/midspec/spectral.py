@@ -30,10 +30,8 @@ from .quasipoly import (
     RetardedSystem,
     _Record,
     _modulus_growth_radius,
-    companion,
     mid_deviation,
     mid_disc_certificate,
-    mid_normalized,
     normalize,
 )
 
@@ -41,13 +39,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "CompanionPair",
     "Rectangle",
     "Root",
     "SpectrumReport",
     "LocalizationError",
-    "companion_pair",
-    "standard_pair",
     "count_roots",
     "find_roots",
     "spectral_abscissa",
@@ -68,48 +63,6 @@ _PHASE_STEP = 0.8
 _RESIDUAL_REL = 1e-8
 # box diameter below which quadrisection stops
 _DIAMETER_FLOOR = 1e-9
-
-
-class CompanionPair(_Record):
-    """Matrices A0 (companion form) and A1 (delayed last row) with
-    det(zI - A0 - A1 e^(-z)) equal to the delay-1 quasipolynomial."""
-
-    A0: np.ndarray
-    A1: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        A0 = np.asarray(self.A0, dtype=float)
-        A1 = np.asarray(self.A1, dtype=float)
-        if A0.shape != A1.shape or A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
-            raise ValueError("A0 and A1 must be square matrices of equal size")
-        A0.setflags(write=False)
-        A1.setflags(write=False)
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "A1", A1)
-
-    @property
-    def n(self) -> int:
-        return self.A0.shape[0]
-
-    def char_value(self, z: complex) -> complex:
-        """det(zI - A0 - A1 e^(-z))."""
-        import numpy as np
-
-        z = complex(z)
-        M = z * np.eye(self.n) - self.A0 - self.A1 * np.exp(-z)
-        return complex(np.linalg.det(M))
-
-
-def companion_pair(nsys: NormalizedSystem) -> CompanionPair:
-    """Companion pair of a delay-1 system (see quasipoly.companion)."""
-    return CompanionPair(*companion(nsys.b, nsys.beta))
-
-
-def standard_pair() -> CompanionPair:
-    """Companion pair of the normalized quartic design (n = 2, shift 0, delay 1)."""
-    return companion_pair(mid_normalized(2))
 
 
 class Rectangle(_Record):

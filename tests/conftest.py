@@ -17,6 +17,6 @@ def qhat():
 
 @pytest.fixture(scope="session")
 def std_pair():
-    from midspec.spectral import standard_pair
+    from midspec.bounds import standard_pair
 
     return standard_pair()

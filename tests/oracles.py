@@ -2,7 +2,9 @@
 checks for the contour machinery, and for the method-of-steps integrator.
 
 The design oracles are the direct double-sum assignment in exact rational
-arithmetic and the closed-form order-2 assignment.
+arithmetic, the closed-form order-2 assignment, and the right side of the
+design's integral factorization through mpmath's confluent hypergeometric
+function.
 
 Root locations come from a dense modulus scan (grid points where |q| falls
 below the term-magnitude scale) polished by a plain Newton iteration on q/q';
@@ -28,6 +30,7 @@ running maximum.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from midspec.bounds import (
@@ -98,6 +101,18 @@ def mid_order2(s0, tau):
     al1 = -2.0 / tau * e
     al0 = 2.0 / tau * e * (s0 - 3.0 / tau)
     return RetardedSystem(2, (a0, a1), (al0, al1), tau)
+
+
+def factorization_rhs(n, z):
+    """z^(2n)/(n-1)! int_0^1 t^(n-1) (1-t)^n e^(-z t) dt, which the normalized
+    order-n design equals at every z; the integral is B(n, n+1) 1F1(n; 2n+1; -z),
+    evaluated by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z)
+        return complex(
+            w ** (2 * n) / mpmath.factorial(n - 1)
+            * mpmath.beta(n, n + 1) * mpmath.hyp1f1(n, 2 * n + 1, -w)
+        )
 
 
 # --- root localization ------------------------------------------------------------
@@ -220,7 +235,8 @@ def chebyshev_eigenvalues(sys, N):
     without clustered roots.
     """
     n = sys.n
-    A0, A1 = companion(sys.a, sys.alpha)
+    pair = companion(sys.a, sys.alpha)
+    A0, A1 = pair.A0, pair.A1
     x = np.cos(np.pi * np.arange(N + 1) / N)
     c = np.ones(N + 1)
     c[[0, N]] = 2.0
@@ -264,7 +280,8 @@ def rk4_stagewise(sys, history, t_end, step, dtype=float):
     m = int(math.ceil(tau / step - 1e-12))
     h = tau / m
     hs = dtype(h)
-    A0, A1 = (A.astype(dtype) for A in companion(sys.a, sys.alpha))
+    pair = companion(sys.a, sys.alpha)
+    A0, A1 = pair.A0.astype(dtype), pair.A1.astype(dtype)
     windows = int(math.ceil(t_end / tau - 1e-12))
 
     nodes = history.state_values(np.linspace(-tau, 0.0, m + 1), n).astype(dtype)

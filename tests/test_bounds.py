@@ -20,8 +20,7 @@ from midspec.bounds import (
     matrix_norm,
 )
 from midspec import bounds
-from midspec.quasipoly import mid_coefficients, normalize
-from midspec.spectral import CompanionPair, companion_pair
+from midspec.quasipoly import CompanionPair, companion, mid_coefficients, normalize
 from oracles import feasibility_sup_every_polish, omega_sup_full_grid
 
 
@@ -140,8 +139,13 @@ def test_tissir_never_exceeds_mori(std_pair):
         assert th <= mk + 1e-9
 
 
+def _pair(sys_, s0):
+    nsys = normalize(sys_, s0)
+    return companion(nsys.b, nsys.beta)
+
+
 def _designed_pair(n):
-    return companion_pair(normalize(mid_coefficients(n, -0.4, 2.5), -0.4))
+    return _pair(mid_coefficients(n, -0.4, 2.5), -0.4)
 
 
 def test_tissir_hmamed_closed_forms():
@@ -292,7 +296,7 @@ def test_sweeps_match_pinned_values(sweep_values):
 
 
 def test_order3_frobenius_square_sweep_pinned(example_system):
-    pair = companion_pair(normalize(example_system, -0.5))
+    pair = _pair(example_system, -0.5)
     value = bound_norm_power(pair, Norm.FROBENIUS, 2).value
     assert abs(value - 35.42513344194229) < 1e-9
 
@@ -361,7 +365,7 @@ def test_pruned_sweeps_match_every_polish_oracle(sigma_min, std_pair):
 def test_pruned_designed_sweeps_match_every_polish_oracle(n):
     # every norm at p = 1..3; rho up to n = 3, where the unpruned oracle's
     # stacked eigvals still take seconds, not tens of them
-    pair = companion_pair(normalize(mid_coefficients(n, -0.5, 2.5), -0.5))
+    pair = _pair(mid_coefficients(n, -0.5, 2.5), -0.5)
     keys = [(norm, p) for norm in bounds.SUBMULTIPLICATIVE_NORMS for p in (1, 2, 3)]
     keys += [("rho", 1)] if n <= 3 else []
     got = _sweeps(_pruned_sup, pair, keys, 0.0)
@@ -486,7 +490,7 @@ def test_stacked_h_conjugate_symmetry(n):
 def test_half_grid_matches_full_grid_oracle(grid, std_pair, example_system):
     pairs = {
         "standard": (std_pair, np.array([-0.5, 0.0, 0.013, 0.37, 1.0, 2.5, 6.0, 200.0])),
-        "order 3": (companion_pair(normalize(example_system, -0.5)), np.array([-0.3, 0.0, 0.7, 2.0, 200.0])),
+        "order 3": (_pair(example_system, -0.5), np.array([-0.3, 0.0, 0.7, 2.0, 200.0])),
     }
     for name, (pair, sigmas) in pairs.items():
         for key, power in _SWEEP_KEYS:
@@ -597,7 +601,7 @@ def test_floored_sweep_is_exact_above_the_floor(grid, std_pair, example_system):
     # sigma = -400, H overflows (sup inf, envelope nan, as with the full grid)
     pairs = {
         "standard": (std_pair, np.array([-400.0, -0.3, 0.0, 0.013, 0.4, 1.5])),
-        "order 3": (companion_pair(normalize(example_system, -0.5)), np.array([-0.3, 0.0, 0.7])),
+        "order 3": (_pair(example_system, -0.5), np.array([-0.3, 0.0, 0.7])),
     }
     keys = [("rho", 1)] + [(norm, p) for norm in bounds.SUBMULTIPLICATIVE_NORMS for p in (1, 2)]
     for name, (pair, sigmas) in pairs.items():
@@ -650,7 +654,7 @@ def test_graeffe_coefficients_once_per_rho_sweep(std_pair, example_system, monke
         return graeffe(A0, A1)
 
     monkeypatch.setattr(bounds, "_graeffe_coefficients", spy)
-    order3 = companion_pair(normalize(example_system, -0.5))
+    order3 = _pair(example_system, -0.5)
     for pair in (std_pair, order3):
         calls.clear()
         bound_spectral_radius_curve(pair)

@@ -525,20 +525,29 @@ def test_verify_reaches_a_dominance_verdict_near_overflow(tmp_path):
     assert "internal error" not in r.stderr
 
 
-def test_verify_n2_runs_factorization(tmp_path):
-    r = run_cli("design", "--n", "2", "--s0", "-0.3", "--tau", "1.4", "--out-dir", str(tmp_path))
-    assert r.returncode == 0
-    r = run_cli("verify", str(tmp_path / "system.json"))
-    assert r.returncode == 0, r.stdout
-    assert "PASS factorization-residual" in r.stdout
+_VERIFY_CHECKS = ["multiplicity", "trace-identity", "normalization-universality", "dominance"]
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
-def test_verify_runs_factorization_at_every_order(n, tmp_path, capsys):
+def test_verify_runs_exactly_the_four_checks(n, tmp_path, capsys):
     assert cli.main(["design", "--n", str(n), "--s0", "-0.2", "--tau", "1.5",
                      "--out-dir", str(tmp_path), "--quiet"]) == 0
-    cli.main(["verify", str(tmp_path / "system.json")])
-    assert "PASS factorization-residual: max relative residual" in capsys.readouterr().out
+    system = str(tmp_path / "system.json")
+    assert cli.main(["verify", system]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = [line.split(":")[0] for line in lines]
+    assert labels == [f"PASS {c}" for c in _VERIFY_CHECKS] + ["verdict"]
+    assert cli.main(["verify", system, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in payload["checks"]] == _VERIFY_CHECKS
+
+
+def test_verify_rejects_a_modulus_cut_beyond_1e12(tmp_path, capsys):
+    # s0 = 0 is no root here, and the modulus cut of about 1e13 is too wide to box
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"n": 1, "a": [1e13], "alpha": [0.5], "tau": 1}))
+    assert cli.main(["verify", str(system), "--s0", "0"]) == 2
+    assert "modulus cut" in capsys.readouterr().err
 
 
 def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
@@ -782,7 +791,7 @@ _NO_INTROSPECTION = ["dataclasses", "inspect", "datetime"]
         (["simulate", "{system}", "--history", "y01", "--t-end", "5"],
          ["midspec.spectral", "midspec.bounds", "scipy"]),
         (["bounds", "{system}", "--method", "mori-kokame", "--norm", "one"],
-         ["midspec.sim", "scipy"]),
+         ["midspec.spectral", "midspec.sim", "scipy"]),
     ],
     ids=["design", "spectrum", "verify", "simulate", "bounds"],
 )

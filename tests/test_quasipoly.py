@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 import random
@@ -20,7 +19,6 @@ from midspec.quasipoly import (
     RetardedSystem,
     denormalize,
     dominant_root_from_trace,
-    factorization_residual,
     mid_coefficients,
     mid_deviation,
     mid_disc_certificate,
@@ -28,7 +26,7 @@ from midspec.quasipoly import (
     multiplicity_at,
     normalize,
 )
-from oracles import mid_double_sum, mid_order2
+from oracles import factorization_rhs, mid_double_sum, mid_order2
 
 
 def rel_close(x, y, tol):
@@ -384,25 +382,6 @@ def test_trace_identity_across_grid():
 # --- integral factorization -------------------------------------------------------
 
 
-def test_factorization_residual_pointwise():
-    assert factorization_residual(2, 1.0) < 1e-10
-    assert factorization_residual(2, 2j * math.pi) < 1e-10
-
-
-def test_factorization_residual_matches_fresh_quadrature():
-    # the shared nodes give bit for bit the residual of a rule built per call
-    t, w = quasipoly._unit_gauss_legendre.__wrapped__(64)
-    for n in range(1, 9):
-        q = mid_normalized(n).quasipolynomial()
-        for z in (1.0 + 0j, 2j * math.pi, 0.7 - 0.3j, -1.5 + 2.0j):
-            integral = 0.5 * sum(
-                wj * tj ** (n - 1) * (1.0 - tj) ** n * cmath.exp(-z * tj) for tj, wj in zip(t, w)
-            )
-            rhs = z ** (2 * n) / math.factorial(n - 1) * integral
-            want = abs(q(z) - rhs) / q.magnitude_scale(z)
-            assert factorization_residual(n, z) == want, (n, z)
-
-
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 69, 153])
 def test_gauss_legendre_rule_matches_numpy(m):
     # 69 and 153 are the certificate's rules at n = 4 and n = 8; the end
@@ -422,11 +401,6 @@ def test_gauss_legendre_rule_matches_numpy(m):
             assert abs(w[i] - 2 / ((1 - node**2) * slope**2)) <= 1e-15
 
 
-def test_factorization_zero_rejected():
-    with pytest.raises(ValueError):
-        factorization_residual(2, 0.0)
-
-
 def test_factorization_limit_identity(qhat):
     moment, _ = quad(lambda t: t * (1.0 - t) ** 2, 0.0, 1.0, epsabs=1e-14)
     assert abs(moment - 1.0 / 12.0) < 1e-14
@@ -436,20 +410,18 @@ def test_factorization_limit_identity(qhat):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_factorization_against_hypergeometric_oracle(n):
-    # integral_0^1 t^(n-1) (1-t)^n e^(-z t) dt = B(n, n+1) 1F1(n; 2n+1; -z), so
-    # the mpmath right-hand side must match the direct evaluation of the
-    # design, and the quadrature residual must then be small as well
+    # the mpmath right-hand side must match the direct evaluation of the design
     q = mid_coefficients(n, 0.0, 1.0).quasipolynomial()
     for z in (1.0, 2j * math.pi, 0.7 - 0.3j, -1.5 + 2.0j, 3.0 - 4.0j):
-        with mpmath.workdps(40):
-            w = mpmath.mpc(z)
-            rhs = (
-                w ** (2 * n) / mpmath.factorial(n - 1)
-                * mpmath.beta(n, n + 1) * mpmath.hyp1f1(n, 2 * n + 1, -w)
-            )
-        scale = q.magnitude_scale(z)
-        assert abs(q(z) - complex(rhs)) / scale < 1e-12, (n, z)
-        assert factorization_residual(n, z) < 1e-12, (n, z)
+        assert abs(q(z) - factorization_rhs(n, z)) / q.magnitude_scale(z) < 1e-12, (n, z)
+
+
+def test_modulus_cut_beyond_1e12_raises():
+    # r^1 > w exactly from r = w on, so the cut of (1, [w]) is w
+    assert 1e11 < quasipoly._modulus_growth_radius(1, [1e11]) <= 1e11 + 0.5
+    for w in (1e13, 1e20):
+        with pytest.raises(ValueError, match="modulus cut of the order-1 .* exceeds 1e12"):
+            quasipoly._modulus_growth_radius(1, [w])
 
 
 # --- disc certificate of the exact design ------------------------------------------
@@ -576,7 +548,7 @@ VALUE_TYPES = {
         "winding", 2,
     ),
     "CompanionPair": (
-        lambda: spectral.CompanionPair([[1.0]], [[2.0]]), "A1", np.array([[3.0]]),
+        lambda: quasipoly.CompanionPair([[1.0]], [[2.0]]), "A1", np.array([[3.0]]),
     ),
     "Rectangle": (lambda: spectral.Rectangle(0.0, 1.0, -1.0, 1.0), "im_max", 2.0),
     "Root": (_one_root, "multiplicity", 4),
