@@ -124,18 +124,23 @@ def log_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
     return float(mu) if M.ndim == 2 else mu
 
 
-def matrix_norm(M: np.ndarray, norm: Norm) -> float:
-    M = _check_square(M)
+def matrix_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
+    """The one, two, Frobenius or infinity norm of M.  M may be a stack of
+    shape (..., n, n); the result is then an array of shape (...), and a
+    float for one matrix."""
+    M = _check_square(M, stacked=True)
     norm = Norm(norm)
     if norm == Norm.ONE:
-        return float(np.abs(M).sum(axis=0).max())
-    if norm == Norm.INFINITY:
-        return float(np.abs(M).sum(axis=1).max())
-    if norm == Norm.FROBENIUS:
-        return float(np.sqrt((np.abs(M) ** 2).sum()))
-    if norm == Norm.TWO:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    raise ValueError(f"unsupported matrix norm: {norm.value}")
+        value = np.abs(M).sum(axis=-2).max(axis=-1)
+    elif norm == Norm.INFINITY:
+        value = np.abs(M).sum(axis=-1).max(axis=-1)
+    elif norm == Norm.FROBENIUS:
+        value = np.sqrt((np.abs(M) ** 2).sum(axis=(-2, -1)))
+    elif norm == Norm.TWO:
+        value = np.linalg.svd(M, compute_uv=False)[..., 0]
+    else:
+        raise ValueError(f"unsupported matrix norm: {norm.value}")
+    return float(value) if M.ndim == 2 else value
 
 
 def bound_mori_kokame(pair: CompanionPair, norm: Norm) -> BoundReport:
@@ -405,11 +410,13 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=Non
         return hc, _rho_cell_bound(graeffe, r, cells)
     rk = r[:, None] ** np.arange(power + 1)
     mods = np.abs(coeffs)
-    lip = _monotone_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), norm)
+    # the Frobenius norm bounds the two-norm of every matrix with these moduli
+    bound_norm = Norm.FROBENIUS if norm == Norm.TWO else norm
+    lip = matrix_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), bound_norm)
     # rounding in H is relative to sum_k r^k |S_k|, whose norm bounds every
     # ||E||, and absolute where squared moduli underflow: each |E_ij| may
     # then lose up to 2 sqrt(2 tiny)
-    slack = _CELL_SLACK * _monotone_norm(np.tensordot(rk, mods, 1), norm)
+    slack = _CELL_SLACK * matrix_norm(np.tensordot(rk, mods, 1), bound_norm)
     slack += 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
     return hc, (hc**power + cells.delta * lip[:, None] + slack[:, None]) ** (1.0 / power)
 
@@ -528,17 +535,6 @@ def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float,
     keep = (u + _CELL_SLACK * np.abs(u) > floor) | (h_up >= hc.max(axis=1, keepdims=True))
     keep |= ~np.isfinite(h_up).all(axis=1, keepdims=True)  # overflow: no bound, keep the row
     return keep
-
-
-def _monotone_norm(M: np.ndarray, norm) -> np.ndarray:
-    """Norms of a stack of entrywise nonnegative matrices, the Frobenius norm
-    standing in for the two-norm (it bounds the two-norm of every matrix with
-    these moduli)."""
-    if norm == Norm.ONE:
-        return M.sum(axis=-2).max(axis=-1)
-    if norm == Norm.INFINITY:
-        return M.sum(axis=-1).max(axis=-1)
-    return np.sqrt((M * M).sum(axis=(-2, -1)))
 
 
 def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.ndarray, s2: np.ndarray):

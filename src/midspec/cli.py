@@ -335,13 +335,23 @@ def _resolve_histories(spec: str):
         path = Path(spec.split(":", 1)[1])
         if not path.exists():
             raise ValueError(f"history file not found: {path}")
-        rows = [r.split(",") for r in path.read_text().strip().splitlines()]
+        text = path.read_text()
+        first = text[: len(text) - len(text.lstrip())].count("\n") + 1  # line of rows[0]
+        rows = [r.split(",") for r in text.strip().splitlines()]
         if rows and not _is_float(rows[0][0]):
-            rows = rows[1:]  # header
-        if any(len(r) < 2 for r in rows):
-            raise ValueError(f"history file {path} needs two columns, time and value")
-        times = [float(r[0]) for r in rows]
-        values = [float(r[1]) for r in rows]
+            rows, first = rows[1:], first + 1  # header
+        times, values = [], []
+        for line, r in enumerate(rows, first):
+            try:
+                if len(r) < 2:
+                    raise ValueError("needs two columns, time and value")
+                t, v = float(r[0]), float(r[1])
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise ValueError(f"time and value must be finite, got {t}, {v}")
+            except ValueError as exc:
+                raise ValueError(f"history file {path}, line {line}: {exc}") from None
+            times.append(t)
+            values.append(v)
         return [("custom", sim.sampled(times, values))]
     raise ValueError(f"unknown history kind {spec!r}")
 

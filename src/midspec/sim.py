@@ -104,6 +104,8 @@ class HistoryFunction(_Record):
             v = np.asarray(self.values, dtype=float)
             if t.ndim != 1 or t.shape != v.shape or t.size < 4:
                 raise ValueError("sampled history needs matching 1-d arrays, >= 4 points")
+            if not (np.isfinite(t).all() and np.isfinite(v).all()):
+                raise ValueError("sampled history needs finite times and values")
             if not np.all(np.diff(t) > 0):
                 raise ValueError("sampled history times must be strictly increasing")
             t.setflags(write=False)
@@ -115,23 +117,13 @@ class HistoryFunction(_Record):
     def derivative_values(self, t, order: int):
         """order-th derivative of the history at times t (array-valued)."""
         t = np.asarray(t, dtype=float)
-        p = self.parameters
-        if self.kind == HistoryKind.CONSTANT:
-            return np.full_like(t, p[0]) if order == 0 else np.zeros_like(t)
-        if self.kind == HistoryKind.LINEAR:
-            if order == 0:
-                return p[0] * t + p[1]
-            return np.full_like(t, p[0]) if order == 1 else np.zeros_like(t)
-        if self.kind == HistoryKind.QUADRATIC:
-            c2, c1, c0 = p
-            if order == 0:
-                return c2 * t * t + c1 * t + c0
-            if order == 1:
-                return 2.0 * c2 * t + c1
-            return np.full_like(t, 2.0 * c2) if order == 2 else np.zeros_like(t)
         if self.kind == HistoryKind.SINUSOID:
-            amp, om, ph = p
+            amp, om, ph = self.parameters
             return amp * om**order * np.sin(om * t + ph + order * math.pi / 2.0)
+        if self.kind != HistoryKind.SAMPLED:
+            # constant, linear and quadratic parameters are polynomial
+            # coefficients, highest power first
+            return np.polyval(np.polyder(self.parameters, order), t)
         spline = getattr(self, "_spline")
         return spline(t, nu=order) if order <= 3 else np.zeros_like(t)
 

@@ -7,7 +7,8 @@ increments are small, so the summed increments telescope to the exact
 continuous argument change.  Rectangles are quadrisected until each leaf
 carries a single root location, which is then polished by a Newton
 iteration on q/q' (quadratic also at multiple roots) and assigned its
-multiplicity by re-counting on shrinking squares around it.
+multiplicity m by re-counting on shrinking squares around it; the same
+iteration on q^(m-1), where the root is simple, gives the final polish.
 
 Dominance of the MID design itself is not searched for: it is the disc
 certificate of quasipoly.mid_disc_certificate.  numpy is imported inside the
@@ -63,6 +64,8 @@ _PHASE_STEP = 0.8
 _RESIDUAL_REL = 1e-8
 # box diameter below which quadrisection stops
 _DIAMETER_FLOOR = 1e-9
+# most initial samples of one contour; a taller region is refused unsampled
+_MAX_CONTOUR_SAMPLES = 1_000_000
 
 
 class Rectangle(_Record):
@@ -202,7 +205,9 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
     _PHASE_STEP and (ii) the local phase-speed budget |dz| |q'/q| is small.
     The second criterion matters: |d arg q / dz| <= |q'/q|, so it rules out
     aliasing by full turns near high-multiplicity roots that the
-    principal-branch increments alone cannot see.
+    principal-branch increments alone cannot see.  A rectangle whose walk
+    would start with more than _MAX_CONTOUR_SAMPLES samples is refused with
+    ValueError before any is allocated.
     """
     import numpy as np
 
@@ -217,11 +222,15 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
         return v / av, np.abs(qp.eval_array(z)) / av
 
     corners = rect.corners()
-    edges = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        budget = delays_max * abs((b - a).imag) + math.pi * max(q.degree, 1)
-        edges.append(a + np.linspace(0.0, 1.0, 17 + int(budget / 1.2))[:-1] * (b - a))
-    z = np.concatenate(edges)
+    ends = list(zip(corners, corners[1:] + corners[:1]))
+    # initial samples per edge, from the phase the delays and the degree turn
+    counts = [17 + (delays_max * abs((b - a).imag) + math.pi * max(q.degree, 1)) / 1.2
+              for a, b in ends]
+    if not sum(counts) <= _MAX_CONTOUR_SAMPLES:
+        raise ValueError(f"the contour of {rect} needs about {sum(counts):.3g} samples, "
+                         f"more than {_MAX_CONTOUR_SAMPLES:.0e}: the region is too tall")
+    z = np.concatenate([a + np.linspace(0.0, 1.0, int(k))[:-1] * (b - a)
+                        for (a, b), k in zip(ends, counts)])
     u, g = probe(z)
     # close the walk: the last sample is the first corner again
     z, u, g = np.append(z, z[0]), np.append(u, u[0]), np.append(g, g[0])
@@ -252,7 +261,8 @@ def _inflated_count(q: Quasipolynomial, rect: Rectangle) -> tuple[Rectangle, int
     The inflation starts at 1e-6 and grows tenfold per retry, at most 5
     times, because around a root of multiplicity m the evaluation-cancellation
     floor is only cleared at distance ~(1e-12)^(1/m), far beyond 1e-6 for m >= 2.
-    A rect on which q overflows is rejected with ValueError.
+    A rect on which q overflows, or too tall to sample, is rejected with
+    ValueError.
     """
     # e^(-lam Re z), lam >= 0, peaks on the left edge, and |z| at its corners
     try:
@@ -335,31 +345,6 @@ def _refine_newton(
         if stale > 12:
             break
     return best, best_res <= _RESIDUAL_REL
-
-
-def _polish_multiple(derivs: list[Quasipolynomial], z: complex, mult: int, radius: float) -> complex:
-    """Final polish of a root of known multiplicity.
-
-    A root of multiplicity m is a simple zero of the (m-1)-th derivative,
-    where plain Newton is quadratic and free of the epsilon^(1/m) accuracy
-    ceiling that limits refinement through q itself.
-    """
-    while len(derivs) < mult + 1:
-        derivs.append(derivs[-1].derivative())
-    f, fp = derivs[mult - 1], derivs[mult]
-    zk = complex(z)
-    for _ in range(60):
-        v = f(zk)
-        d = fp(zk)
-        if d == 0:
-            break
-        step = v / d
-        zk = zk - step
-        if abs(zk - z) > radius:
-            return z
-        if abs(step) <= 5e-16 * (1.0 + abs(zk)):
-            break
-    return zk if abs(f(zk)) <= abs(f(z)) else z
 
 
 def _stable_count_around(q: Quasipolynomial, z: complex, h0: float) -> int:
@@ -459,13 +444,21 @@ def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
 
     def finish(z: complex, mult: int) -> Root:
         if mult > 1:
-            z = _polish_multiple(derivs, z, mult, radius=0.1 * (1.0 + abs(z)))
+            # a root of multiplicity m is a simple zero of q^(m-1), where the
+            # iteration is free of the eps^(1/m) accuracy ceiling of q itself;
+            # its result is kept if it stays near z and does not raise |q^(m-1)|
+            while len(derivs) < mult + 2:
+                derivs.append(derivs[-1].derivative())
+            f = derivs[mult - 1]
+            h = 0.1 * (1.0 + abs(z))
+            square = Rectangle(z.real - h, z.real + h, z.imag - h, z.imag + h)
+            zp, _ = _refine_newton(f, derivs[mult], derivs[mult + 1], z, square)
+            if square.contains(zp) and abs(f(zp)) <= abs(f(z)):
+                z = zp
         return Root(z, mult, abs(q(z)))
 
     while stack:
         box, m = stack.pop()
-        if m == 0:
-            continue
         z0, converged = _refine_newton(q, qp, qpp, box.center, box)
         # strict containment: boxes tile the search region with root-free
         # boundaries, so each box's roots lie strictly inside it and a

@@ -104,6 +104,23 @@ def test_log_norm_stack_matches_loop(n):
         assert np.array_equal(log_norm(stack.reshape(8, 90, n, n), norm), got.reshape(8, 90))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_norm_stack_matches_numpy(n):
+    # a stack (..., n, n) gives each matrix's norm, numpy's per-matrix norm
+    # as the oracle; one matrix still gives a float
+    rng = np.random.default_rng(40 + n)
+    stack = rng.normal(size=(6, 5, n, n)) + 1j * rng.normal(size=(6, 5, n, n))
+    for norm, ord_ in ((Norm.ONE, 1), (Norm.TWO, 2), (Norm.FROBENIUS, "fro"),
+                       (Norm.INFINITY, np.inf)):
+        want = np.array([[np.linalg.norm(M, ord_) for M in row] for row in stack])
+        got = matrix_norm(stack, norm)
+        assert got.shape == (6, 5)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), norm
+        single = matrix_norm(stack[2, 3], norm)
+        assert type(single) is float
+        assert abs(single - want[2, 3]) <= 1e-12 * want[2, 3], norm
+
+
 def test_log_norm_rejects_non_square():
     for M in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
         with pytest.raises(ValueError):

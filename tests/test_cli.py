@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -621,7 +622,8 @@ def test_verify_takes_no_out_dir(example_dir, tmp_path, capsys):
     "case", ["one-column-history", "list-system", "scalar-coefficients", "design-s0-overflow",
              "verify-s0-overflow", "verify-s0-nan", "design-s0-nan", "design-s0-inf",
              "design-tau-inf", "history-nan", "history-inf", "spectrum-s0-nan",
-             "spectrum-s0-inf", "spectrum-re-max-nan"],
+             "spectrum-s0-inf", "spectrum-re-max-nan", "history-file-text", "history-file-nan",
+             "history-file-inf"],
 )
 def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     system = str(example_dir / "system.json")
@@ -651,6 +653,13 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         argv = ["spectrum", system, f"--s0={case[-3:]}"]
     elif case == "spectrum-re-max-nan":
         argv = ["spectrum", system, "--re-max=nan"]
+    elif case.startswith("history-file-"):
+        # a header and 26 rows; the bad cell is on line 8
+        rows = [f"{-0.1 * k:.1f},1.0" for k in range(25, -1, -1)]
+        rows[6] = {"text": "-1.9,abc", "nan": "-1.9,nan", "inf": "inf,1.0"}[case[13:]]
+        hist = tmp_path / "hist.csv"
+        hist.write_text("t,y\n" + "\n".join(rows) + "\n")
+        argv = ["simulate", system, "--history", f"file:{hist}", "--t-end", "5"]
     else:
         argv = ["design", "--n", "3", "--s0", "-0.5", "--tau=inf"]
     if argv[0] != "verify":
@@ -668,6 +677,46 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         assert "rectangle bounds must be finite, got (" in err and "nan" in err, err
     elif case == "design-tau-inf":
         assert "delay tau must be finite, got inf" in err, err
+    elif case.startswith("history-file-"):
+        cause = {
+            "text": "could not convert string to float: 'abc'",
+            "nan": "time and value must be finite, got -1.9, nan",
+            "inf": "time and value must be finite, got inf, 1.0",
+        }[case[13:]]
+        assert err == f"error: history file {tmp_path / 'hist.csv'}, line 8: {cause}\n", err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_contour_too_long_exit_2_unsampled(command, example_dir, tmp_path, capsys):
+    # a contour of more than a million initial samples is refused before any
+    # is allocated: spectrum on a region 4e5 tall at tau = 2.5, and verify on
+    # a non-MID system whose modulus cut makes the dominance box 8e5 tall
+    import midspec.spectral  # noqa: F401  (imported before the trace starts)
+
+    if command == "spectrum":
+        argv = ["spectrum", str(example_dir / "system.json"), "--im-min=-2e5", "--im-max=2e5",
+                "--out-dir", str(tmp_path / "out")]
+        count = "1.67e+06"
+    else:
+        system = tmp_path / "wide.json"
+        system.write_text(json.dumps({"n": 1, "a": [4e5], "alpha": [1.0], "tau": 1.0}))
+        argv = ["verify", str(system), "--s0", "0"]
+        count = "1.33e+06"
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the contour of Rectangle("), captured.err
+    assert captured.err.endswith(
+        f" needs about {count} samples, more than 1e+06: the region is too tall\n"
+    ), captured.err
+    assert peak < 4_000_000, peak  # one array of the samples would take 16 MB
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_s0_overflow_exit_2(example_dir, tmp_path):

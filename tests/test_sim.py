@@ -78,6 +78,15 @@ def test_sampled_history_validation():
         sampled([-1.0, 0.0], [1.0, 2.0])  # too short
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["times", "values"])
+def test_sampled_history_rejects_non_finite(bad, column):
+    data = {"times": [-3.0, -2.0, -1.0, 0.0], "values": [1.0, 2.0, 3.0, 4.0]}
+    data[column][1] = bad
+    with pytest.raises(ValueError, match="^sampled history needs finite times and values$"):
+        sampled(data["times"], data["values"])
+
+
 # --- simulate ----------------------------------------------------------------------
 
 

@@ -189,7 +189,9 @@ def test_find_roots_eval_budget(example_system, monkeypatch):
 
 
 def test_find_agrees_with_derivative_multiplicity():
-    for n, s0, tau in [(1, -0.3, 0.8), (2, 0.2, 1.5), (3, -0.5, 2.5)]:
+    designs = [(1, -0.3, 0.8), (2, 0.2, 1.5), (3, -0.5, 2.5), (4, -0.5, 2.5), (4, 0.3, 2.5),
+               (5, -0.5, 2.5), (5, -1.0, 2.5)]
+    for n, s0, tau in designs:
         sys_ = mid_coefficients(n, s0, tau)
         q = sys_.quasipolynomial()
         rect = Rectangle(s0 - 0.6, s0 + 0.6, -0.7, 0.7)
@@ -197,6 +199,8 @@ def test_find_agrees_with_derivative_multiplicity():
         assert len(roots) == 1
         assert roots[0].multiplicity == 2 * n
         assert multiplicity_at(q, roots[0].location) == 2 * n
+        # the polish on q^(2n-1) locates the designed root to rounding
+        assert abs(roots[0].location - s0) <= 1e-12 * max(1.0, abs(s0)), (n, s0, tau)
 
 
 def test_residuals_below_threshold(example_system):
