@@ -216,9 +216,11 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 #     H(phi)^p <= H(phi_c)^p + |phi - phi_c| ||L||,  L = sum_k k r^k |S_k|,
 # entrywise, the norms being monotone in the entry moduli (the two-norm
 # through ||.||_F).  A cell is evaluated in full only if its bound lets it
-# yield a value above the floor, or reach the row's largest centre value;
-# the rest of the row cannot pass the floor, so every sup above the floor,
-# and every envelope, is exactly that of the full grid.
+# yield a value above the floor or, where the caller reads the envelope,
+# hold the row's largest H with a W that reaches the floor; the rest of the
+# row cannot pass the floor.  So every sup above the floor, and every
+# envelope that reaches it, is exactly that of the full grid, and every
+# other envelope stays below the floor, which is all the tail cut asks.
 #
 # The spectral radius goes through the same pruning with a Graeffe-Cauchy
 # bound.  q(w) = det(wI - (A0 + c A1)^2), one Graeffe step of the
@@ -519,9 +521,9 @@ def _cauchy_radius(m: np.ndarray) -> np.ndarray:
 
 
 def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float,
-               graeffe=None) -> np.ndarray:
-    """Which cells (sigmas x cells) could raise their row above floor, or
-    hold the row's largest H."""
+               graeffe=None, envelope: bool = True) -> np.ndarray:
+    """Which cells (sigmas x cells) could raise their row above floor or,
+    with envelope, hold the row's largest H with a W that reaches floor."""
     two_pi = 2.0 * math.pi
     hc, h_up = _cell_bounds(coeffs, norm, s, cells, graeffe)
     w_up = np.sqrt(np.maximum(h_up * h_up - (s * s)[:, None], 0.0))
@@ -532,7 +534,9 @@ def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float,
         return np.minimum(w_up, hi + two_pi * np.floor((w_up - lo) / two_pi))
 
     u = np.maximum(top(*cells.span), np.where(cells.mirrors, top(*cells.mirror_span), -math.inf))
-    keep = (u + _CELL_SLACK * np.abs(u) > floor) | (h_up >= hc.max(axis=1, keepdims=True))
+    keep = u + _CELL_SLACK * np.abs(u) > floor
+    if envelope:
+        keep |= (h_up >= hc.max(axis=1, keepdims=True)) & (w_up + _CELL_SLACK * w_up >= floor)
     keep |= ~np.isfinite(h_up).all(axis=1, keepdims=True)  # overflow: no bound, keep the row
     return keep
 
@@ -574,7 +578,7 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
 
 
 def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf,
-               graeffe=None):
+               graeffe=None, envelope: bool = True):
     """(sup, envelope, points) of |Im z| on each line Re z = sigma, sigma
     in sigmas; points counts the H evaluations made.  graeffe is the rho
     sweep's _sweep_graeffe, if the caller holds it.
@@ -589,18 +593,24 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     The half grid is cut into cells (_HalfGridCells), the unit of work.
     With a finite floor, H is first evaluated at the cell centres only, and
     a cell is evaluated in full only if _cell_keep finds that it could yield
-    a value above floor, or that its bound on H reaches the row's largest
-    centre value (so the envelope and reachability are exact).  For every
-    norm and for rho (the Graeffe-Cauchy bound) the bound holds on the cell.
+    a value above floor or, with envelope, that its bound on H reaches the
+    row's largest centre value with a W that reaches floor.  For every norm
+    and for rho (the Graeffe-Cauchy bound) the bound holds on the cell.
     A row whose sup exceeds floor keeps its grid argmax, which is then also
     the first argmax of the kept points; a row whose argmax is pruned ends at
     or below floor, since a bracket in class k that is not the argmax
     polishes to at most phi_(i+1) + 2 pi k, no more than the argmax's grid
-    value.  So every sup above floor, and every envelope, is that of the
-    full grid.
+    value.  So every sup above floor is that of the full grid, and every
+    other sup stays at or below floor (-inf for a row with no cell kept).
+    With envelope, the cell holding a row's largest H is kept whenever that
+    H gives a W >= floor, so every envelope >= floor is that of the full
+    grid and every other envelope stays below floor.  Without it the
+    envelope is only a lower bound, for a caller that does not read it.
 
     Only rows whose sup could exceed floor are polished: a row whose bracket
     ends at or below floor keeps its grid value, which is then <= floor too.
+    The bisection stops once a step moves no bracket, since every later step
+    would repeat it.
     """
     if coeffs.imag.any():
         raise ValueError("feasibility sweeps need a real pair (A0, A1)")
@@ -621,7 +631,7 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         blk = slice(start, start + rows)
         s = sigmas[blk]
         if prune:
-            keep = _cell_keep(coeffs, norm, s, cells, floor, graeffe)
+            keep = _cell_keep(coeffs, norm, s, cells, floor, graeffe, envelope)
             points += keep.size
         else:
             keep = np.ones((s.size, cells.first.size), dtype=bool)
@@ -642,8 +652,11 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
             )
             lo = hi
         # per row over its kept cells and both sides: the first argmax in
-        # full-grid order, and a nan envelope if H overflowed anywhere
+        # full-grid order, and a nan envelope if H overflowed anywhere; a
+        # row with no cell kept stays at -inf
         counts = keep.sum(axis=1)
+        rowed = counts > 0
+        counts = counts[rowed]
         heads = np.cumsum(counts) - counts
         w2 = np.maximum.reduceat(w2, heads)
         val, k, at = val.ravel(), k.ravel(), at.ravel()
@@ -654,10 +667,11 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         winner = ties & (at == np.repeat(i, 2 * counts))
         kstar = np.maximum.reduceat(np.where(winner, k, -math.inf), 2 * heads)
         reach = ~(w2 < 0.0)
-        sup[blk] = np.where(reach, best, -math.inf)
-        env[blk] = np.where(reach, np.sqrt(np.maximum(w2, 0.0)), -math.inf)
-        offset[blk] = two_pi * kstar
-        arg[blk] = i
+        rows_at = np.arange(start, start + s.size)[rowed]
+        sup[rows_at] = np.where(reach, best, -math.inf)
+        env[rows_at] = np.where(reach, np.sqrt(np.maximum(w2, 0.0)), -math.inf)
+        offset[rows_at] = two_pi * kstar
+        arg[rows_at] = i
 
     # polish the crossings together; the polished sup never passes its
     # bracket's right end, so rows that end at or below floor are skipped
@@ -669,11 +683,14 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (a + b)
             h = _stacked_h(coeffs, scale * np.exp(-1j * (mid % two_pi)), norm)
+            points += sel.size
             up = np.sqrt(np.maximum(h * h - s * s, 0.0)) - (mid + k2pi) >= 0.0
-            a = np.where(up, mid, a)
-            b = np.where(up, b, mid)
+            a_next = np.where(up, mid, a)
+            b_next = np.where(up, b, mid)
+            if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+                break  # a fixed point: every later step would repeat this one
+            a, b = a_next, b_next
         sup[sel] = np.maximum(sup[sel], a + k2pi)
-    points += idx.size * _BISECTION_STEPS
     return sup, env, points
 
 
@@ -751,7 +768,8 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
         sigmas = sigmas[sigmas <= sigma_cap]
         if not sigmas.size:
             break
-        # a row at or below the running maximum cannot pass `v > best`
+        # a row at or below the running maximum cannot pass `v > best`, and
+        # `env < best` holds for an envelope below it however far below
         sups, envs, evals = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best, graeffe)
         points += evals
         for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
@@ -769,7 +787,8 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
     hi = best_sigma + _COARSE_SIGMA_STEP
     fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
-    sups, _, evals = _omega_sup(coeffs, norm, fine, _FINE_GRID, best, graeffe)
+    # no tail cut here, so no envelope is read
+    sups, _, evals = _omega_sup(coeffs, norm, fine, _FINE_GRID, best, graeffe, envelope=False)
     return float(max(best, sups.max())), points + evals
 
 

@@ -338,8 +338,8 @@ def _resolve_histories(spec: str):
         text = path.read_text()
         first = text[: len(text) - len(text.lstrip())].count("\n") + 1  # line of rows[0]
         rows = [r.split(",") for r in text.strip().splitlines()]
-        if rows and not _is_float(rows[0][0]):
-            rows, first = rows[1:], first + 1  # header
+        if rows and not any(_is_float(cell) for cell in rows[0]):
+            rows, first = rows[1:], first + 1  # a header: no cell is a number
         times, values = [], []
         for line, r in enumerate(rows, first):
             try:

@@ -519,17 +519,30 @@ def _modulus_growth_radius(n: int, weights: list[float]) -> float:
     Any root z with the corresponding coefficient weights satisfies
     |z|^n <= sum weights[k] |z|^k, so no root has modulus beyond R.  The gap
     polynomial has a single sign change, located by doubling and bisection.
-    Weights so large that R would pass 1e12 raise ValueError: a contour
-    around a box that wide would take about R samples.
+
+    The doubling raises ValueError once R passes 1e12, or sooner where r^n
+    leaves the float range first (possible from order 26 on).  These stops
+    only keep the search finite: how wide a box may be is decided by
+    spectral._winding, which refuses a contour of more than a million
+    samples, as a box around any cut above about 3e5 needs.
     """
     def gap(r: float) -> float:
         return r**n - sum(w * r**k for k, w in enumerate(weights))
 
     hi = 1.0
-    while gap(hi) <= 0.0:
-        if hi > 1e12:
-            raise ValueError(f"the modulus cut of the order-{n} coefficients exceeds 1e12")
-        hi *= 2.0
+    try:
+        while gap(hi) <= 0.0:
+            if hi > 1e12:
+                raise ValueError(
+                    f"the modulus cut of the order-{n} coefficients exceeds 1e12, "
+                    f"where its doubling search stops"
+                )
+            hi *= 2.0
+    except OverflowError:
+        raise ValueError(
+            f"the modulus cut of the order-{n} coefficients exceeds {hi / 2.0:.3g}, "
+            f"where r^{n} leaves the float range"
+        ) from None
     lo = hi / 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

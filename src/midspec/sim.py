@@ -421,6 +421,31 @@ def step_scale(sys: RetardedSystem, step: float) -> float:
     return step * float(np.abs(np.linalg.eigvals(A0)).max())
 
 
+def _delay_envelope(traj: Trajectory, t_start: float) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax time, max |y|) of every delay interval [k tau, (k+1) tau]
+    inside [t_start, end], each interval's nodes found by binary search on
+    the ascending time grid."""
+    tau = traj.tau
+    times, y = traj.times, traj.y
+    t_last = times[-1]
+    env_t, env_v = [], []
+    k = max(0, int(math.floor(t_start / tau - 1e-9)))
+    while (k + 1) * tau <= t_last + 1e-9:
+        lo, hi = k * tau, (k + 1) * tau
+        k += 1
+        if lo < t_start - 1e-9:
+            continue
+        first = int(np.searchsorted(times, lo - 1e-12, side="left"))
+        end = int(np.searchsorted(times, hi + 1e-12, side="right"))
+        if end <= first:
+            continue
+        seg = np.abs(y[first:end])
+        i = int(np.argmax(seg))
+        env_t.append(float(times[first + i]))
+        env_v.append(float(seg[i]))
+    return np.array(env_t), np.array(env_v)
+
+
 def decay_rate(traj: Trajectory, t_start: float) -> float:
     """Exponential rate of the trajectory tail from its per-delay-interval
     envelope.
@@ -438,26 +463,9 @@ def decay_rate(traj: Trajectory, t_start: float) -> float:
     """
     if not math.isfinite(t_start):
         raise ValueError(f"t_start must be finite, got {t_start}")
-    tau = traj.tau
-    t_last = traj.times[-1]
-    env_t, env_v = [], []
-    k = max(0, int(math.floor(t_start / tau - 1e-9)))
-    while (k + 1) * tau <= t_last + 1e-9:
-        lo, hi = k * tau, (k + 1) * tau
-        k += 1
-        if lo < t_start - 1e-9:
-            continue
-        mask = (traj.times >= lo - 1e-12) & (traj.times <= hi + 1e-12)
-        if not mask.any():
-            continue
-        seg = np.abs(traj.y[mask])
-        i = int(np.argmax(seg))
-        env_t.append(float(traj.times[mask][i]))
-        env_v.append(float(seg[i]))
-    if not env_v:
-        raise ValueError(f"no delay interval lies in [{t_start:g}, {t_last:g}]")
-    env_t = np.array(env_t)
-    env_v = np.array(env_v)
+    env_t, env_v = _delay_envelope(traj, t_start)
+    if not env_v.size:
+        raise ValueError(f"no delay interval lies in [{t_start:g}, {traj.times[-1]:g}]")
     if np.all(env_v == 0.0):
         raise ValueError("trajectory is identically zero beyond t_start")
     pos = env_v > 0.0

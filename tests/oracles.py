@@ -18,7 +18,8 @@ code with the argument-principle path it validates.
 
 The integrator oracles are a stagewise RK4 loop (four stages per step, each
 a pair of matvecs; in float, or in np.longdouble as an extended-precision
-reference) and a delay-equation residual from finite differences.
+reference) and a delay-equation residual from finite differences; the
+decay-rate envelope is taken again with a full-length mask per delay window.
 
 The feasibility-sweep oracles evaluate H on the whole phi grid, without the
 conjugate symmetry, and bracket the active crossing by the last downward
@@ -330,6 +331,27 @@ def delay_residual(sys, times, states):
     )
     scale = np.maximum(np.abs(terms).sum(axis=1), 1e-300)
     return float(np.max(np.abs(terms.sum(axis=1)) / scale))
+
+
+def delay_envelope_masked(traj, t_start):
+    """(argmax time, max |y|) of every delay interval inside [t_start, end],
+    each interval's nodes selected by two full-length comparisons."""
+    tau, t_last = traj.tau, traj.times[-1]
+    env_t, env_v = [], []
+    k = max(0, int(math.floor(t_start / tau - 1e-9)))
+    while (k + 1) * tau <= t_last + 1e-9:
+        lo, hi = k * tau, (k + 1) * tau
+        k += 1
+        if lo < t_start - 1e-9:
+            continue
+        mask = (traj.times >= lo - 1e-12) & (traj.times <= hi + 1e-12)
+        if not mask.any():
+            continue
+        seg = np.abs(traj.y[mask])
+        i = int(np.argmax(seg))
+        env_t.append(float(traj.times[mask][i]))
+        env_v.append(float(seg[i]))
+    return np.array(env_t), np.array(env_v)
 
 
 # --- feasibility sweeps -------------------------------------------------------------

@@ -407,7 +407,8 @@ def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_omega_sup_floor_contract(data):
-    # above floor the sup is the fully polished one; at or below it, it stays there
+    # above floor the sup is the fully polished one; at or below it, it stays
+    # there, with the envelope kept (the coarse scan) and without (the fine rescan)
     n = data.draw(st.sampled_from([1, 2, 3]))
     entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0))
     pair = CompanionPair(data.draw(entries), data.draw(entries))
@@ -417,11 +418,28 @@ def test_omega_sup_floor_contract(data):
     sup, env, _ = bounds._omega_sup(coeffs, key, sigmas, 512)
     finite = sup[sup > -math.inf].tolist()
     floor = data.draw(st.one_of(st.floats(-1.0, 40.0), st.sampled_from(finite or [-math.inf])))
-    got, got_env, _ = bounds._omega_sup(coeffs, key, sigmas, 512, floor)
+    got, got_env, points = bounds._omega_sup(coeffs, key, sigmas, 512, floor)
+    _assert_floor_contract(sup, env, got, got_env, floor)
+    # the fine rescan reads no envelope: the same sup contract, and no more
+    # points than the sweep that keeps the envelope
+    got, _, bare_points = bounds._omega_sup(coeffs, key, sigmas, 512, floor, envelope=False)
+    _assert_floor_contract(sup, env, got, None, floor)
+    assert bare_points <= points
+
+
+def _assert_floor_contract(sup, env, got, got_env, floor, what=""):
+    # a floored sweep's sup is the unfloored one above the floor and stays at
+    # or below it elsewhere; its envelope is the unfloored one where that
+    # reaches the floor (or is nan, H having overflowed) and below it
+    # elsewhere, unless got_env is None (a sweep that keeps no envelope)
     above = sup > floor
-    np.testing.assert_array_equal(got[above], sup[above])
-    assert (got[~above] <= floor).all()
-    np.testing.assert_array_equal(got_env, env)
+    np.testing.assert_array_equal(got[above], sup[above], what)
+    assert (got[~above] <= floor).all(), what
+    if got_env is None:
+        return
+    exact = ~(env < floor)
+    np.testing.assert_array_equal(got_env[exact], env[exact], what)
+    assert (got_env[~exact] < floor).all(), what
 
 
 def test_norm_sums_do_not_depend_on_the_stack():
@@ -628,19 +646,20 @@ def test_floored_sweep_is_exact_above_the_floor(grid, std_pair, example_system):
                 sup, env, _ = bounds._omega_sup(coeffs, key, sigmas, grid)
             finite = sup[np.isfinite(sup)]
             for floor in (finite.min(), finite.mean(), np.nextafter(finite.max(), -math.inf)):
+                what = f"{name} {key} p={power} floor={floor}"
                 with np.errstate(over="ignore", invalid="ignore"):
                     got, got_env, _ = bounds._omega_sup(coeffs, key, sigmas, grid, floor)
-                what = f"{name} {key} p={power} floor={floor}"
-                above = sup > floor
-                np.testing.assert_array_equal(got[above], sup[above], what)
-                assert (got[~above] <= floor).all(), what
-                np.testing.assert_array_equal(got_env, env, what)
+                    bare, _, _ = bounds._omega_sup(coeffs, key, sigmas, grid, floor, envelope=False)
+                _assert_floor_contract(sup, env, got, got_env, floor, what)
+                _assert_floor_contract(sup, env, bare, None, floor, what + " without envelope")
 
 
 def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
     # every cell evaluated in full, the seven sweeps took 6,760,051 kernel
-    # points; pruned norm cells brought them to 1,886,002, and pruned rho
-    # cells (934,543 -> 156,591) to 1,108,050
+    # points; pruned norm cells brought them to 1,886,002, pruned rho cells
+    # (934,543 -> 156,591) to 1,108,050, and keeping cells for the envelope
+    # only where it reaches the floor (none in the fine rescan), with the
+    # polish stopped at its fixed point, to 354,082 (rho 43,884)
     points = []
     kernel = bounds._stacked_h
 
@@ -655,8 +674,8 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
         points.clear()
         counted[key, power] = bounds._feasibility_sup(A0, A1, key, power, 0.0)[1]
         assert counted[key, power] == sum(points), key
-    assert counted["rho", 1] <= 200_000
-    assert sum(counted.values()) <= 1_450_000
+    assert counted["rho", 1] <= 50_000
+    assert sum(counted.values()) <= 380_000
 
 
 def test_graeffe_coefficients_once_per_rho_sweep(std_pair, example_system, monkeypatch):

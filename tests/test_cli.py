@@ -389,6 +389,22 @@ def test_simulate_file_history_header_detection(fmt, header, example_dir, tmp_pa
     ]) == 0
 
 
+@pytest.mark.parametrize("head", ["-2.6x,1.0", "t,0.0"], ids=["mistyped-time", "half-header"])
+def test_simulate_file_history_first_row_with_a_number_is_data(head, example_dir, tmp_path, capsys):
+    # a first row is a header only when none of its cells is a number, so a
+    # mistyped time on line 1 is an error, not a header silently dropped
+    hist = tmp_path / "hist.csv"
+    hist.write_text(head + "\n" + "".join(f"{-0.1 * k:.1f},1.0\n" for k in range(25, -1, -1)))
+    argv = ["simulate", str(example_dir / "system.json"), "--history", f"file:{hist}",
+            "--t-end", "5", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    cell = head.split(",")[0]
+    assert capsys.readouterr().err == (
+        f"error: history file {hist}, line 1: could not convert string to float: '{cell}'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_json_reports_step_and_steps(example_dir, tmp_path, capsys):
     argv = ["simulate", str(example_dir / "system.json"), "--history", "all",
             "--t-end", "10", "--t-start", "2", "--step", "0.3"]

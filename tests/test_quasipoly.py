@@ -422,6 +422,10 @@ def test_modulus_cut_beyond_1e12_raises():
     for w in (1e13, 1e20):
         with pytest.raises(ValueError, match="modulus cut of the order-1 .* exceeds 1e12"):
             quasipoly._modulus_growth_radius(1, [w])
+    # at order 100 r^n overflows near r = 1.2e3, long before the 1e12 stop,
+    # and once escaped as OverflowError
+    with pytest.raises(ValueError, match=r"order-100 .* exceeds 1.02e\+03, where r\^100 leaves"):
+        quasipoly._modulus_growth_radius(100, [1e10] * 100)
 
 
 # --- disc certificate of the exact design ------------------------------------------

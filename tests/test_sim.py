@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from midspec import sim
 from midspec.quasipoly import RetardedSystem, companion, mid_coefficients
 from midspec.sim import (
     BUILTIN_HISTORY_NAMES,
@@ -12,6 +13,7 @@ from midspec.sim import (
     SimulationError,
     Trajectory,
     _block_size,
+    _delay_envelope,
     _midpoints,
     _rk4_increment,
     builtin_history,
@@ -24,7 +26,7 @@ from midspec.sim import (
     sinusoid,
     step_scale,
 )
-from oracles import delay_residual, rk4_stagewise
+from oracles import delay_envelope_masked, delay_residual, rk4_stagewise
 
 
 # --- histories -------------------------------------------------------------------
@@ -365,6 +367,26 @@ def test_decay_rate_tracks_assigned_root(n, s0):
     traj = simulate(sys_, constant(1.0), 30.0)
     r = decay_rate(traj, 10.0)
     assert s0 - 0.1 * abs(s0) - 0.05 <= r <= s0 + 0.1 * abs(s0) + 0.05
+
+
+def test_delay_envelope_matches_the_mask_formulation(example_system, monkeypatch):
+    # binary search finds the same window nodes as two full-length masks, so
+    # the envelope points, and the rates fitted to them, are bit-identical;
+    # the last trajectory's nodes do not fall on the window ends, and 37.6
+    # leaves the order-2 run no window
+    t = np.linspace(0.0, 40.0, 997)
+    odd = Trajectory(t, (np.exp(-0.3 * t) * np.cos(3.0 * t))[:, None], t[1] - t[0], 2.5)
+    trajs = [simulate(example_system, builtin_history(name), 40.0) for name in BUILTIN_HISTORY_NAMES]
+    trajs += [simulate(mid_coefficients(2, -0.8, 0.5), builtin_history("y04"), 12.0), odd]
+    for traj in trajs:
+        for t_start in (0.0, 2.5, 10.3, 37.6):
+            got, want = _delay_envelope(traj, t_start), delay_envelope_masked(traj, t_start)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+    starts = (0.0, 2.5, 10.3)
+    rates = [decay_rate(traj, t_start) for traj in trajs for t_start in starts]
+    monkeypatch.setattr(sim, "_delay_envelope", delay_envelope_masked)
+    assert rates == [decay_rate(traj, t_start) for traj in trajs for t_start in starts]
 
 
 def test_decay_rate_zero_tail(example_system):
