@@ -230,6 +230,30 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # Every root of q then lies in |w| <= R, the positive root of
 # x^n = sum_k m_k x^k with m_k these moduli bounds (Cauchy), so rho <= sqrt(R)
 # on the whole cell.
+#
+# The same bound serves a block of sigma rows.  E = sum_k S_k r^k e^(-i k phi)
+# also has |dE/dsigma| <= sum_k k r^k |S_k| = L(sigma) entrywise, and L falls
+# as sigma grows, so over a tile [sigma_lo, sigma_hi] x cell, with one
+# evaluation at its centre (sigma_c, phi_c),
+#     H(sigma, phi)^p <= H(sigma_c, phi_c)^p
+#                        + (|phi - phi_c| + |sigma - sigma_c|) ||L(sigma_lo)||,
+# the q_k of the Graeffe bound likewise, and W^2 <= H^2 - sigma^2 with the
+# tile's smallest sigma^2.  A row joins a tile while the tile's sigma
+# half-extent stays below _TILE_FRACTION of a cell's phi half-width, so the
+# bound loosens by at most that fraction of its phi term, and every row of a
+# tile that survives is scanned; a one-row tile is the cell bound above.
+# For the envelope, each row's largest H is at least its H at the centre
+# where its tile's centre values peak, so a cell whose bound stays below the
+# least of these row values holds no row's largest H.  One centre per tile
+# and cell, plus one point per row, replaces one centre per row and cell.
+#
+# The coarse scan's first block, evaluated in full, sets the floor; after
+# it the scan takes _TAIL_CUT_STEPS sigmas per block: a tail cut needs that
+# many rows, so a block is one cut's worth of rows and the scan runs at most
+# one block past its cut, in a few stacked calls per block.  Any block
+# length gives the same result: a pruned row ends at or below the floor,
+# which never exceeds the running maximum, so it can neither raise the
+# maximum nor reset the tail count.
 
 _COARSE_SIGMA_STEP = 1e-2
 _FINE_SIGMA_STEP = 1e-4
@@ -246,6 +270,8 @@ _MAX_STACK = 16384
 _CELL = 32
 #: Relative slack that covers rounding in the cell bounds.
 _CELL_SLACK = 1e-10
+#: Largest sigma half-extent of a tile, as a fraction of a cell's phi half-width.
+_TILE_FRACTION = 0.25
 
 
 def _power_coefficients(A0: np.ndarray, A1: np.ndarray, power: int) -> np.ndarray:
@@ -391,36 +417,48 @@ def _half_grid(grid: int) -> tuple[np.ndarray, _HalfGridCells]:
     return phis_ext, _HalfGridCells(grid, phis_ext)
 
 
-def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=None):
-    """(H at the cell centres, an upper bound on H over each cell), both of
-    shape (sigmas x cells), from
+def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=None, heads=None):
+    """(H at the tile centres, an upper bound on H over each tile), both of
+    shape (tiles x cells).  The ascending sigmas s are cut into tiles at
+    heads (_sigma_tiles; None: a tile per row), and each tile [lo, hi] x cell
+    is bounded from one evaluation at its centre (s_c, phi_c),
+    s_c = (lo + hi) / 2, with spread = hi - s_c:
 
-        H(phi)^p <= H(phi_c)^p + |phi - phi_c| ||L||,  L = sum_k k r^k |S_k|,
+        H(sigma, phi)^p <= H(s_c, phi_c)^p + (|phi - phi_c| + spread) ||L||,
+        L = sum_k k r_lo^k |S_k|,  r_lo = e^(-lo),
 
-    valid on the whole cell: E(phi) = sum_k S_k r^k e^(-i k phi), with
-    r = e^(-sigma), moves entrywise by at most |phi - phi_c| L, and the norms
-    are monotone in the entry moduli (the two-norm through ||.||_F).  For
-    "rho" the bound is _rho_cell_bound's, from the sweep's graeffe
-    coefficients (computed here if not given).
+    valid on the whole tile: E = sum_k S_k r^k e^(-i k phi), with
+    r = e^(-sigma), has both |dE/dphi| and |dE/dsigma| at most
+    sum_k k r^k |S_k| <= L entrywise, so it moves entrywise by at most
+    (|phi - phi_c| + |sigma - s_c|) L, and the norms are monotone in the
+    entry moduli (the two-norm through ||.||_F).  A one-row tile has
+    spread 0 and the phi bound alone.  For "rho" the bound is
+    _rho_cell_bound's, from the sweep's graeffe coefficients (computed here
+    if not given).
     """
+    lo, hi = _tile_ends(s, np.arange(s.size) if heads is None else heads)
+    s = (lo + hi) / 2.0  # a one-row tile's own sigma
+    spread = np.maximum(s - lo, hi - s)
     power = coeffs.shape[0] - 1
     r = np.exp(-s)
     hc = _stacked_h(coeffs, (r[:, None] * cells.rot_centre).ravel(), norm).reshape(s.size, -1)
+    r_lo = np.exp(-lo)
+    reach = cells.delta + spread[:, None]
     if norm == "rho":
         if graeffe is None:
             graeffe = _sweep_graeffe(coeffs, norm)
-        return hc, _rho_cell_bound(graeffe, r, cells)
-    rk = r[:, None] ** np.arange(power + 1)
+        return hc, _rho_cell_bound(graeffe, r, cells, r_lo, reach)
+    rk = r_lo[:, None] ** np.arange(power + 1)
     mods = np.abs(coeffs)
     # the Frobenius norm bounds the two-norm of every matrix with these moduli
     bound_norm = Norm.FROBENIUS if norm == Norm.TWO else norm
     lip = matrix_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), bound_norm)
     # rounding in H is relative to sum_k r^k |S_k|, whose norm bounds every
-    # ||E||, and absolute where squared moduli underflow: each |E_ij| may
-    # then lose up to 2 sqrt(2 tiny)
+    # ||E|| on the tile, and absolute where squared moduli underflow: each
+    # |E_ij| may then lose up to 2 sqrt(2 tiny)
     slack = _CELL_SLACK * matrix_norm(np.tensordot(rk, mods, 1), bound_norm)
     slack += 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
-    return hc, (hc**power + cells.delta * lip[:, None] + slack[:, None]) ** (1.0 / power)
+    return hc, (hc**power + reach * lip[:, None] + slack[:, None]) ** (1.0 / power)
 
 
 def _sweep_graeffe(coeffs, norm) -> np.ndarray | None:
@@ -466,16 +504,20 @@ def _int_ratio(num: int, den: int) -> float:
         return math.copysign(math.inf, num)
 
 
-def _rho_cell_bound(G: np.ndarray, r: np.ndarray, cells: _HalfGridCells) -> np.ndarray:
-    """An upper bound on rho(A0 + c A1), c = r e^(-i phi), over each cell
-    (sigmas x cells): sqrt of the Cauchy radius of det(wI - (A0 + c A1)^2)
-    with the coefficient moduli bounded over the cell by
-    |q_k(c)| <= |q_k(c_c)| + delta sum_j j r^j |G_kj|, G the pair's
-    _graeffe_coefficients.
+def _rho_cell_bound(G: np.ndarray, r: np.ndarray, cells: _HalfGridCells, r_lo: np.ndarray,
+                    reach: np.ndarray) -> np.ndarray:
+    """An upper bound on rho(A0 + c A1), c = r' e^(-i phi), over each tile
+    (tiles x cells): sqrt of the Cauchy radius of det(wI - (A0 + c A1)^2)
+    with the coefficient moduli bounded over the tile by
+    |q_k(c)| <= |q_k(c_c)| + reach sum_j j r_lo^j |G_kj|, G the pair's
+    _graeffe_coefficients, c_c = r e^(-i phi_c) the tile's centre, r_lo its
+    largest r' and reach the tile's |phi - phi_c| + |sigma - sigma_c|
+    (_cell_bounds).
 
-    Rounding in q_k is relative to sum_j r^j |G_kj|; rounding in the radius
-    is relative.  Where products underflow, each m_k may lose up to tiny,
-    which the radius, subadditive in m, turns into at most 2 tiny^(1/n).
+    Rounding in q_k is relative to sum_j r_lo^j |G_kj|; rounding in the
+    radius is relative.  Where products underflow, each m_k may lose up to
+    tiny, which the radius, subadditive in m, turns into at most
+    2 tiny^(1/n).
     """
     n, deg = G.shape[0], G.shape[1] - 1
     c = r[:, None] * cells.rot_centre
@@ -483,10 +525,10 @@ def _rho_cell_bound(G: np.ndarray, r: np.ndarray, cells: _HalfGridCells) -> np.n
     for j in range(deg - 1, -1, -1):
         q *= c
         q += G[:, j, None, None]
-    rj = r[:, None] ** np.arange(deg + 1)
+    rj = r_lo[:, None] ** np.arange(deg + 1)
     mods = np.abs(G).T
     lip, scale = (rj * np.arange(deg + 1)) @ mods, rj @ mods
-    m = np.abs(q) + cells.delta * lip.T[:, :, None] + _CELL_SLACK * scale.T[:, :, None]
+    m = np.abs(q) + reach * lip.T[:, :, None] + _CELL_SLACK * scale.T[:, :, None]
     tiny = np.finfo(float).tiny
     return np.sqrt(_cauchy_radius(m)) * (1.0 + _CELL_SLACK) + 2.0 * tiny ** (0.5 / n)
 
@@ -520,13 +562,41 @@ def _cauchy_radius(m: np.ndarray) -> np.ndarray:
     return mu * y
 
 
-def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float,
-               graeffe=None, envelope: bool = True) -> np.ndarray:
-    """Which cells (sigmas x cells) could raise their row above floor or,
-    with envelope, hold the row's largest H with a W that reaches floor."""
+def _sigma_tiles(s: np.ndarray, grid: int) -> np.ndarray:
+    """The first index of each tile of the ascending sigmas s: a row joins
+    the tile while the tile's sigma half-extent stays below _TILE_FRACTION
+    of a cell's phi half-width (pi _CELL / grid), and while the tile holds
+    fewer rows than a row has cells, so that a call of a tile's rows is no
+    larger than its call of centres."""
+    rows = np.arange(s.size)
+    most = -(-(grid // 2 + 1) // _CELL)  # cells per row
+    width = 2.0 * _TILE_FRACTION * math.pi * _CELL / grid
+    # the head of the tile that would start at each row
+    after = np.clip(np.searchsorted(s, s + width), rows + 1, rows + most).tolist()
+    heads, i = [], 0
+    while i < s.size:
+        heads.append(i)
+        i = after[i]
+    return np.array(heads, dtype=np.intp)
+
+
+def _tile_ends(s: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and largest sigma of each tile of the ascending s."""
+    return s[heads], s[np.append(heads[1:], s.size) - 1]
+
+
+def _cell_keep(coeffs, norm, s: np.ndarray, heads: np.ndarray, cells: _HalfGridCells, floor: float,
+               graeffe=None, envelope: bool = True) -> tuple[np.ndarray, int]:
+    """Which cells (tiles x cells) could raise a row of their tile above
+    floor or, with envelope, hold a row's largest H with a W that reaches
+    floor; and the number of H evaluations made.  s holds the rows' sigmas
+    in ascending order, and each tile runs from one of heads to the next."""
     two_pi = 2.0 * math.pi
-    hc, h_up = _cell_bounds(coeffs, norm, s, cells, graeffe)
-    w_up = np.sqrt(np.maximum(h_up * h_up - (s * s)[:, None], 0.0))
+    hc, h_up = _cell_bounds(coeffs, norm, s, cells, graeffe, heads)
+    lo, hi = _tile_ends(s, heads)
+    s2 = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(lo * lo, hi * hi))
+    w_up = np.sqrt(np.maximum(h_up * h_up - s2[:, None], 0.0))
+    points = hc.size
 
     def top(lo, hi):
         # a grid value phi + 2 pi k, or a polished crossing, from a bracket in
@@ -536,9 +606,14 @@ def _cell_keep(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, floor: float,
     u = np.maximum(top(*cells.span), np.where(cells.mirrors, top(*cells.mirror_span), -math.inf))
     keep = u + _CELL_SLACK * np.abs(u) > floor
     if envelope:
-        keep |= (h_up >= hc.max(axis=1, keepdims=True)) & (w_up + _CELL_SLACK * w_up >= floor)
-    keep |= ~np.isfinite(h_up).all(axis=1, keepdims=True)  # overflow: no bound, keep the row
-    return keep
+        # every row's largest H is at least its H at the centre where its
+        # tile's centre values peak
+        peak = cells.rot_centre[hc.argmax(axis=1)]
+        h = _stacked_h(coeffs, np.exp(-s) * np.repeat(peak, np.diff(np.append(heads, s.size))), norm)
+        points += h.size
+        keep |= (h_up >= np.minimum.reduceat(h, heads)[:, None]) & (w_up + _CELL_SLACK * w_up >= floor)
+    keep |= ~np.isfinite(h_up).all(axis=1, keepdims=True)  # overflow: no bound, keep the tile
+    return keep, points
 
 
 def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.ndarray, s2: np.ndarray):
@@ -591,11 +666,17 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     H(2 pi - phi) = H(phi) and H is evaluated on phi in [0, pi] only.
 
     The half grid is cut into cells (_HalfGridCells), the unit of work.
-    With a finite floor, H is first evaluated at the cell centres only, and
-    a cell is evaluated in full only if _cell_keep finds that it could yield
-    a value above floor or, with envelope, that its bound on H reaches the
-    row's largest centre value with a W that reaches floor.  For every norm
-    and for rho (the Graeffe-Cauchy bound) the bound holds on the cell.
+    With a finite floor, the sigmas, in any order, are sorted and cut into
+    tiles of rows (_sigma_tiles), and H is first evaluated at the centre of
+    each tile and cell only (_cell_bounds: the phi term of the bound plus
+    the tile's sigma half-extent, with the Lipschitz constant at the tile's
+    smallest sigma).  A cell is evaluated in full, on every row of the
+    tile, only if _cell_keep finds that it could yield a value above floor
+    on some row or, with envelope, that its bound on H reaches a lower bound
+    on some row's largest H (H on that row at the tile's best centre) with
+    a W that reaches floor at the tile's smallest sigma^2.  For every norm
+    and for rho (the Graeffe-Cauchy bound) the bound holds on the whole
+    tile, so what follows holds row by row.
     A row whose sup exceeds floor keeps its grid argmax, which is then also
     the first argmax of the kept points; a row whose argmax is pruned ends at
     or below floor, since a bracket in class k that is not the argmax
@@ -625,14 +706,24 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     cap = block * (grid // 2 + 1)  # points in one stacked call
     prune = floor > -math.inf
     points = 0
-    # about as many cells per pass as points per call, in whole blocks
-    rows = block * max(1, cap // (block * cells.first.size))
-    for start in range(0, m, rows):
-        blk = slice(start, start + rows)
-        s = sigmas[blk]
+    ncells = cells.first.size
+    if prune:
+        order = np.argsort(sigmas, kind="stable")
+        heads = _sigma_tiles(sigmas[order], grid)
+    else:
+        order = heads = np.arange(m)
+    # about as many tile centres per pass as points per call, in whole
+    # blocks; a pass's rows then fit in one call too
+    most = block * max(1, cap // (block * ncells))
+    edges = np.append(heads, m)
+    passes = [(edges[t], edges[min(t + most, heads.size)], heads[t:t + most] - heads[t])
+              for t in range(0, heads.size, most)]
+    for start, stop, tiles in passes:
+        s = sigmas[order[start:stop]]
         if prune:
-            keep = _cell_keep(coeffs, norm, s, cells, floor, graeffe, envelope)
-            points += keep.size
+            keep, evals = _cell_keep(coeffs, norm, s, tiles, cells, floor, graeffe, envelope)
+            keep = np.repeat(keep, np.diff(np.append(tiles, s.size)), axis=0)  # per row
+            points += evals
         else:
             keep = np.ones((s.size, cells.first.size), dtype=bool)
         krow, kcell = np.nonzero(keep)
@@ -667,7 +758,7 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         winner = ties & (at == np.repeat(i, 2 * counts))
         kstar = np.maximum.reduceat(np.where(winner, k, -math.inf), 2 * heads)
         reach = ~(w2 < 0.0)
-        rows_at = np.arange(start, start + s.size)[rowed]
+        rows_at = order[start:stop][rowed]
         sup[rows_at] = np.where(reach, best, -math.inf)
         env[rows_at] = np.where(reach, np.sqrt(np.maximum(w2, 0.0)), -math.inf)
         offset[rows_at] = two_pi * kstar
@@ -739,8 +830,10 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     envelope stays below the running maximum for 100 consecutive steps,
     then a fine rescan (step 1e-4, denser phi grid) around the argmax.
     The coarse scan evaluates sigmas a block at a time and replays these
-    sequential rules over each block.  Each block, and the fine rescan,
-    bisects only the crossings that could raise the running maximum.
+    sequential rules over each block: a first block of _MAX_STACK //
+    _COARSE_GRID sigmas, unfloored, sets the running maximum, and the rest
+    come _TAIL_CUT_STEPS at a time, floored by it.  Each block, and the fine
+    rescan, bisects only the crossings that could raise the running maximum.
     """
     if not math.isfinite(sigma_min):
         raise ValueError(f"sigma_min must be finite, got {sigma_min}")
@@ -757,7 +850,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     graeffe = _sweep_graeffe(coeffs, norm)
     _check_range(coeffs, norm, sigma_min, graeffe)
 
-    block = _MAX_STACK // _COARSE_GRID
+    block = _MAX_STACK // _COARSE_GRID  # the first block; then _TAIL_CUT_STEPS
     best = -math.inf
     best_sigma = sigma_min
     below = 0
@@ -782,6 +875,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
             else:
                 below = 0
         start += block
+        block = _TAIL_CUT_STEPS
     if best == -math.inf:
         return 0.0, points
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)

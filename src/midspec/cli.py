@@ -268,6 +268,10 @@ def cmd_bounds(args, run: _Run) -> int:
     import numpy as np
 
     if args.standard_pair:
+        if args.system:
+            raise ValueError(f"--standard-pair replaces the system file; got both --standard-pair and {args.system}")
+        if args.s0 is not None:
+            raise ValueError("--s0 shifts a system file; the standard pair is normalized already")
         pair = standard_pair()
     elif args.system:
         sys_ = _load_system(args.system)

@@ -20,8 +20,8 @@ from midspec.bounds import (
     matrix_norm,
 )
 from midspec import bounds
-from midspec.quasipoly import CompanionPair, companion, mid_coefficients, normalize
-from oracles import feasibility_sup_every_polish, omega_sup_full_grid
+from midspec.quasipoly import CompanionPair, RetardedSystem, companion, mid_coefficients, normalize
+from oracles import chebyshev_eigenvalues, feasibility_sup_every_polish, omega_sup_full_grid
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +391,9 @@ def test_pruned_designed_sweeps_match_every_polish_oracle(n):
 
 
 def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
-    # the every-polish oracle makes 7,075 calls here, 50 bisection steps per coarse block
+    # the every-polish oracle makes 7,075 calls here, 50 bisection steps per
+    # coarse block; the floored sweeps made 797, and 652 with tiles of sigma
+    # rows and coarse blocks of a tail cut's length
     calls = []
     kernel = bounds._stacked_h
 
@@ -401,7 +403,7 @@ def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
 
     monkeypatch.setattr(bounds, "_stacked_h", spy)
     _sweeps(_pruned_sup, std_pair, _STANDARD_SWEEPS, 0.0)
-    assert len(calls) <= 1600
+    assert len(calls) <= 720
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,6 +427,24 @@ def test_omega_sup_floor_contract(data):
     got, _, bare_points = bounds._omega_sup(coeffs, key, sigmas, 512, floor, envelope=False)
     _assert_floor_contract(sup, env, got, None, floor)
     assert bare_points <= points
+
+
+def test_tiled_sweep_floor_contract(std_pair):
+    # the floor contract where the floored sweep cuts unsorted rows into tiles
+    # of several, as in the coarse scan, at floors across the unfloored sups
+    # and envelopes (each also one ulp below); bounding W by a tile's largest
+    # sigma^2, not its smallest, breaks it here
+    sigmas = np.random.default_rng(7).permutation(np.arange(-0.5, 3.0, bounds._COARSE_SIGMA_STEP))
+    for key, power in (("rho", 1), (Norm.ONE, 1), (Norm.FROBENIUS, 2)):
+        coeffs = _coeffs(std_pair, power)
+        sup, env, _ = bounds._omega_sup(coeffs, key, sigmas, bounds._COARSE_GRID)
+        levels = np.sort(np.concatenate((sup, env)))
+        levels = levels[np.isfinite(levels)]
+        for level in levels[::levels.size // 12]:
+            for floor in (level, np.nextafter(level, -math.inf)):
+                what = f"{key} p={power} floor={floor}"
+                got, got_env, _ = bounds._omega_sup(coeffs, key, sigmas, bounds._COARSE_GRID, floor)
+                _assert_floor_contract(sup, env, got, got_env, floor, what)
 
 
 def _assert_floor_contract(sup, env, got, got_env, floor, what=""):
@@ -456,15 +476,19 @@ def test_norm_sums_do_not_depend_on_the_stack():
     rng = np.random.default_rng(5)
     c = rng.uniform(0.2, 2.0, 200) * np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi, 200))
     # at n = 1 the complex Horner step once rounded 10 of these points (15 for
-    # the two-norm) differently in the stack than alone
-    for n in (3, 8, 1):
+    # the two-norm) differently in the stack than alone.  Tiles of sigma rows
+    # regroup the points of each call, so every kernel is pinned: the 2x2
+    # closed forms at the standard pair's order, the Gram eigenvalues of the
+    # two-norm at n = 3, 4, and rho by its closed form (n = 2) or eigvals
+    for n in (1, 2, 3, 4, 8):
         pair = CompanionPair(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
-        coeffs = _coeffs(pair, 2)
-        norms = (Norm.ONE, Norm.INFINITY, Norm.FROBENIUS) + ((Norm.TWO,) if n == 1 else ())
-        for norm in norms:
-            stacked = bounds._stacked_h(coeffs, c, norm)
-            alone = [bounds._stacked_h(coeffs, c[i:i + 1], norm)[0] for i in range(c.size)]
-            np.testing.assert_array_equal(stacked, alone, f"n={n} {norm.value}")
+        keys = [("rho", 1)] + [(norm, 2) for norm in (Norm.ONE, Norm.INFINITY, Norm.FROBENIUS)]
+        keys += [(Norm.TWO, 2)] if n <= 4 else []
+        for key, power in keys:
+            coeffs = _coeffs(pair, power)
+            stacked = bounds._stacked_h(coeffs, c, key)
+            alone = [bounds._stacked_h(coeffs, c[i:i + 1], key)[0] for i in range(c.size)]
+            np.testing.assert_array_equal(stacked, alone, f"n={n} {key}")
 
 
 def test_n1_floored_sup_equals_the_unfloored_one():
@@ -610,6 +634,47 @@ def test_cell_bound_holds_on_every_cell(data):
         assert max(h) <= h_up[0, cell], (cell, max(h), h_up[0, cell])
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tile_bound_holds_on_every_tile(data):
+    # the cell bound of a tile of sigma rows holds at random (sigma, phi) in
+    # [lo, hi] x each cell's bracket interval and its mirror image, and at the
+    # tile's own rows; the sigmas arrive unsorted and close enough together
+    # for tiles of several rows
+    n = data.draw(st.integers(1, 4))
+    entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0))
+    pair = CompanionPair(data.draw(entries), data.draw(entries))
+    norm = data.draw(st.one_of(st.just("rho"), st.sampled_from(bounds.SUBMULTIPLICATIVE_NORMS)))
+    power = 1 if norm == "rho" else data.draw(st.integers(1, 3))
+    base = data.draw(st.floats(-1.0, 3.5))
+    sigmas = base + np.array(data.draw(st.lists(st.floats(0.0, 0.3), min_size=1, max_size=8)))
+    grid = data.draw(st.sampled_from([200, 512, 777]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    phis_ext = np.append(np.linspace(0.0, 2 * math.pi, grid, endpoint=False), 2 * math.pi)
+    cells = bounds._HalfGridCells(grid, phis_ext)
+    coeffs = _coeffs(pair, power)
+    s = np.sort(sigmas)
+    heads = bounds._sigma_tiles(s, grid)
+    _, h_up = bounds._cell_bounds(coeffs, norm, s, cells, heads=heads)
+    assert h_up.shape == (heads.size, cells.first.size)
+    half = grid // 2 + 1
+    for tile, (lo, hi) in enumerate(zip(*bounds._tile_ends(s, heads))):
+        assert (hi - lo) / 2 < bounds._TILE_FRACTION * math.pi * bounds._CELL / grid
+        rows = s[(s >= lo) & (s <= hi)]
+        for cell, first in enumerate(range(0, half, bounds._CELL)):
+            last = min(first + bounds._CELL, half) - 1
+            phi_lo, phi_hi = phis_ext[max(first - 1, 0)], phis_ext[min(last + 1, grid // 2)]
+            if last == half - 1:
+                phi_hi = max(phi_hi, math.pi)
+            sigma = np.concatenate((rows, rng.uniform(lo, hi, 6)))
+            phi = rng.uniform(phi_lo, phi_hi, sigma.size)
+            phi = np.concatenate((phi, 2 * math.pi - phi))
+            sigma = np.concatenate((sigma, sigma))
+            h = [_h_oracle(pair, norm, power, x, y) for x, y in zip(sigma, phi)]
+            h += bounds._stacked_h(coeffs, np.exp(-sigma - 1j * phi), norm).tolist()
+            assert max(h) <= h_up[tile, cell], (tile, cell, max(h), h_up[tile, cell])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_graeffe_coefficients_and_cauchy_radius_against_numpy(n):
     # the pieces of the rho cell bound: G against the characteristic
@@ -659,7 +724,9 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
     # points; pruned norm cells brought them to 1,886,002, pruned rho cells
     # (934,543 -> 156,591) to 1,108,050, and keeping cells for the envelope
     # only where it reaches the floor (none in the fine rescan), with the
-    # polish stopped at its fixed point, to 354,082 (rho 43,884)
+    # polish stopped at its fixed point, to 354,082 (rho 43,884); one centre
+    # per tile of sigma rows and cell, with coarse blocks of a tail cut's
+    # length, to 182,609 (rho 19,761)
     points = []
     kernel = bounds._stacked_h
 
@@ -674,8 +741,8 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
         points.clear()
         counted[key, power] = bounds._feasibility_sup(A0, A1, key, power, 0.0)[1]
         assert counted[key, power] == sum(points), key
-    assert counted["rho", 1] <= 50_000
-    assert sum(counted.values()) <= 380_000
+    assert counted["rho", 1] <= 22_000
+    assert sum(counted.values()) <= 201_000
 
 
 def test_graeffe_coefficients_once_per_rho_sweep(std_pair, example_system, monkeypatch):
@@ -701,6 +768,33 @@ def test_graeffe_coefficients_once_per_rho_sweep(std_pair, example_system, monke
     calls.clear()
     bound_norm_power(std_pair, Norm.FROBENIUS, 2)
     assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_bounds_every_root_of_a_random_system(data):
+    # soundness against the spectrum: every characteristic root with
+    # Re z >= sigma_min (Chebyshev collocation of the normalized system) has
+    # |Im z| within a norm-power bound of its pair and, for n <= 2, within
+    # its rho bound (at n = 3 a rho sweep runs stacked eigvals, 0.2-3 s).
+    # The sweep samples sigma every 1e-4 near its maximum, so a root on the
+    # feasibility boundary may sit above its value by the curve's change
+    # over that step: a relative 1e-6 is allowed
+    n = data.draw(st.integers(1, 3))
+    coefficients = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    sys_ = RetardedSystem(n, data.draw(coefficients), data.draw(coefficients), data.draw(st.floats(0.3, 2.0)))
+    nsys = normalize(sys_, data.draw(st.floats(-1.0, 1.0)))
+    sigma_min = data.draw(st.floats(-0.5, 0.5))
+    roots = chebyshev_eigenvalues(RetardedSystem(n, nsys.b, nsys.beta, 1.0), 60)
+    roots = roots[roots.real >= sigma_min]
+    pair = companion(nsys.b, nsys.beta)
+    norm = data.draw(st.sampled_from(bounds.SUBMULTIPLICATIVE_NORMS))
+    power = data.draw(st.integers(1, 3))
+    reports = [bound_norm_power(pair, norm, power, sigma_min)]
+    reports += [bound_spectral_radius_curve(pair, sigma_min)] if n <= 2 else []
+    for report in reports:
+        for z in roots:
+            assert abs(z.imag) <= report.value * (1.0 + 1e-6), (z, report)
 
 
 def test_bound_report_validation():

@@ -639,7 +639,7 @@ def test_verify_takes_no_out_dir(example_dir, tmp_path, capsys):
              "verify-s0-overflow", "verify-s0-nan", "design-s0-nan", "design-s0-inf",
              "design-tau-inf", "history-nan", "history-inf", "spectrum-s0-nan",
              "spectrum-s0-inf", "spectrum-re-max-nan", "history-file-text", "history-file-nan",
-             "history-file-inf"],
+             "history-file-inf", "bounds-system-and-standard-pair", "bounds-standard-pair-s0"],
 )
 def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     system = str(example_dir / "system.json")
@@ -676,6 +676,10 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         hist = tmp_path / "hist.csv"
         hist.write_text("t,y\n" + "\n".join(rows) + "\n")
         argv = ["simulate", system, "--history", f"file:{hist}", "--t-end", "5"]
+    elif case == "bounds-system-and-standard-pair":
+        argv = ["bounds", system, "--standard-pair", "--all"]
+    elif case == "bounds-standard-pair-s0":
+        argv = ["bounds", "--standard-pair", "--s0", "0.3", "--all"]
     else:
         argv = ["design", "--n", "3", "--s0", "-0.5", "--tau=inf"]
     if argv[0] != "verify":
@@ -700,6 +704,13 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
             "inf": "time and value must be finite, got inf, 1.0",
         }[case[13:]]
         assert err == f"error: history file {tmp_path / 'hist.csv'}, line 8: {cause}\n", err
+    elif case == "bounds-system-and-standard-pair":
+        # the system file was once dropped, yet listed under the manifest's inputs
+        assert err == f"error: --standard-pair replaces the system file; got both --standard-pair and {system}\n"
+        assert not (tmp_path / "out").exists()
+    elif case == "bounds-standard-pair-s0":
+        assert err == "error: --s0 shifts a system file; the standard pair is normalized already\n", err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
