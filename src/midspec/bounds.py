@@ -95,9 +95,9 @@ class Lemma3Report(_Record):
     certified: float
 
 
-def _check_square(M: np.ndarray, stacked: bool = False) -> np.ndarray:
+def _check_square(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if not (M.ndim == 2 or stacked and M.ndim > 2) or M.shape[-1] != M.shape[-2]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("expected a square matrix")
     return M
 
@@ -110,7 +110,7 @@ def log_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
     of the Hermitian part (two norm).  M may be a stack of shape (..., n, n);
     the result is then an array of shape (...), and a float for one matrix.
     """
-    M = _check_square(M, stacked=True)
+    M = _check_square(M)
     norm = Norm(norm)
     if norm in (Norm.ONE, Norm.INFINITY):
         absM = np.abs(M)
@@ -128,7 +128,7 @@ def matrix_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
     """The one, two, Frobenius or infinity norm of M.  M may be a stack of
     shape (..., n, n); the result is then an array of shape (...), and a
     float for one matrix."""
-    M = _check_square(M, stacked=True)
+    M = _check_square(M)
     norm = Norm(norm)
     if norm == Norm.ONE:
         value = np.abs(M).sum(axis=-2).max(axis=-1)
@@ -216,11 +216,10 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 #     H(phi)^p <= H(phi_c)^p + |phi - phi_c| ||L||,  L = sum_k k r^k |S_k|,
 # entrywise, the norms being monotone in the entry moduli (the two-norm
 # through ||.||_F).  A cell is evaluated in full only if its bound lets it
-# yield a value above the floor or, where the caller reads the envelope,
-# hold the row's largest H with a W that reaches the floor; the rest of the
-# row cannot pass the floor.  So every sup above the floor, and every
-# envelope that reaches it, is exactly that of the full grid, and every
-# other envelope stays below the floor, which is all the tail cut asks.
+# yield a value above the floor; the rest of the row cannot pass the floor,
+# so every sup above the floor is exactly that of the full grid.  Through
+# W^2 <= H_up^2 - sigma^2 the same bounds also bound the envelope max_phi W
+# that the tail cut reads.
 #
 # The spectral radius goes through the same pruning with a Graeffe-Cauchy
 # bound.  q(w) = det(wI - (A0 + c A1)^2), one Graeffe step of the
@@ -242,18 +241,16 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # half-extent stays below _TILE_FRACTION of a cell's phi half-width, so the
 # bound loosens by at most that fraction of its phi term, and every row of a
 # tile that survives is scanned; a one-row tile is the cell bound above.
-# For the envelope, each row's largest H is at least its H at the centre
-# where its tile's centre values peak, so a cell whose bound stays below the
-# least of these row values holds no row's largest H.  One centre per tile
-# and cell, plus one point per row, replaces one centre per row and cell.
+# One centre per tile and cell replaces one centre per row and cell.
 #
-# The coarse scan's first block, evaluated in full, sets the floor; after
-# it the scan takes _TAIL_CUT_STEPS sigmas per block: a tail cut needs that
-# many rows, so a block is one cut's worth of rows and the scan runs at most
-# one block past its cut, in a few stacked calls per block.  Any block
-# length gives the same result: a pruned row ends at or below the floor,
-# which never exceeds the running maximum, so it can neither raise the
-# maximum nor reset the tail count.
+# The coarse scan's first block, evaluated in full, sets the floor and reads
+# exact envelopes; after it the scan takes _TAIL_CUT_STEPS sigmas per block,
+# floored, and reads each row's envelope as its tile's bound: a tail cut
+# needs that many rows, so a block is one cut's worth of rows and the scan
+# runs at most one block past its cut, in a few stacked calls per block.  A
+# pruned row ends at or below the floor, which never exceeds the running
+# maximum, so it cannot raise the maximum; a bound at or above the exact
+# envelope can only put the cut at a later row.
 
 _COARSE_SIGMA_STEP = 1e-2
 _FINE_SIGMA_STEP = 1e-4
@@ -340,10 +337,11 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
     elif norm == Norm.FROBENIUS:
         h = np.sqrt(_ordered_sum(sq.reshape(-1, *sq.shape[2:])))
     elif norm == Norm.TWO:  # 2x2 closed form
+        # sigma_max^2 = (f2 + sqrt(f2^2 - 4 |det|^2)) / 2 with the root
+        # factored: d = 2 |det| <= f2, so no term passes 2 f2
         f2 = _ordered_sum(sq.reshape(-1, *sq.shape[2:]))
-        det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
-        det2 = det.real**2 + det.imag**2
-        h = np.sqrt((f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * det2, 0.0))) / 2.0)
+        d = 2.0 * np.abs(E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0])
+        h = np.sqrt((f2 + np.sqrt(np.maximum(f2 - d, 0.0)) * np.sqrt(f2 + d)) / 2.0)
     else:
         raise ValueError(f"unsupported norm: {norm}")
     return h ** (1.0 / power)
@@ -417,12 +415,11 @@ def _half_grid(grid: int) -> tuple[np.ndarray, _HalfGridCells]:
     return phis_ext, _HalfGridCells(grid, phis_ext)
 
 
-def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=None, heads=None):
-    """(H at the tile centres, an upper bound on H over each tile), both of
-    shape (tiles x cells).  The ascending sigmas s are cut into tiles at
-    heads (_sigma_tiles; None: a tile per row), and each tile [lo, hi] x cell
-    is bounded from one evaluation at its centre (s_c, phi_c),
-    s_c = (lo + hi) / 2, with spread = hi - s_c:
+def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe, heads):
+    """An upper bound on H over each tile, of shape (tiles x cells).  The
+    ascending sigmas s are cut into tiles at heads (_sigma_tiles), and each
+    tile [lo, hi] x cell is bounded from one evaluation at its centre
+    (s_c, phi_c), s_c = (lo + hi) / 2, with spread = hi - s_c:
 
         H(sigma, phi)^p <= H(s_c, phi_c)^p + (|phi - phi_c| + spread) ||L||,
         L = sum_k k r_lo^k |S_k|,  r_lo = e^(-lo),
@@ -433,10 +430,9 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=Non
     (|phi - phi_c| + |sigma - s_c|) L, and the norms are monotone in the
     entry moduli (the two-norm through ||.||_F).  A one-row tile has
     spread 0 and the phi bound alone.  For "rho" the bound is
-    _rho_cell_bound's, from the sweep's graeffe coefficients (computed here
-    if not given).
+    _rho_cell_bound's, from the sweep's _sweep_graeffe coefficients.
     """
-    lo, hi = _tile_ends(s, np.arange(s.size) if heads is None else heads)
+    lo, hi = _tile_ends(s, heads)
     s = (lo + hi) / 2.0  # a one-row tile's own sigma
     spread = np.maximum(s - lo, hi - s)
     power = coeffs.shape[0] - 1
@@ -445,9 +441,7 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=Non
     r_lo = np.exp(-lo)
     reach = cells.delta + spread[:, None]
     if norm == "rho":
-        if graeffe is None:
-            graeffe = _sweep_graeffe(coeffs, norm)
-        return hc, _rho_cell_bound(graeffe, r, cells, r_lo, reach)
+        return _rho_cell_bound(graeffe, r, cells, r_lo, reach)
     rk = r_lo[:, None] ** np.arange(power + 1)
     mods = np.abs(coeffs)
     # the Frobenius norm bounds the two-norm of every matrix with these moduli
@@ -458,7 +452,7 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe=Non
     # |E_ij| may then lose up to 2 sqrt(2 tiny)
     slack = _CELL_SLACK * matrix_norm(np.tensordot(rk, mods, 1), bound_norm)
     slack += 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
-    return hc, (hc**power + reach * lip[:, None] + slack[:, None]) ** (1.0 / power)
+    return (hc**power + reach * lip[:, None] + slack[:, None]) ** (1.0 / power)
 
 
 def _sweep_graeffe(coeffs, norm) -> np.ndarray | None:
@@ -586,17 +580,17 @@ def _tile_ends(s: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _cell_keep(coeffs, norm, s: np.ndarray, heads: np.ndarray, cells: _HalfGridCells, floor: float,
-               graeffe=None, envelope: bool = True) -> tuple[np.ndarray, int]:
-    """Which cells (tiles x cells) could raise a row of their tile above
-    floor or, with envelope, hold a row's largest H with a W that reaches
-    floor; and the number of H evaluations made.  s holds the rows' sigmas
-    in ascending order, and each tile runs from one of heads to the next."""
+               graeffe) -> tuple[np.ndarray, np.ndarray, int]:
+    """(keep, bound, points): which cells (tiles x cells) could raise a row
+    of their tile above floor; per tile, an upper bound on every row's
+    envelope max_phi sqrt(H^2 - sigma^2); and the number of H evaluations
+    made.  s holds the rows' sigmas in ascending order, and each tile runs
+    from one of heads to the next."""
     two_pi = 2.0 * math.pi
-    hc, h_up = _cell_bounds(coeffs, norm, s, cells, graeffe, heads)
+    h_up = _cell_bounds(coeffs, norm, s, cells, graeffe, heads)
     lo, hi = _tile_ends(s, heads)
     s2 = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(lo * lo, hi * hi))
     w_up = np.sqrt(np.maximum(h_up * h_up - s2[:, None], 0.0))
-    points = hc.size
 
     def top(lo, hi):
         # a grid value phi + 2 pi k, or a polished crossing, from a bracket in
@@ -605,23 +599,17 @@ def _cell_keep(coeffs, norm, s: np.ndarray, heads: np.ndarray, cells: _HalfGridC
 
     u = np.maximum(top(*cells.span), np.where(cells.mirrors, top(*cells.mirror_span), -math.inf))
     keep = u + _CELL_SLACK * np.abs(u) > floor
-    if envelope:
-        # every row's largest H is at least its H at the centre where its
-        # tile's centre values peak
-        peak = cells.rot_centre[hc.argmax(axis=1)]
-        h = _stacked_h(coeffs, np.exp(-s) * np.repeat(peak, np.diff(np.append(heads, s.size))), norm)
-        points += h.size
-        keep |= (h_up >= np.minimum.reduceat(h, heads)[:, None]) & (w_up + _CELL_SLACK * w_up >= floor)
     keep |= ~np.isfinite(h_up).all(axis=1, keepdims=True)  # overflow: no bound, keep the tile
-    return keep, points
+    return keep, w_up.max(axis=1), h_up.size
 
 
 def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.ndarray, s2: np.ndarray):
     """H on every point of the cells kc, each on its own sigma row
     (e^(-sigma) = scale, sigma^2 = s2), in one stacked call.
 
-    Per cell: the largest W^2 = H^2 - sigma^2, and for its direct points
-    phi_q and its mirrored points phi_(grid-q), the largest grid value
+    Per cell: the largest W = sqrt(H^2 - sigma^2) (-inf at a point where
+    H < |sigma|, which no omega can reach), and for its direct points phi_q
+    and its mirrored points phi_(grid-q), the largest grid value
     phi + 2 pi k and its full-grid index (the smallest on ties).
     """
     two_pi = 2.0 * math.pi
@@ -635,8 +623,8 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
     W2[real] = h
     W2 *= W2
     W2 -= s2[:, None]
-    W = np.maximum(W2, 0.0)
-    np.sqrt(W, out=W)
+    W = np.sqrt(np.maximum(W2, 0.0))
+    W[W2 < 0.0] = -math.inf
     rows = np.arange(kc.size)
     val, k = np.empty((kc.size, 2)), np.empty((kc.size, 2))
     col = np.empty((kc.size, 2), dtype=np.intp)
@@ -649,18 +637,21 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
     col[:, 1] = _CELL - 1 - col[:, 1]
     q = cells.first[kc, None] + np.minimum(col, n[:, None] - 1)
     q[:, 1] = (cells.grid - q[:, 1]) % cells.grid
-    return W2[rows, W2.argmax(axis=1)], val, k, q
+    return W.max(axis=1), val, k, q
 
 
 def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf,
-               graeffe=None, envelope: bool = True):
-    """(sup, envelope, points) of |Im z| on each line Re z = sigma, sigma
-    in sigmas; points counts the H evaluations made.  graeffe is the rho
+               graeffe=None):
+    """(sup, env, points) of |Im z| on each line Re z = sigma, sigma in
+    sigmas; points counts the H evaluations made.  graeffe is the rho
     sweep's _sweep_graeffe, if the caller holds it.
 
-    sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty);
-    envelope = max_phi sqrt(H^2 - sigma^2) bounds every feasible omega at any
-    sigma' >= sigma with the same H, and drives the scan's tail cut.
+    sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty).
+    env is an upper bound on the envelope max_phi sqrt(H^2 - sigma^2), which
+    bounds every feasible omega at any sigma' >= sigma with the same H and
+    drives the scan's tail cut.  It is exact on an unfloored sweep (-inf
+    where H < |sigma| at every phi), and inf or nan where H or its bound
+    overflowed.
 
     The coefficients must be real: then E(conj c) = conj E(c), so
     H(2 pi - phi) = H(phi) and H is evaluated on phi in [0, pi] only.
@@ -672,21 +663,15 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     the tile's sigma half-extent, with the Lipschitz constant at the tile's
     smallest sigma).  A cell is evaluated in full, on every row of the
     tile, only if _cell_keep finds that it could yield a value above floor
-    on some row or, with envelope, that its bound on H reaches a lower bound
-    on some row's largest H (H on that row at the tile's best centre) with
-    a W that reaches floor at the tile's smallest sigma^2.  For every norm
-    and for rho (the Graeffe-Cauchy bound) the bound holds on the whole
-    tile, so what follows holds row by row.
+    on some row.  For every norm and for rho (the Graeffe-Cauchy bound) the
+    bound holds on the whole tile, so what follows holds row by row.
     A row whose sup exceeds floor keeps its grid argmax, which is then also
     the first argmax of the kept points; a row whose argmax is pruned ends at
     or below floor, since a bracket in class k that is not the argmax
     polishes to at most phi_(i+1) + 2 pi k, no more than the argmax's grid
     value.  So every sup above floor is that of the full grid, and every
     other sup stays at or below floor (-inf for a row with no cell kept).
-    With envelope, the cell holding a row's largest H is kept whenever that
-    H gives a W >= floor, so every envelope >= floor is that of the full
-    grid and every other envelope stays below floor.  Without it the
-    envelope is only a lower bound, for a caller that does not read it.
+    A floored row's env is the bound of its tile (_cell_keep).
 
     Only rows whose sup could exceed floor are polished: a row whose bracket
     ends at or below floor keeps its grid value, which is then <= floor too.
@@ -708,6 +693,8 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     points = 0
     ncells = cells.first.size
     if prune:
+        if graeffe is None:
+            graeffe = _sweep_graeffe(coeffs, norm)
         order = np.argsort(sigmas, kind="stable")
         heads = _sigma_tiles(sigmas[order], grid)
     else:
@@ -721,8 +708,10 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     for start, stop, tiles in passes:
         s = sigmas[order[start:stop]]
         if prune:
-            keep, evals = _cell_keep(coeffs, norm, s, tiles, cells, floor, graeffe, envelope)
-            keep = np.repeat(keep, np.diff(np.append(tiles, s.size)), axis=0)  # per row
+            keep, bound, evals = _cell_keep(coeffs, norm, s, tiles, cells, floor, graeffe)
+            rows = np.diff(np.append(tiles, s.size))
+            keep = np.repeat(keep, rows, axis=0)  # per row
+            env[order[start:stop]] = np.repeat(bound, rows)
             points += evals
         else:
             keep = np.ones((s.size, cells.first.size), dtype=bool)
@@ -730,7 +719,7 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         scale, s2 = np.exp(-s), s * s
         ends = np.cumsum(cells.size[kcell])
         points += int(cells.size[kcell].sum())
-        w2 = np.empty(kcell.size)
+        w = np.empty(kcell.size)
         val, k = np.empty((kcell.size, 2)), np.empty((kcell.size, 2))
         at = np.empty((kcell.size, 2), dtype=np.intp)
         lo = 0
@@ -738,18 +727,17 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
             # kept cells in stacked calls of at most cap points
             hi = int(np.searchsorted(ends, ends[lo] - cells.size[kcell[lo]] + cap, side="right"))
             r = krow[lo:hi]
-            w2[lo:hi], val[lo:hi], k[lo:hi], at[lo:hi] = _scan_cells(
+            w[lo:hi], val[lo:hi], k[lo:hi], at[lo:hi] = _scan_cells(
                 coeffs, norm, cells, kcell[lo:hi], scale[r], s2[r]
             )
             lo = hi
         # per row over its kept cells and both sides: the first argmax in
-        # full-grid order, and a nan envelope if H overflowed anywhere; a
-        # row with no cell kept stays at -inf
+        # full-grid order, and an unfloored row's envelope (nan if H
+        # overflowed anywhere); a row with no cell kept keeps sup = -inf
         counts = keep.sum(axis=1)
         rowed = counts > 0
         counts = counts[rowed]
         heads = np.cumsum(counts) - counts
-        w2 = np.maximum.reduceat(w2, heads)
         val, k, at = val.ravel(), k.ravel(), at.ravel()
         best = np.maximum.reduceat(val, 2 * heads)
         ties = val == np.repeat(best, 2 * counts)
@@ -757,10 +745,10 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         # the class of point i, met on both sides when q = 0 or q = grid/2
         winner = ties & (at == np.repeat(i, 2 * counts))
         kstar = np.maximum.reduceat(np.where(winner, k, -math.inf), 2 * heads)
-        reach = ~(w2 < 0.0)
         rows_at = order[start:stop][rowed]
-        sup[rows_at] = np.where(reach, best, -math.inf)
-        env[rows_at] = np.where(reach, np.sqrt(np.maximum(w2, 0.0)), -math.inf)
+        sup[rows_at] = best
+        if not prune:
+            env[rows_at] = np.maximum.reduceat(w, heads)
         offset[rows_at] = two_pi * kstar
         arg[rows_at] = i
 
@@ -790,14 +778,14 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
 _LOG_RANGE = math.log(np.finfo(float).max / 16.0)
 
 
-def _check_range(coeffs, norm, sigma_min: float, graeffe=None) -> None:
+def _check_range(coeffs, norm, sigma_min: float, graeffe) -> None:
     """Refuse, with a ValueError, a sweep on Re z >= sigma_min whose
     arithmetic would overflow, judged from the coefficient moduli alone (O(1)
     in the sweep's size).  With r = e^(-sigma_min), a norm sweep forms the
     entries of M(c)^p, each at most U = sum_k r^k max|S_k|, and sums up to
-    n^2 of their squared moduli (the 2x2 two-norm squares that sum again);
-    the rho sweep forms r^j and sum_j j r^j |G_kj| for j <= 2n, which bound
-    rho^2 too (G = graeffe, the sweep's _sweep_graeffe).
+    n^2 of their squared moduli; the rho sweep forms r^j and
+    sum_j j r^j |G_kj| for j <= 2n, which bound rho^2 too (G = graeffe, the
+    sweep's _sweep_graeffe).
     """
     n = coeffs.shape[1]
     log_r = max(0.0, -sigma_min)
@@ -812,8 +800,7 @@ def _check_range(coeffs, norm, sigma_min: float, graeffe=None) -> None:
             power = coeffs.shape[0] - 1
             moduli = np.log(np.abs(coeffs).max(axis=(1, 2)))
             log_u = np.logaddexp.reduce(moduli + log_r * np.arange(power + 1))
-            squares = 4 if norm == Norm.TWO and n == 2 else 2
-            log_big = squares * (math.log(n) + log_u)
+            log_big = 2.0 * (math.log(n) + log_u)
             method, label = BoundMethod.NORM_POWER.value, Norm(norm).value
     if not log_big <= _LOG_RANGE:
         raise ValueError(
@@ -832,8 +819,14 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     The coarse scan evaluates sigmas a block at a time and replays these
     sequential rules over each block: a first block of _MAX_STACK //
     _COARSE_GRID sigmas, unfloored, sets the running maximum, and the rest
-    come _TAIL_CUT_STEPS at a time, floored by it.  Each block, and the fine
-    rescan, bisects only the crossings that could raise the running maximum.
+    come _TAIL_CUT_STEPS at a time, floored by it, their envelopes read as
+    their tiles' bounds.  Each block, and the fine rescan, bisects only the
+    crossings that could raise the running maximum.
+
+    The tail cut is a stopping rule, not a proof: H need not fall as sigma
+    grows.  The tests check it against a sound stop, the first sigma where
+    ||A0|| + ||A1|| e^(-sigma) <= |(max(sigma, 0), max(best, 0))|, past
+    which no feasible point can raise the maximum.
     """
     if not math.isfinite(sigma_min):
         raise ValueError(f"sigma_min must be finite, got {sigma_min}")
@@ -861,8 +854,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
         sigmas = sigmas[sigmas <= sigma_cap]
         if not sigmas.size:
             break
-        # a row at or below the running maximum cannot pass `v > best`, and
-        # `env < best` holds for an envelope below it however far below
+        # a row at or below the running maximum cannot pass `v > best`
         sups, envs, evals = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best, graeffe)
         points += evals
         for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
@@ -881,8 +873,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
     hi = best_sigma + _COARSE_SIGMA_STEP
     fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
-    # no tail cut here, so no envelope is read
-    sups, _, evals = _omega_sup(coeffs, norm, fine, _FINE_GRID, best, graeffe, envelope=False)
+    sups, _, evals = _omega_sup(coeffs, norm, fine, _FINE_GRID, best, graeffe)
     return float(max(best, sups.max())), points + evals
 
 

@@ -23,9 +23,9 @@ decay-rate envelope is taken again with a full-length mask per delay window.
 
 The feasibility-sweep oracles evaluate H on the whole phi grid, without the
 conjugate symmetry, and bracket the active crossing by the last downward
-crossing of W(phi) = phi + 2 pi k* over [0, 2 pi]; and run the sigma sweep
+crossing of W(phi) = phi + 2 pi k* over [0, 2 pi]; run the sigma sweep
 with every reachable crossing polished, not only those that could raise the
-running maximum.
+running maximum; and run it with a sound stop in place of the tail cut.
 """
 
 import math
@@ -359,7 +359,8 @@ def delay_envelope_masked(traj, t_start):
 
 def omega_sup_full_grid(coeffs, norm, sigmas, grid):
     """(sup, envelope) of |Im z| on each line Re z = sigma, as midspec.bounds
-    computes them, with H evaluated at every one of the grid phis."""
+    computes them, with H evaluated at every one of the grid phis; a phi
+    where H < |sigma| is feasible for no omega of its class."""
     two_pi = 2.0 * math.pi
     phis = np.linspace(0.0, two_pi, grid, endpoint=False)
     phis_ext = np.append(phis, two_pi)
@@ -378,22 +379,23 @@ def omega_sup_full_grid(coeffs, norm, sigmas, grid):
         c = np.exp(-s) * rot
         H = _stacked_h(coeffs, c.ravel(), norm).reshape(c.shape)
         W2 = H * H - s * s
-        reach = (W2 >= 0.0).any(axis=1)
         W = np.sqrt(np.maximum(W2, 0.0))
+        W[W2 < 0.0] = -math.inf
         kmax = np.floor((W - phis) / two_pi)
         omega = np.where(W >= phis, phis + two_pi * kmax, -math.inf)
         r = np.arange(W.shape[0])
         i = omega.argmax(axis=1)
-        k2pi = two_pi * kmax[r, i]
+        feasible = omega[r, i] > -math.inf
+        k2pi = two_pi * np.where(feasible, kmax[r, i], 0.0)  # kmax is -inf on an empty row
         g = np.concatenate((W, W[:, :1]), axis=1) - (phis_ext + k2pi[:, None])
         cross = (g[:, :-1] >= 0.0) & (g[:, 1:] < 0.0)
         j = grid - 1 - cross[:, ::-1].argmax(axis=1)
-        sup[blk] = np.where(reach, omega[r, i], -math.inf)
-        env[blk] = np.where(reach, W.max(axis=1), -math.inf)
+        sup[blk] = omega[r, i]
+        env[blk] = W.max(axis=1)
         offset[blk] = k2pi
         lo[blk] = phis_ext[j]
         hi[blk] = phis_ext[j + 1]
-        active[blk] = reach & cross.any(axis=1)
+        active[blk] = feasible & cross.any(axis=1)
 
     idx = np.flatnonzero(active)
     for start in range(0, idx.size, _MAX_STACK):
@@ -410,13 +412,30 @@ def omega_sup_full_grid(coeffs, norm, sigmas, grid):
     return sup, env
 
 
+def _cap_norms(A0, A1, norm):
+    """||A0|| and ||A1|| in a norm that bounds H: the sweep's own, or the
+    Frobenius norm for the two-norm and rho."""
+    capnorm = Norm.FROBENIUS if (norm == "rho" or norm == Norm.TWO) else norm
+    return matrix_norm(A0, capnorm), matrix_norm(A1, capnorm)
+
+
+def _fine_rescan(coeffs, norm, sigma_min, best, best_sigma):
+    """The sweep's result from its coarse maximum: the unfloored rescan on
+    the fine grid around best_sigma."""
+    if best == -math.inf:
+        return 0.0
+    lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
+    hi = best_sigma + _COARSE_SIGMA_STEP
+    fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
+    sups, _, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID)
+    return float(max(best, sups.max()))
+
+
 def feasibility_sup_every_polish(A0, A1, norm, power, sigma_min):
     """sup |Im z| over the feasible set in {Re z >= sigma_min}, as
     midspec.bounds computes it, with the crossing of every reachable sigma
     bisected (no floor passed to _omega_sup)."""
-    capnorm = Norm.FROBENIUS if (norm == "rho" or norm == Norm.TWO) else norm
-    na0 = matrix_norm(A0, capnorm)
-    na1 = matrix_norm(A1, capnorm)
+    na0, na1 = _cap_norms(A0, A1, norm)
     sigma_cap = na0 + na1 * math.exp(-min(0.0, sigma_min)) + 1.0
     coeffs = _power_coefficients(A0, A1, power)
 
@@ -441,10 +460,28 @@ def feasibility_sup_every_polish(A0, A1, norm, power, sigma_min):
             else:
                 below = 0
         start += block
-    if best == -math.inf:
-        return 0.0
-    lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
-    hi = best_sigma + _COARSE_SIGMA_STEP
-    fine = np.arange(lo, hi + _FINE_SIGMA_STEP / 2, _FINE_SIGMA_STEP)
-    sups, _, _ = _omega_sup(coeffs, norm, fine, _FINE_GRID)
-    return float(max(best, sups.max()))
+    return _fine_rescan(coeffs, norm, sigma_min, best, best_sigma)
+
+
+def feasibility_sup_sound_stop(A0, A1, norm, power, sigma_min):
+    """sup |Im z| over the feasible set in {Re z >= sigma_min}, as
+    midspec.bounds computes it, with the coarse scan run without a tail cut
+    up to the first sigma where ||A0|| + ||A1|| e^(-sigma) <=
+    |(max(sigma, 0), max(best, 0))|.  H <= ||M|| <= ||A0|| + ||A1|| e^(-sigma')
+    on Re z = sigma' >= sigma (rho <= ||M||_F and ||M||_2 <= ||M||_F), and
+    every point there has |z| >= |(max(sigma, 0), |Im z|)|, so no feasible
+    point past that sigma has |Im z| > best."""
+    na0, na1 = _cap_norms(A0, A1, norm)
+    coeffs = _power_coefficients(A0, A1, power)
+    best = -math.inf
+    best_sigma = sigma_min
+    start = 0
+    while True:
+        sigmas = sigma_min + np.arange(start, start + _TAIL_CUT_STEPS) * _COARSE_SIGMA_STEP
+        sups, _, _ = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID)
+        for sigma, v in zip(sigmas.tolist(), sups.tolist()):
+            if na0 + na1 * math.exp(-sigma) <= math.hypot(max(sigma, 0.0), max(best, 0.0)):
+                return _fine_rescan(coeffs, norm, sigma_min, best, best_sigma)
+            if v > best:
+                best, best_sigma = v, sigma
+        start += _TAIL_CUT_STEPS

@@ -297,7 +297,7 @@ def test_bounds_sweep_overflow_exit_2(sigma_min, tmp_path):
         f"the values it forms reach about e^{-4 * int(sigma_min)}, past the float range\n"
     )
     assert not (tmp_path / "bounds.csv").exists()
-    for norm in ("one", "frobenius", "infinity"):
+    for norm in ("one", "two", "frobenius", "infinity"):
         for power, code in (("2", 2), ("1", 0 if sigma_min == "-300" else 2)):
             r = run_cli(
                 "bounds", "--standard-pair", "--method", "norm-power", "--norm", norm,
