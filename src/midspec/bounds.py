@@ -209,17 +209,17 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # stacked matrix products.  Sigmas travel as arrays: one stacked call covers
 # many (sigma, phi) points, and one bisection serves every sigma at once.
 #
-# The phi grid is worked a cell of _CELL points at a time.  Once the scan
-# has a running maximum (the floor), a norm sweep evaluates H at the cell
-# centres first and bounds H over each cell by a Lipschitz bound in phi
-# (Piyavskii-Shubert): with r = e^(-sigma),
+# The phi grid is worked a cell of _CELL points at a time.  A norm sweep
+# evaluates H at the cell centres first and bounds H over each cell by a
+# Lipschitz bound in phi (Piyavskii-Shubert): with r = e^(-sigma),
 #     H(phi)^p <= H(phi_c)^p + |phi - phi_c| ||L||,  L = sum_k k r^k |S_k|,
 # entrywise, the norms being monotone in the entry moduli (the two-norm
-# through ||.||_F).  A cell is evaluated in full only if its bound lets it
-# yield a value above the floor; the rest of the row cannot pass the floor,
-# so every sup above the floor is exactly that of the full grid.  Through
-# W^2 <= H_up^2 - sigma^2 the same bounds also bound the envelope max_phi W
-# that the tail cut reads.
+# through ||.||_F).  Once the scan has a running maximum (the floor), a
+# cell is evaluated in full only if its bound lets it yield a value above
+# the floor; the rest of the row cannot pass the floor, so every sup above
+# the floor is exactly that of the full grid.  Through
+# W^2 <= H_up^2 - sigma^2 the same bounds also bound the envelope max_phi W,
+# on the whole phi range, that the scan's stop reads.
 #
 # The spectral radius goes through the same pruning with a Graeffe-Cauchy
 # bound.  q(w) = det(wI - (A0 + c A1)^2), one Graeffe step of the
@@ -243,18 +243,16 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # tile that survives is scanned; a one-row tile is the cell bound above.
 # One centre per tile and cell replaces one centre per row and cell.
 #
-# The coarse scan's first block, evaluated in full, sets the floor and reads
-# exact envelopes; after it the scan takes _TAIL_CUT_STEPS sigmas per block,
-# floored, and reads each row's envelope as its tile's bound: a tail cut
-# needs that many rows, so a block is one cut's worth of rows and the scan
-# runs at most one block past its cut, in a few stacked calls per block.  A
-# pruned row ends at or below the floor, which never exceeds the running
-# maximum, so it cannot raise the maximum; a bound at or above the exact
-# envelope can only put the cut at a later row.
+# The coarse scan's first block, evaluated in full, sets the floor; after
+# it the scan takes _COARSE_BLOCK sigmas per block, floored, in a few
+# stacked calls per block.  A pruned row ends at or below the floor, which
+# never exceeds the running maximum, so it cannot raise the maximum.  The
+# scan stops at the first row whose tile bound proves that no later row
+# can raise it (_feasibility_sup): max_phi H does not rise with sigma.
 
 _COARSE_SIGMA_STEP = 1e-2
 _FINE_SIGMA_STEP = 1e-4
-_TAIL_CUT_STEPS = 100
+_COARSE_BLOCK = 100
 _COARSE_GRID = 2048
 _FINE_GRID = 16384
 _CURVE_GRID = 8192
@@ -433,7 +431,7 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe, he
     _rho_cell_bound's, from the sweep's _sweep_graeffe coefficients.
     """
     lo, hi = _tile_ends(s, heads)
-    s = (lo + hi) / 2.0  # a one-row tile's own sigma
+    s = lo / 2.0 + hi / 2.0  # a one-row tile's own sigma; (lo + hi) / 2 without overflow
     spread = np.maximum(s - lo, hi - s)
     power = coeffs.shape[0] - 1
     r = np.exp(-s)
@@ -582,14 +580,16 @@ def _tile_ends(s: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _cell_keep(coeffs, norm, s: np.ndarray, heads: np.ndarray, cells: _HalfGridCells, floor: float,
                graeffe) -> tuple[np.ndarray, np.ndarray, int]:
     """(keep, bound, points): which cells (tiles x cells) could raise a row
-    of their tile above floor; per tile, an upper bound on every row's
-    envelope max_phi sqrt(H^2 - sigma^2); and the number of H evaluations
-    made.  s holds the rows' sigmas in ascending order, and each tile runs
-    from one of heads to the next."""
+    of their tile above floor (every cell for a floor of -inf); per tile,
+    an upper bound on sqrt(H^2 - sigma^2) at every sigma of the tile and
+    every phi, not only the grid's; and the number of H evaluations made.
+    s holds the rows' sigmas in ascending order, and each tile runs from one
+    of heads to the next."""
     two_pi = 2.0 * math.pi
     h_up = _cell_bounds(coeffs, norm, s, cells, graeffe, heads)
     lo, hi = _tile_ends(s, heads)
-    s2 = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(lo * lo, hi * hi))
+    with np.errstate(over="ignore"):  # sigma^2 = inf: nothing is feasible
+        s2 = np.where((lo < 0.0) & (hi > 0.0), 0.0, np.minimum(lo * lo, hi * hi))
     w_up = np.sqrt(np.maximum(h_up * h_up - s2[:, None], 0.0))
 
     def top(lo, hi):
@@ -607,10 +607,10 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
     """H on every point of the cells kc, each on its own sigma row
     (e^(-sigma) = scale, sigma^2 = s2), in one stacked call.
 
-    Per cell: the largest W = sqrt(H^2 - sigma^2) (-inf at a point where
-    H < |sigma|, which no omega can reach), and for its direct points phi_q
-    and its mirrored points phi_(grid-q), the largest grid value
-    phi + 2 pi k and its full-grid index (the smallest on ties).
+    Per cell, for its direct points phi_q and its mirrored points
+    phi_(grid-q): the largest grid value phi + 2 pi k, with
+    W = sqrt(H^2 - sigma^2) >= phi + 2 pi k (a point where H < |sigma| is
+    reached by no omega), and its full-grid index (the smallest on ties).
     """
     two_pi = 2.0 * math.pi
     n = cells.size[kc]
@@ -637,7 +637,7 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
     col[:, 1] = _CELL - 1 - col[:, 1]
     q = cells.first[kc, None] + np.minimum(col, n[:, None] - 1)
     q[:, 1] = (cells.grid - q[:, 1]) % cells.grid
-    return W.max(axis=1), val, k, q
+    return val, k, q
 
 
 def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf,
@@ -647,31 +647,30 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     sweep's _sweep_graeffe, if the caller holds it.
 
     sup is over the feasible set { |z|^p <= ||M(z)^p|| } (-inf where empty).
-    env is an upper bound on the envelope max_phi sqrt(H^2 - sigma^2), which
-    bounds every feasible omega at any sigma' >= sigma with the same H and
-    drives the scan's tail cut.  It is exact on an unfloored sweep (-inf
-    where H < |sigma| at every phi), and inf or nan where H or its bound
-    overflowed.
+    env is the bound of the row's tile on sqrt(H^2 - sigma^2) (_cell_keep):
+    it bounds max_phi sqrt(H^2 - sigma^2) over the whole phi range, not only
+    the grid, at every sigma of the tile, and is inf or nan where H or its
+    bound overflowed.
 
     The coefficients must be real: then E(conj c) = conj E(c), so
     H(2 pi - phi) = H(phi) and H is evaluated on phi in [0, pi] only.
 
-    The half grid is cut into cells (_HalfGridCells), the unit of work.
-    With a finite floor, the sigmas, in any order, are sorted and cut into
-    tiles of rows (_sigma_tiles), and H is first evaluated at the centre of
-    each tile and cell only (_cell_bounds: the phi term of the bound plus
-    the tile's sigma half-extent, with the Lipschitz constant at the tile's
-    smallest sigma).  A cell is evaluated in full, on every row of the
-    tile, only if _cell_keep finds that it could yield a value above floor
-    on some row.  For every norm and for rho (the Graeffe-Cauchy bound) the
-    bound holds on the whole tile, so what follows holds row by row.
-    A row whose sup exceeds floor keeps its grid argmax, which is then also
-    the first argmax of the kept points; a row whose argmax is pruned ends at
-    or below floor, since a bracket in class k that is not the argmax
-    polishes to at most phi_(i+1) + 2 pi k, no more than the argmax's grid
-    value.  So every sup above floor is that of the full grid, and every
-    other sup stays at or below floor (-inf for a row with no cell kept).
-    A floored row's env is the bound of its tile (_cell_keep).
+    The half grid is cut into cells (_HalfGridCells), the unit of work.  The
+    sigmas, in any order, are sorted and cut into tiles of rows
+    (_sigma_tiles), and H is first evaluated at the centre of each tile and
+    cell only (_cell_bounds: the phi term of the bound plus the tile's sigma
+    half-extent, with the Lipschitz constant at the tile's smallest sigma).
+    A cell is evaluated in full, on every row of the tile, only if
+    _cell_keep finds that it could yield a value above floor on some row; a
+    floor of -inf keeps every cell.  For every norm and for rho (the
+    Graeffe-Cauchy bound) the bound holds on the whole tile, so what follows
+    holds row by row.  A row whose sup exceeds floor keeps its grid argmax,
+    which is then also the first argmax of the kept points; a row whose
+    argmax is pruned ends at or below floor, since a bracket in class k that
+    is not the argmax polishes to at most phi_(i+1) + 2 pi k, no more than
+    the argmax's grid value.  So every sup above floor is that of the full
+    grid, and every other sup stays at or below floor (-inf for a row with
+    no cell kept).
 
     Only rows whose sup could exceed floor are polished: a row whose bracket
     ends at or below floor keeps its grid value, which is then <= floor too.
@@ -680,46 +679,37 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     """
     if coeffs.imag.any():
         raise ValueError("feasibility sweeps need a real pair (A0, A1)")
+    if graeffe is None:
+        graeffe = _sweep_graeffe(coeffs, norm)
     two_pi = 2.0 * math.pi
     phis_ext, cells = _half_grid(grid)
     m = sigmas.size
     sup = np.full(m, -math.inf)
-    env = np.full(m, -math.inf)
+    env = np.empty(m)
     offset = np.zeros(m)  # 2 pi k* of the winning residue class
     arg = np.zeros(m, dtype=np.intp)  # the bracket [phi_arg, phi_(arg+1)]
     block = max(1, _MAX_STACK // grid)  # the rows one stacked call could hold in full
     cap = block * (grid // 2 + 1)  # points in one stacked call
-    prune = floor > -math.inf
     points = 0
-    ncells = cells.first.size
-    if prune:
-        if graeffe is None:
-            graeffe = _sweep_graeffe(coeffs, norm)
-        order = np.argsort(sigmas, kind="stable")
-        heads = _sigma_tiles(sigmas[order], grid)
-    else:
-        order = heads = np.arange(m)
+    order = np.argsort(sigmas, kind="stable")
+    heads = _sigma_tiles(sigmas[order], grid)
     # about as many tile centres per pass as points per call, in whole
     # blocks; a pass's rows then fit in one call too
-    most = block * max(1, cap // (block * ncells))
+    most = block * max(1, cap // (block * cells.first.size))
     edges = np.append(heads, m)
     passes = [(edges[t], edges[min(t + most, heads.size)], heads[t:t + most] - heads[t])
               for t in range(0, heads.size, most)]
     for start, stop, tiles in passes:
         s = sigmas[order[start:stop]]
-        if prune:
-            keep, bound, evals = _cell_keep(coeffs, norm, s, tiles, cells, floor, graeffe)
-            rows = np.diff(np.append(tiles, s.size))
-            keep = np.repeat(keep, rows, axis=0)  # per row
-            env[order[start:stop]] = np.repeat(bound, rows)
-            points += evals
-        else:
-            keep = np.ones((s.size, cells.first.size), dtype=bool)
+        keep, bound, evals = _cell_keep(coeffs, norm, s, tiles, cells, floor, graeffe)
+        rows = np.diff(np.append(tiles, s.size))
+        keep = np.repeat(keep, rows, axis=0)  # per row
+        env[order[start:stop]] = np.repeat(bound, rows)
         krow, kcell = np.nonzero(keep)
-        scale, s2 = np.exp(-s), s * s
+        with np.errstate(over="ignore"):  # sigma^2 = inf: nothing is feasible
+            scale, s2 = np.exp(-s), s * s
         ends = np.cumsum(cells.size[kcell])
-        points += int(cells.size[kcell].sum())
-        w = np.empty(kcell.size)
+        points += evals + int(cells.size[kcell].sum())
         val, k = np.empty((kcell.size, 2)), np.empty((kcell.size, 2))
         at = np.empty((kcell.size, 2), dtype=np.intp)
         lo = 0
@@ -727,28 +717,23 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
             # kept cells in stacked calls of at most cap points
             hi = int(np.searchsorted(ends, ends[lo] - cells.size[kcell[lo]] + cap, side="right"))
             r = krow[lo:hi]
-            w[lo:hi], val[lo:hi], k[lo:hi], at[lo:hi] = _scan_cells(
-                coeffs, norm, cells, kcell[lo:hi], scale[r], s2[r]
-            )
+            val[lo:hi], k[lo:hi], at[lo:hi] = _scan_cells(coeffs, norm, cells, kcell[lo:hi], scale[r], s2[r])
             lo = hi
         # per row over its kept cells and both sides: the first argmax in
-        # full-grid order, and an unfloored row's envelope (nan if H
-        # overflowed anywhere); a row with no cell kept keeps sup = -inf
+        # full-grid order; a row with no cell kept keeps sup = -inf
         counts = keep.sum(axis=1)
         rowed = counts > 0
         counts = counts[rowed]
-        heads = np.cumsum(counts) - counts
+        firsts = 2 * (np.cumsum(counts) - counts)
         val, k, at = val.ravel(), k.ravel(), at.ravel()
-        best = np.maximum.reduceat(val, 2 * heads)
+        best = np.maximum.reduceat(val, firsts)
         ties = val == np.repeat(best, 2 * counts)
-        i = np.minimum.reduceat(np.where(ties, at, grid), 2 * heads)
+        i = np.minimum.reduceat(np.where(ties, at, grid), firsts)
         # the class of point i, met on both sides when q = 0 or q = grid/2
         winner = ties & (at == np.repeat(i, 2 * counts))
-        kstar = np.maximum.reduceat(np.where(winner, k, -math.inf), 2 * heads)
+        kstar = np.maximum.reduceat(np.where(winner, k, -math.inf), firsts)
         rows_at = order[start:stop][rowed]
         sup[rows_at] = best
-        if not prune:
-            env[rows_at] = np.maximum.reduceat(w, heads)
         offset[rows_at] = two_pi * kstar
         arg[rows_at] = i
 
@@ -813,61 +798,52 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     """sup |Im z| over the feasible set in {Re z >= sigma_min}, and the
     number of H evaluations made.
 
-    Coarse sigma scan (step 1e-2) with the tail cut once the feasibility
-    envelope stays below the running maximum for 100 consecutive steps,
-    then a fine rescan (step 1e-4, denser phi grid) around the argmax.
-    The coarse scan evaluates sigmas a block at a time and replays these
-    sequential rules over each block: a first block of _MAX_STACK //
-    _COARSE_GRID sigmas, unfloored, sets the running maximum, and the rest
-    come _TAIL_CUT_STEPS at a time, floored by it, their envelopes read as
-    their tiles' bounds.  Each block, and the fine rescan, bisects only the
-    crossings that could raise the running maximum.
+    Coarse sigma scan (step 1e-2) up to a proven stop, then a fine rescan
+    (step 1e-4, denser phi grid) around the argmax.  The coarse scan
+    evaluates sigmas a block at a time: a first block of _MAX_STACK //
+    _COARSE_GRID sigmas, unfloored, sets the running maximum best, and the
+    rest come _COARSE_BLOCK at a time, floored by it.  Each block, and the
+    fine rescan, bisects only the crossings that could raise the running
+    maximum.
 
-    The tail cut is a stopping rule, not a proof: H need not fall as sigma
-    grows.  The tests check it against a sound stop, the first sigma where
-    ||A0|| + ||A1|| e^(-sigma) <= |(max(sigma, 0), max(best, 0))|, past
-    which no feasible point can raise the maximum.
+    The scan stops at the first row where
+    env^2 + sigma^2 - max(sigma, 0)^2 <= max(best, 0)^2, env being the
+    row's tile bound (_omega_sup); the left side is env^2 + min(sigma, 0)^2,
+    compared by its root.  This is a proof: env^2 + sigma^2 bounds
+    H^2 on the row's tile, and the envelope E(sigma) = max_phi H(sigma, phi)
+    does not increase with sigma, because ||M(c)^p|| and log rho(M(c)) are
+    subharmonic in c = e^(-sigma - i phi) (Vesentini, 1968), so their
+    maximum over the circle |c| = e^(-sigma) shrinks with it.  A feasible
+    point at sigma' >= sigma has sigma'^2 + omega^2 <= E(sigma)^2 and
+    sigma'^2 >= max(sigma, 0)^2, so |omega| <= max(best, 0).  It fires at
+    the latest where a tile's smallest sigma passes the tile's bound on H
+    (env = 0 there), so the scan ends.
     """
     if not math.isfinite(sigma_min):
         raise ValueError(f"sigma_min must be finite, got {sigma_min}")
-    # no feasible z beyond sigma_cap: |z| >= sigma there exceeds every
-    # attainable ||M^p||^(1/p) <= ||A0|| + ||A1|| e^(-sigma)
-    capnorm = Norm.FROBENIUS if (norm == "rho" or norm == Norm.TWO) else norm
-    na0 = matrix_norm(A0, capnorm)
-    na1 = matrix_norm(A1, capnorm)
-    try:
-        sigma_cap = na0 + na1 * math.exp(-min(0.0, sigma_min)) + 1.0
-    except OverflowError:
-        raise ValueError(f"sigma_min = {sigma_min} overflows e^(-sigma_min)") from None
     coeffs = _power_coefficients(A0, A1, power)
     graeffe = _sweep_graeffe(coeffs, norm)
     _check_range(coeffs, norm, sigma_min, graeffe)
 
-    block = _MAX_STACK // _COARSE_GRID  # the first block; then _TAIL_CUT_STEPS
+    block = _MAX_STACK // _COARSE_GRID  # the first block; then _COARSE_BLOCK
     best = -math.inf
     best_sigma = sigma_min
-    below = 0
     start = 0
     points = 0
-    while below < _TAIL_CUT_STEPS:
+    stop = False
+    while not stop:
         sigmas = sigma_min + np.arange(start, start + block) * _COARSE_SIGMA_STEP
-        sigmas = sigmas[sigmas <= sigma_cap]
-        if not sigmas.size:
-            break
         # a row at or below the running maximum cannot pass `v > best`
         sups, envs, evals = _omega_sup(coeffs, norm, sigmas, _COARSE_GRID, best, graeffe)
         points += evals
         for sigma, v, env in zip(sigmas.tolist(), sups.tolist(), envs.tolist()):
             if v > best:
                 best, best_sigma = v, sigma
-            if env < best:
-                below += 1
-                if below >= _TAIL_CUT_STEPS:
-                    break
-            else:
-                below = 0
+            stop = math.hypot(env, min(sigma, 0.0)) <= max(best, 0.0)
+            if stop:
+                break
         start += block
-        block = _TAIL_CUT_STEPS
+        block = _COARSE_BLOCK
     if best == -math.inf:
         return 0.0, points
     lo = max(sigma_min, best_sigma - _COARSE_SIGMA_STEP)
@@ -911,10 +887,11 @@ def boundary_curve(
     """
     key, power = ("rho", 1) if norm is None else (Norm(norm), int(power))
     coeffs = _power_coefficients(pair.A0.astype(complex), pair.A1.astype(complex), power)
+    graeffe = _sweep_graeffe(coeffs, key)
     sigmas = np.asarray(sigmas, dtype=float).ravel()
     if sigmas.size:
-        _check_range(coeffs, key, float(sigmas.min()), _sweep_graeffe(coeffs, key))
-    sups, _, _ = _omega_sup(coeffs, key, sigmas, _CURVE_GRID)
+        _check_range(coeffs, key, float(sigmas.min()), graeffe)
+    sups, _, _ = _omega_sup(coeffs, key, sigmas, _CURVE_GRID, graeffe=graeffe)
     return np.column_stack((sigmas, np.where(sups > -math.inf, sups, math.nan)))
 
 

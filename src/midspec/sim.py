@@ -352,6 +352,12 @@ def _advance_window(x: np.ndarray, forcing: np.ndarray, D: np.ndarray, T: np.nda
     return x
 
 
+#: Most state values (rows times order) one run may hold, about 80 MB of
+#: floats; a longer or finer run is refused before anything is allocated,
+#: since its state table, times and CSV tables would take several times that.
+_MAX_STATE_VALUES = 10_000_000
+
+
 def simulate(
     sys: RetardedSystem,
     history: HistoryFunction,
@@ -362,7 +368,8 @@ def simulate(
 
     The step is adjusted downward so that it divides tau exactly (a step
     above tau becomes tau); the default is tau/500.  Raises SimulationError
-    if the state stops being finite.
+    if the state stops being finite, and ValueError before any allocation if
+    the run would hold more than _MAX_STATE_VALUES state values.
 
     Each window takes its m steps in blocks of b (_block_size) through the
     b-step map of the module docstring; with b = 1 it is exactly the one-step
@@ -381,18 +388,26 @@ def simulate(
     h = tau / m
     if h < 1e-9:
         raise ValueError("adjusted step fell below 1e-9")
-
     n = sys.n
+    span = t_end / tau  # inf past the float range
+    windows = int(math.ceil(span - 1e-12)) if math.isfinite(span) else math.inf
+    rows = windows * m + 1
+    if rows * n > _MAX_STATE_VALUES:
+        raise ValueError(
+            f"a run to t_end = {t_end:g} at step {h:g} needs {rows} state rows of {n} values, "
+            f"more than the {_MAX_STATE_VALUES:.0e} values one run may hold: "
+            "take a larger step or a shorter run"
+        )
+
     pair = companion(sys.a, sys.alpha)
     D, Q0, Qm, Q1 = _rk4_increment(pair.A0, pair.A1, h)
     T = _block_toeplitz(D, _block_size(sys, h, m))
-    windows = int(math.ceil(t_end / tau - 1e-12))
 
     # first window reads the history exactly, at nodes and stage midpoints
     delayed = history.state_values(np.linspace(-tau, 0.0, m + 1), n)
     delayed_mids = history.state_values(np.linspace(-tau + h / 2.0, -h / 2.0, m), n)
 
-    states = np.empty((windows * m + 1, n))
+    states = np.empty((rows, n))
     states[0] = x = delayed[-1]
     for k in range(windows):
         with np.errstate(over="ignore", invalid="ignore"):

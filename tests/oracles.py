@@ -25,7 +25,8 @@ The feasibility-sweep oracles evaluate H on the whole phi grid, without the
 conjugate symmetry, and bracket the active crossing by the last downward
 crossing of W(phi) = phi + 2 pi k* over [0, 2 pi]; run the sigma sweep
 with every reachable crossing polished, not only those that could raise the
-running maximum; and run it with a sound stop in place of the tail cut.
+running maximum, and with a 100-row tail cut in place of the sweep's stop;
+and run it with a crude sound stop that rests on no maximum principle.
 """
 
 import math
@@ -41,7 +42,6 @@ from midspec.bounds import (
     _FINE_GRID,
     _FINE_SIGMA_STEP,
     _MAX_STACK,
-    _TAIL_CUT_STEPS,
     Norm,
     _omega_sup,
     _power_coefficients,
@@ -412,6 +412,12 @@ def omega_sup_full_grid(coeffs, norm, sigmas, grid):
     return sup, env
 
 
+#: The every-polish reference's stopping rule, independent of the sweep's
+#: proven stop: its scan ends once the envelope _omega_sup reports has
+#: stayed below the running maximum for this many rows.
+_TAIL_CUT_STEPS = 100
+
+
 def _cap_norms(A0, A1, norm):
     """||A0|| and ||A1|| in a norm that bounds H: the sweep's own, or the
     Frobenius norm for the two-norm and rho."""
@@ -434,7 +440,11 @@ def _fine_rescan(coeffs, norm, sigma_min, best, best_sigma):
 def feasibility_sup_every_polish(A0, A1, norm, power, sigma_min):
     """sup |Im z| over the feasible set in {Re z >= sigma_min}, as
     midspec.bounds computes it, with the crossing of every reachable sigma
-    bisected (no floor passed to _omega_sup)."""
+    bisected (no floor passed to _omega_sup), and the tail cut of
+    _TAIL_CUT_STEPS rows, capped at the sigma past which no point is
+    feasible, in place of the sweep's proven stop.  _omega_sup reports tile
+    bounds for the envelope, so the cut fires later than on exact
+    envelopes; any later row it scans cannot raise the maximum."""
     na0, na1 = _cap_norms(A0, A1, norm)
     sigma_cap = na0 + na1 * math.exp(-min(0.0, sigma_min)) + 1.0
     coeffs = _power_coefficients(A0, A1, power)

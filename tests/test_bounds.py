@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -346,11 +348,11 @@ def test_boundary_curve_pinned(std_pair):
 
 
 def test_sweep_stacked_calls_respect_cap(std_pair, monkeypatch):
-    sizes = []
+    calls = []  # (the caller, the points) of each stacked call
     kernel = bounds._stacked_h
 
     def spy(coeffs, c, norm):
-        sizes.append(c.size)
+        calls.append((sys._getframe(1).f_code.co_name, c.size))
         return kernel(coeffs, c, norm)
 
     def half_grid_block(grid):
@@ -359,20 +361,27 @@ def test_sweep_stacked_calls_respect_cap(std_pair, monkeypatch):
     monkeypatch.setattr(bounds, "_stacked_h", spy)
     bound_norm_power(std_pair, Norm.ONE, 2)
     bound_spectral_radius_curve(std_pair)
+    sizes = [size for _, size in calls]
     assert max(sizes) <= bounds._MAX_STACK
     # grid blocks evaluate H on phi in [0, pi] only; bisection calls are smaller
     assert max(sizes) <= max(half_grid_block(g) for g in (bounds._COARSE_GRID, bounds._FINE_GRID))
 
-    # one bisection serves every sigma of a call: grid blocks plus 50 steps
-    sizes.clear()
+    # a curve makes, per pass of tiles, one call at the tile centres and
+    # then its scan calls, each at most a grid block; then one bisection
+    # serves every sigma, in at most 50 steps; in all, no more calls than
+    # grid blocks plus 50 steps
+    calls.clear()
     sigmas = np.arange(0.0, 3.0, 0.02)
     boundary_curve(std_pair, sigmas, Norm.FROBENIUS, 2)
-    assert max(sizes) <= bounds._MAX_STACK
+    kinds = "".join({"_cell_bounds": "c", "_scan_cells": "s", "_omega_sup": "b"}[caller] for caller, _ in calls)
+    assert re.fullmatch(r"(cs+)+b*", kinds), kinds
+    assert all(size <= half_grid_block(bounds._CURVE_GRID) for caller, size in calls if caller != "_omega_sup")
+    bisections = [size for caller, size in calls if caller == "_omega_sup"]
+    assert len(bisections) <= bounds._BISECTION_STEPS
+    assert all(size <= sigmas.size for size in bisections)
     rows = bounds._MAX_STACK // bounds._CURVE_GRID
     blocks = math.ceil(sigmas.size / rows)
-    assert len(sizes) <= blocks + bounds._BISECTION_STEPS
-    assert all(size <= half_grid_block(bounds._CURVE_GRID) for size in sizes[:blocks])
-    assert all(size <= sigmas.size for size in sizes[blocks:])
+    assert len(calls) <= blocks + bounds._BISECTION_STEPS
 
 
 # --- bisecting only the crossings that can move the result --------------------------
@@ -411,8 +420,8 @@ def test_pruned_designed_sweeps_match_every_polish_oracle(n):
 
 @pytest.mark.parametrize("sigma_min", [-0.5, 0.0, 0.3])
 def test_tail_cut_matches_a_sound_stop(sigma_min, std_pair):
-    # the tail cut is a stopping rule, not a proof: H need not fall as sigma
-    # grows.  The oracle scans on until no point past its sigma can raise
+    # the sweep's stop rests on the maximum principle; this oracle's crude
+    # stop does not.  It scans on until no point past its sigma can raise
     # the maximum (1 to 760 coarse rows here).  Designs with n >= 3 are left
     # out: at p >= 2 ||A0|| + ||A1|| e^(-sigma) is loose (up to 145,398
     # rows, 0.5-4 s a sweep at n = 4), and the unfloored rho scan runs
@@ -422,11 +431,45 @@ def test_tail_cut_matches_a_sound_stop(sigma_min, std_pair):
     assert got == _sweeps(feasibility_sup_sound_stop, std_pair, _STANDARD_SWEEPS, sigma_min)
 
 
+def _random_pairs(n):
+    entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0, width=32, allow_subnormal=False))
+    return st.builds(CompanionPair, entries, entries)
+
+
+_MAX_PRINCIPLE_PAIRS = st.one_of(
+    st.integers(1, 4).map(lambda n: _pair(mid_coefficients(n, -0.5, 2.5), -0.5)),
+    st.integers(1, 4).flatmap(_random_pairs),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=_MAX_PRINCIPLE_PAIRS, sigma=st.floats(-0.5, 3.0))
+def test_envelope_does_not_rise_with_sigma(pair, sigma):
+    # the maximum principle the sweeps' stop rests on: ||M(c)^p|| and
+    # log rho(M(c)) are subharmonic in c = e^(-sigma - i phi), so the
+    # envelope max_phi H falls as |c| = e^(-sigma) does.  H here is numpy's,
+    # one matrix at a time, on the 2048-point grid; the float32 entries keep
+    # M(c)^3 and its squares clear of underflow
+    phis = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+
+    def envelopes(s):
+        M = pair.A0 + np.exp(-s - 1j * phis)[:, None, None] * pair.A1
+        yield np.abs(np.linalg.eigvals(M)).max()
+        for p in (1, 2, 3):
+            Mp = np.linalg.matrix_power(M, p)
+            for ord_ in _NORM_ORD.values():
+                yield (np.linalg.norm(Mp, ord_, axis=(-2, -1)) ** (1.0 / p)).max()
+
+    for before, after in zip(envelopes(sigma), envelopes(sigma + 0.05)):
+        assert after <= before + 8 * np.spacing(before), (sigma, before, after)
+
+
 def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
     # the every-polish oracle makes 7,075 calls here, 50 bisection steps per
     # coarse block; the floored sweeps made 797, 652 with tiles of sigma rows
-    # and coarse blocks of a tail cut's length, and 633 with the tail cut
-    # reading the tile bounds (no point per row for the envelope)
+    # and coarse blocks of a tail cut's length, 633 with the tail cut
+    # reading the tile bounds (no point per row for the envelope), and 634
+    # with the proven stop, whose first block also makes a tile-centre call
     calls = []
     kernel = bounds._stacked_h
 
@@ -436,7 +479,7 @@ def test_pruned_sweeps_kernel_call_count(std_pair, monkeypatch):
 
     monkeypatch.setattr(bounds, "_stacked_h", spy)
     _sweeps(_pruned_sup, std_pair, _STANDARD_SWEEPS, 0.0)
-    assert len(calls) <= 700
+    assert len(calls) <= 650
 
 
 @settings(max_examples=40, deadline=None)
@@ -528,11 +571,21 @@ def test_n1_floored_sup_equals_the_unfloored_one():
 
 
 def test_sweep_rejects_overflowing_sigma_min(std_pair):
-    # e^(-sigma_min) in the sweep's sigma cap overflows a float below about -709
+    # the values a sweep forms pass the float range well before
+    # e^(-sigma_min) does, below about -709
     with pytest.raises(ValueError, match="sigma_min = -800.0 overflows"):
         bound_spectral_radius_curve(std_pair, -800.0)
     with pytest.raises(ValueError, match="sigma_min = -800.0 overflows"):
         bound_norm_power(std_pair, Norm.ONE, 1, -800.0)
+
+
+def test_sweep_past_every_feasible_point_reads_zero(std_pair):
+    # no z with Re z >= 1e200 is feasible, and the stop must fire on the
+    # first row although sigma^2 overflows; a tile centre taken as
+    # (lo + hi) / 2 would overflow too, make every bound nan and never stop
+    for sigma_min in (1e200, 1e308, np.finfo(float).max):
+        assert bound_spectral_radius_curve(std_pair, sigma_min).value == 0.0
+        assert bound_norm_power(std_pair, Norm.TWO, 2, sigma_min).value == 0.0
 
 
 def test_sweep_rejects_non_finite_sigma_min(std_pair):
@@ -576,14 +629,21 @@ def test_half_grid_matches_full_grid_oracle(grid, std_pair, example_system):
     }
     for name, (pair, sigmas) in pairs.items():
         for key, power in _SWEEP_KEYS:
+            what = f"{name} {key} p={power}"
             coeffs = _coeffs(pair, power)
             sup, env, _ = bounds._omega_sup(coeffs, key, sigmas, grid)
             want_sup, want_env = omega_sup_full_grid(coeffs, key, sigmas, grid)
             assert sup[-1] == -math.inf  # the last sigma is infeasible
-            np.testing.assert_array_equal(sup, want_sup, f"{name} {key} p={power}")
-            # the envelope's maximum is H at phi_j on the half grid; the oracle
-            # also evaluates phi_(grid-j), whose last bit may differ
-            np.testing.assert_allclose(env, want_env, rtol=2 * np.finfo(float).eps, atol=0.0)
+            np.testing.assert_array_equal(sup, want_sup, what)
+            # the envelope is its tile's bound, which holds between grid
+            # points too: at or above the oracle's envelope on this grid,
+            # and, on the coarse grid, whose envelope the sweeps' stop
+            # reads, on one four times as fine (no result reads the
+            # envelope on the other grids)
+            assert (env >= want_env).all(), what
+            if grid == bounds._COARSE_GRID:
+                _, finer_env = omega_sup_full_grid(coeffs, key, sigmas, 4 * grid)
+                assert (env >= finer_env).all(), what
 
 
 def test_sweep_rejects_complex_coefficients():
@@ -750,7 +810,9 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
     # polish stopped at its fixed point, to 354,082 (rho 43,884); one centre
     # per tile of sigma rows and cell, with coarse blocks of a tail cut's
     # length, to 182,609 (rho 19,761); with the tail cut reading the tile
-    # bounds and no cell kept for the envelope, to 123,923 (rho 19,661)
+    # bounds and no cell kept for the envelope, to 123,923 (rho 19,661); and
+    # with the proven stop in place of the 100-row tail cut, to 117,884 (rho
+    # 19,760: its first block adds 99 tile centres)
     points = []
     kernel = bounds._stacked_h
 
@@ -765,8 +827,8 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
         points.clear()
         counted[key, power] = bounds._feasibility_sup(A0, A1, key, power, 0.0)[1]
         assert counted[key, power] == sum(points), key
-    assert counted["rho", 1] <= 22_000
-    assert sum(counted.values()) <= 137_000
+    assert counted["rho", 1] <= 20_000
+    assert sum(counted.values()) <= 119_000
 
 
 def test_graeffe_coefficients_once_per_rho_sweep(std_pair, example_system, monkeypatch):

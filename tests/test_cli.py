@@ -451,6 +451,24 @@ def test_simulate_non_finite_step_or_t_start_exit_2(flag, message, example_dir, 
     assert not (tmp_path / "sol_y01.csv").exists()
 
 
+def test_simulate_refuses_an_oversized_run_before_allocating(example_dir, tmp_path):
+    # step 1e-7 to t = 40 at tau = 2.5 needs a state table of 400,000,001
+    # rows of 3 values, 8.94 GiB, whose allocation failed as an internal
+    # error (exit 1); the child runs under a 3 GB address-space limit, so a
+    # run that allocated first would fail, not take the memory, and with one
+    # BLAS thread, whose buffers then fit under that limit on any host
+    argv = ["simulate", str(example_dir / "system.json"), "--history", "y01", "--t-end", "40",
+            "--step", "1e-7", "--out-dir", str(tmp_path)]
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+        f"from midspec.cli import main; sys.exit(main({argv!r}))"
+    )
+    r = run_python("-c", code, env={"MIDSPEC_THREADS": "1"}, timeout=60)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: a run to t_end = 40 at step 1e-07 needs 400000001 state rows of 3 values"), r.stderr
+    assert not (tmp_path / "sol_y01.csv").exists()
+
+
 def test_simulate_step_above_tau_and_empty_fit_window(example_dir, tmp_path, capsys):
     argv = ["simulate", str(example_dir / "system.json"), "--history", "y01", "--t-end", "10",
             "--out-dir", str(tmp_path)]
