@@ -2,8 +2,8 @@
 of maximal multiplicity — design, spectral certification, a priori bounds,
 and method-of-steps simulation.
 
-Submodules are imported lazily so the command line can cap BLAS threads
-before numpy loads.
+Submodules are imported lazily, so `import midspec` loads no numpy: a
+command loads only the layers it runs.
 """
 
 __version__ = "0.1.0"

@@ -63,7 +63,9 @@ SUBMULTIPLICATIVE_NORMS = (Norm.ONE, Norm.TWO, Norm.FROBENIUS, Norm.INFINITY)
 
 class BoundReport(_Record):
     """One computed bound on |Im z| over {Re z >= sigma_min}, and the number
-    of H evaluations its feasibility sweep made (0 for a closed form)."""
+    of H evaluations its feasibility sweep made (0 for a closed form); a
+    rho sweep's tile centre counts as one, an evaluation of the Graeffe
+    bound (_rho_cell_bound) in place of H."""
 
     method: BoundMethod
     norm: Norm
@@ -321,7 +323,7 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
             tr /= 2.0
             return np.maximum(np.abs(lam), np.abs(tr))
         return np.abs(np.linalg.eigvals(np.moveaxis(E, -1, 0))).max(axis=1)
-    if norm == Norm.TWO and n != 2:
+    if norm == Norm.TWO:
         # sigma_max^2 is the top eigenvalue of the Gram matrix E^H E
         M = np.moveaxis(E, -1, 0)
         gram = np.linalg.eigvalsh(np.swapaxes(M.conj(), -1, -2) @ M)[:, -1]
@@ -334,12 +336,6 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
         h = _ordered_sum(np.sqrt(sq, out=sq).swapaxes(0, 1)).max(axis=0)
     elif norm == Norm.FROBENIUS:
         h = np.sqrt(_ordered_sum(sq.reshape(-1, *sq.shape[2:])))
-    elif norm == Norm.TWO:  # 2x2 closed form
-        # sigma_max^2 = (f2 + sqrt(f2^2 - 4 |det|^2)) / 2 with the root
-        # factored: d = 2 |det| <= f2, so no term passes 2 f2
-        f2 = _ordered_sum(sq.reshape(-1, *sq.shape[2:]))
-        d = 2.0 * np.abs(E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0])
-        h = np.sqrt((f2 + np.sqrt(np.maximum(f2 - d, 0.0)) * np.sqrt(f2 + d)) / 2.0)
     else:
         raise ValueError(f"unsupported norm: {norm}")
     return h ** (1.0 / power)
@@ -435,11 +431,11 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe, he
     spread = np.maximum(s - lo, hi - s)
     power = coeffs.shape[0] - 1
     r = np.exp(-s)
-    hc = _stacked_h(coeffs, (r[:, None] * cells.rot_centre).ravel(), norm).reshape(s.size, -1)
     r_lo = np.exp(-lo)
     reach = cells.delta + spread[:, None]
     if norm == "rho":
         return _rho_cell_bound(graeffe, r, cells, r_lo, reach)
+    hc = _stacked_h(coeffs, (r[:, None] * cells.rot_centre).ravel(), norm).reshape(s.size, -1)
     rk = r_lo[:, None] ** np.arange(power + 1)
     mods = np.abs(coeffs)
     # the Frobenius norm bounds the two-norm of every matrix with these moduli
@@ -580,11 +576,13 @@ def _tile_ends(s: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _cell_keep(coeffs, norm, s: np.ndarray, heads: np.ndarray, cells: _HalfGridCells, floor: float,
                graeffe) -> tuple[np.ndarray, np.ndarray, int]:
     """(keep, bound, points): which cells (tiles x cells) could raise a row
-    of their tile above floor (every cell for a floor of -inf); per tile,
-    an upper bound on sqrt(H^2 - sigma^2) at every sigma of the tile and
-    every phi, not only the grid's; and the number of H evaluations made.
-    s holds the rows' sigmas in ascending order, and each tile runs from one
-    of heads to the next."""
+    of their tile above floor (for a floor of -inf, every cell whose bound
+    on H reaches the tile's smallest |sigma|, below which no point is
+    feasible); per tile, an upper bound on sqrt(H^2 - sigma^2) at every
+    sigma of the tile and every phi, not only the grid's; and the number of
+    tile centres evaluated, each an H evaluation, or for rho one of the
+    Graeffe bound's.  s holds the rows' sigmas in ascending order, and each
+    tile runs from one of heads to the next."""
     two_pi = 2.0 * math.pi
     h_up = _cell_bounds(coeffs, norm, s, cells, graeffe, heads)
     lo, hi = _tile_ends(s, heads)
@@ -599,6 +597,7 @@ def _cell_keep(coeffs, norm, s: np.ndarray, heads: np.ndarray, cells: _HalfGridC
 
     u = np.maximum(top(*cells.span), np.where(cells.mirrors, top(*cells.mirror_span), -math.inf))
     keep = u + _CELL_SLACK * np.abs(u) > floor
+    keep &= h_up * h_up >= s2[:, None]  # H < |sigma| on the whole tile: nothing is feasible
     keep |= ~np.isfinite(h_up).all(axis=1, keepdims=True)  # overflow: no bound, keep the tile
     return keep, w_up.max(axis=1), h_up.size
 
@@ -662,13 +661,14 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     half-extent, with the Lipschitz constant at the tile's smallest sigma).
     A cell is evaluated in full, on every row of the tile, only if
     _cell_keep finds that it could yield a value above floor on some row; a
-    floor of -inf keeps every cell.  For every norm and for rho (the
-    Graeffe-Cauchy bound) the bound holds on the whole tile, so what follows
-    holds row by row.  A row whose sup exceeds floor keeps its grid argmax,
-    which is then also the first argmax of the kept points; a row whose
-    argmax is pruned ends at or below floor, since a bracket in class k that
-    is not the argmax polishes to at most phi_(i+1) + 2 pi k, no more than
-    the argmax's grid value.  So every sup above floor is that of the full
+    floor of -inf keeps every cell that could hold a feasible point.  For
+    every norm and for rho (the Graeffe-Cauchy bound) the bound holds on
+    the whole tile, so what follows holds row by row.  A row whose sup
+    exceeds floor keeps its grid argmax, which is then also the first
+    argmax of the kept points; a row whose argmax is pruned ends at or
+    below floor, since a bracket in class k that is not the argmax
+    polishes to at most phi_(i+1) + 2 pi k, no more than the argmax's grid
+    value.  So every sup above floor is that of the full
     grid, and every other sup stays at or below floor (-inf for a row with
     no cell kept).
 

@@ -17,36 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-__version__ = "0.1.0"
-
-
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _positive_int(text: str | None) -> int | None:
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        return None
-    return value if value > 0 else None
-
-
-def _apply_thread_cap() -> None:
-    """MIDSPEC_THREADS caps the BLAS pools, the only internal parallelism.
-
-    Each pool variable becomes the smaller of its inherited value and the cap;
-    an unset or malformed one becomes the cap.  A cap lowers, never raises.
-    Unset or empty means no cap.  Must run before numpy is imported.
-    """
-    raw = os.environ.get("MIDSPEC_THREADS")
-    if not raw:
-        return
-    cap = _positive_int(raw)
-    if cap is None:
-        raise ValueError(f"MIDSPEC_THREADS must be a positive integer, got {raw!r}")
-    for var in _BLAS_THREAD_VARS:
-        inherited = _positive_int(os.environ.get(var))
-        os.environ[var] = str(cap if inherited is None else min(inherited, cap))
+from . import __version__
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -541,11 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     run = _Run(args)

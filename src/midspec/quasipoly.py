@@ -712,14 +712,6 @@ class CompanionPair(_Record):
     def n(self) -> int:
         return self.A0.shape[0]
 
-    def char_value(self, z: complex) -> complex:
-        """det(zI - A0 - A1 e^(-z)), the delay-1 characteristic function."""
-        import numpy as np
-
-        z = complex(z)
-        M = z * np.eye(self.n) - self.A0 - self.A1 * np.exp(-z)
-        return complex(np.linalg.det(M))
-
 
 def companion(b: Sequence[float], beta: Sequence[float]) -> CompanionPair:
     """Companion pair of y^(n) + sum b_k y^(k) + sum beta_k y^(k)(t - delay):

@@ -83,8 +83,9 @@ class HistoryFunction(_Record):
       LINEAR     (slope, intercept)
       QUADRATIC  (c2, c1, c0) for c2 t^2 + c1 t + c0
       SINUSOID   (amplitude, omega, phase) for A sin(omega t + phase)
-      SAMPLED    () with times/values arrays; a cubic spline supplies values
-                 and derivatives
+      SAMPLED    () with times/values arrays; the not-a-knot cubic spline
+                 through them (_not_a_knot) supplies values and derivatives,
+                 zero above the third
     """
 
     kind: HistoryKind
@@ -98,8 +99,6 @@ class HistoryFunction(_Record):
                 f"{self.kind.value} history needs finite parameters, got {self.parameters}"
             )
         if self.kind == HistoryKind.SAMPLED:
-            from scipy.interpolate import CubicSpline  # heavy import, sampled histories only
-
             t = np.asarray(self.times, dtype=float)
             v = np.asarray(self.values, dtype=float)
             if t.ndim != 1 or t.shape != v.shape or t.size < 4:
@@ -112,7 +111,7 @@ class HistoryFunction(_Record):
             v.setflags(write=False)
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", v)
-            object.__setattr__(self, "_spline", CubicSpline(t, v))
+            object.__setattr__(self, "_spline", _not_a_knot(t, v))
 
     def derivative_values(self, t, order: int):
         """order-th derivative of the history at times t (array-valued)."""
@@ -124,8 +123,16 @@ class HistoryFunction(_Record):
             # constant, linear and quadratic parameters are polynomial
             # coefficients, highest power first
             return np.polyval(np.polyder(self.parameters, order), t)
-        spline = getattr(self, "_spline")
-        return spline(t, nu=order) if order <= 3 else np.zeros_like(t)
+        if order > 3:
+            return np.zeros_like(t)
+        # the interval [x_i, x_(i+1)) of each t; the end pieces extrapolate
+        i = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2)
+        u = t - self.times[i]
+        coeffs = getattr(self, "_spline")[:, i]
+        y = math.perm(3, order) * coeffs[0]
+        for p in range(2, order - 1, -1):  # Horner on the order-th derivative
+            y = y * u + math.perm(p, order) * coeffs[3 - p]
+        return y
 
     def state_values(self, t, n: int) -> np.ndarray:
         """Stacked (len(t), n) array of (y, y', ..., y^(n-1)) at times t."""
@@ -136,6 +143,38 @@ class HistoryFunction(_Record):
         if self.kind != HistoryKind.SAMPLED:
             return True
         return self.times[0] <= -tau + 1e-12 and self.times[-1] >= -1e-12
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, N - 1) of the not-a-knot cubic spline through N >= 4
+    points, highest power first: on [x_i, x_(i+1)] it is
+    sum_k c[k, i] (t - x_i)^(3 - k).
+
+    The knot slopes s solve one tridiagonal system: rows 1..N-2 ask the
+    second derivative to be continuous, and the end rows that the third is
+    continuous at x_1 and x_(N-2), in the scaled form of scipy's
+    CubicSpline.  The system is solved by Thomas elimination.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    # per row: the factors on s_(i-1), s_i and s_(i+1), and the right side
+    lower = [0.0, *dx[1:].tolist(), d1]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+    upper = [d0, *dx[:-1].tolist(), 0.0]
+    rhs = [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+           *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+           (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1]
+    for i in range(1, x.size):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):  # back substitution, in place
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    s = np.array(rhs)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
 
 def constant(value: float) -> HistoryFunction:

@@ -14,7 +14,8 @@ trying candidate multiplicities: refine on the (m-1)-th derivative, then
 confirm with the derivative-based multiplicity test.  Independently of
 both, a Chebyshev collocation of the delay equation's infinitesimal generator
 gives the characteristic roots as matrix eigenvalues.  None of this shares
-code with the argument-principle path it validates.
+code with the argument-principle path it validates.  A companion pair's
+characteristic function is a dense determinant.
 
 The integrator oracles are a stagewise RK4 loop (four stages per step, each
 a pair of matvecs; in float, or in np.longdouble as an extended-precision
@@ -220,6 +221,14 @@ def scan_roots(q, rect, grid=0.01, rel_cut=1e-2, cluster=0.05):
 def scan_count(q, rect, grid=0.01):
     """Brute-force root count with multiplicity inside rect."""
     return sum(m for _, m in scan_roots(q, rect, grid=grid))
+
+
+def char_value(pair, z):
+    """det(zI - A0 - A1 e^(-z)), the delay-1 characteristic function of a
+    companion pair."""
+    z = complex(z)
+    M = z * np.eye(pair.n) - pair.A0 - pair.A1 * np.exp(-z)
+    return complex(np.linalg.det(M))
 
 
 def chebyshev_eigenvalues(sys, N):

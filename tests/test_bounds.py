@@ -431,6 +431,19 @@ def test_tail_cut_matches_a_sound_stop(sigma_min, std_pair):
     assert got == _sweeps(feasibility_sup_sound_stop, std_pair, _STANDARD_SWEEPS, sigma_min)
 
 
+@pytest.mark.parametrize("key,power", _STANDARD_SWEEPS)
+def test_sweep_with_no_feasible_point_evaluates_only_tile_centres(key, power, std_pair):
+    # at sigma_min = 50, H is far below sigma on every tile, so no cell is
+    # scanned: the first coarse block's tile centres decide the sweep
+    A0, A1 = std_pair.A0.astype(complex), std_pair.A1.astype(complex)
+    value, points = bounds._feasibility_sup(A0, A1, key, power, 50.0)
+    grid = bounds._COARSE_GRID
+    sigmas = 50.0 + np.arange(bounds._MAX_STACK // grid) * bounds._COARSE_SIGMA_STEP
+    centres = bounds._sigma_tiles(sigmas, grid).size * bounds._half_grid(grid)[1].first.size
+    assert value == 0.0
+    assert 0 < points <= centres
+
+
 def _random_pairs(n):
     entries = arrays(np.float64, (n, n), elements=st.floats(-8.0, 8.0, width=32, allow_subnormal=False))
     return st.builds(CompanionPair, entries, entries)
@@ -543,9 +556,9 @@ def test_norm_sums_do_not_depend_on_the_stack():
     c = rng.uniform(0.2, 2.0, 200) * np.exp(-1j * rng.uniform(0.0, 2.0 * math.pi, 200))
     # at n = 1 the complex Horner step once rounded 10 of these points (15 for
     # the two-norm) differently in the stack than alone.  Tiles of sigma rows
-    # regroup the points of each call, so every kernel is pinned: the 2x2
-    # closed forms at the standard pair's order, the Gram eigenvalues of the
-    # two-norm at n = 3, 4, and rho by its closed form (n = 2) or eigvals
+    # regroup the points of each call, so every kernel is pinned: the entry
+    # sums, the Gram eigenvalues of the two-norm at n = 2, 3, 4, and rho by
+    # its closed form (n = 2) or eigvals
     for n in (1, 2, 3, 4, 8):
         pair = CompanionPair(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
         keys = [("rho", 1)] + [(norm, 2) for norm in (Norm.ONE, Norm.INFINITY, Norm.FROBENIUS)]
@@ -812,15 +825,22 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
     # length, to 182,609 (rho 19,761); with the tail cut reading the tile
     # bounds and no cell kept for the envelope, to 123,923 (rho 19,661); and
     # with the proven stop in place of the 100-row tail cut, to 117,884 (rho
-    # 19,760: its first block adds 99 tile centres)
+    # 19,760: its first block adds 99 tile centres).  A rho tile centre is
+    # an evaluation of the Graeffe bound, not of H
     points = []
-    kernel = bounds._stacked_h
+    kernel, rho_bound = bounds._stacked_h, bounds._rho_cell_bound
 
     def spy(coeffs, c, norm):
         points.append(c.size)
         return kernel(coeffs, c, norm)
 
+    def rho_spy(*args):
+        bound = rho_bound(*args)
+        points.append(bound.size)
+        return bound
+
     monkeypatch.setattr(bounds, "_stacked_h", spy)
+    monkeypatch.setattr(bounds, "_rho_cell_bound", rho_spy)
     A0, A1 = std_pair.A0.astype(complex), std_pair.A1.astype(complex)
     counted = {}
     for key, power in _STANDARD_SWEEPS:

@@ -463,7 +463,8 @@ def test_simulate_refuses_an_oversized_run_before_allocating(example_dir, tmp_pa
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
         f"from midspec.cli import main; sys.exit(main({argv!r}))"
     )
-    r = run_python("-c", code, env={"MIDSPEC_THREADS": "1"}, timeout=60)
+    blas = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    r = run_python("-c", code, env=blas, timeout=60)
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stderr.startswith("error: a run to t_end = 40 at step 1e-07 needs 400000001 state rows of 3 values"), r.stderr
     assert not (tmp_path / "sol_y01.csv").exists()
@@ -591,7 +592,6 @@ def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
     def inconclusive(*args, **kwargs):
         raise spectral.LocalizationError("root remains on the boundary")
 
-    monkeypatch.delenv("MIDSPEC_THREADS", raising=False)
     monkeypatch.setattr(spectral, "certify_dominance", inconclusive)
     assert cli.main(["verify", str(example_dir / "system.json")]) == 3
     out = capsys.readouterr().out
@@ -884,15 +884,19 @@ _NO_INTROSPECTION = ["dataclasses", "inspect", "datetime"]
         (["verify", "{system}"], _NO_SWEEPS + ["numpy"] + _NO_INTROSPECTION),
         (["simulate", "{system}", "--history", "y01", "--t-end", "5"],
          ["midspec.spectral", "midspec.bounds", "scipy"]),
+        (["simulate", "{system}", "--history", "file:{history}", "--t-end", "5"],
+         ["midspec.spectral", "midspec.bounds", "scipy"]),
         (["bounds", "{system}", "--method", "mori-kokame", "--norm", "one"],
          ["midspec.spectral", "midspec.sim", "scipy"]),
     ],
-    ids=["design", "spectrum", "verify", "simulate", "bounds"],
+    ids=["design", "spectrum", "verify", "simulate", "simulate-file", "bounds"],
 )
 def test_command_import_matrix(argv, absent, example_dir, tmp_path):
     # each command loads only the layers it runs; a package present in
     # sys.modules means some module of it was imported
-    argv = [a.format(system=example_dir / "system.json") for a in argv] + ["--quiet"]
+    history = tmp_path / "history.csv"
+    history.write_text("".join(f"{t!r},{math.cos(t)!r}\n" for t in np.linspace(-2.5, 0.0, 201).tolist()))
+    argv = [a.format(system=example_dir / "system.json", history=history) for a in argv] + ["--quiet"]
     if argv[0] != "verify":
         argv += ["--out-dir", str(tmp_path)]
     r = run_python(
@@ -918,65 +922,6 @@ def test_design_loads_only_the_standard_library(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "0 ['midspec', 'midspec.cli', 'midspec.quasipoly'] []"
-
-
-# --- thread cap -------------------------------------------------------------------
-
-
-def test_thread_cap_env(example_dir, tmp_path):
-    r = run_cli(
-        "verify", str(example_dir / "system.json"),
-        cwd=tmp_path,
-        env={"MIDSPEC_THREADS": "1", "OMP_NUM_THREADS": "4"},
-    )
-    assert r.returncode == 0, r.stdout + r.stderr
-
-
-def test_thread_cap_invalid_exit_2(tmp_path):
-    r = run_cli(
-        "design", "--n", "2", "--s0", "0", "--tau", "1", "--out-dir", str(tmp_path),
-        env={"MIDSPEC_THREADS": "0"},
-    )
-    assert r.returncode == 2
-    assert r.stderr.startswith("error: MIDSPEC_THREADS")
-
-
-@pytest.fixture
-def blas_env(monkeypatch):
-    """Clear the cap and the BLAS pool variables; restored after the test."""
-    for var in ("MIDSPEC_THREADS", *cli._BLAS_THREAD_VARS):
-        monkeypatch.setenv(var, "")  # records the original for the undo
-        monkeypatch.delenv(var)
-    return monkeypatch
-
-
-def test_thread_cap_unset_leaves_environment(blas_env):
-    blas_env.setenv("OMP_NUM_THREADS", "4")
-    before = dict(os.environ)
-    cli._apply_thread_cap()
-    assert dict(os.environ) == before
-
-
-def test_thread_cap_lowers_inherited_value(blas_env):
-    blas_env.setenv("OMP_NUM_THREADS", "4")
-    blas_env.setenv("MIDSPEC_THREADS", "1")
-    cli._apply_thread_cap()
-    assert [os.environ[v] for v in cli._BLAS_THREAD_VARS] == ["1", "1", "1"]
-
-
-def test_thread_cap_never_raises_inherited_value(blas_env):
-    blas_env.setenv("OPENBLAS_NUM_THREADS", "1")
-    blas_env.setenv("MIDSPEC_THREADS", "2")
-    cli._apply_thread_cap()
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    assert os.environ["OMP_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == "2"
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
-def test_thread_cap_rejects_non_positive(blas_env, raw):
-    blas_env.setenv("MIDSPEC_THREADS", raw)
-    with pytest.raises(ValueError, match="positive integer"):
-        cli._apply_thread_cap()
 
 
 # --- packaging ------------------------------------------------------------------

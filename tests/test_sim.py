@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from midspec import sim
 from midspec.quasipoly import RetardedSystem, companion, mid_coefficients
@@ -71,6 +74,31 @@ def test_sampled_history_spline_matches_data():
     hist = sampled(t, np.cos(t))
     assert np.allclose(hist.derivative_values(t, 0), np.cos(t), atol=1e-12)
     assert np.allclose(hist.derivative_values(t[5:-5], 1), -np.sin(t[5:-5]), atol=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sampled_history_matches_scipy_cubic_spline(data):
+    # oracle: scipy's CubicSpline with its default not-a-knot ends; a
+    # sampled history has no derivative above the third.  The points hold
+    # every midpoint, so the scale is the spline's size on every interval,
+    # not only at its knots.  Steps differ at most tenfold: where a step of
+    # 1 meets two of 1e-4, scipy's pivoted banded solve misses its own
+    # not-a-knot rows by 1e-10 of the third derivative (an exact solve in
+    # mpmath sides with Thomas elimination there)
+    from scipy.interpolate import CubicSpline
+
+    n = data.draw(st.integers(4, 300))
+    steps = data.draw(st.floats(1e-4, 0.1)) * data.draw(arrays(float, n - 1, elements=st.floats(1.0, 10.0)))
+    times = np.concatenate(([0.0], np.cumsum(steps))) - data.draw(st.floats(0.0, 3.0))
+    values = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0))) * data.draw(st.floats(1e-3, 1e3))
+    at = times[0] + data.draw(arrays(float, 50, elements=st.floats(0.0, 1.0))) * (times[-1] - times[0])
+    t = np.concatenate((times, (times[:-1] + times[1:]) / 2.0, at))
+    hist, spline = sampled(times, values), CubicSpline(times, values)
+    for order in range(4):
+        ref = spline(t, nu=order)
+        assert np.abs(hist.derivative_values(t, order) - ref).max() <= 1e-11 * np.abs(ref).max(), order
+    assert not hist.derivative_values(t, 4).any()
 
 
 def test_sampled_history_validation():
