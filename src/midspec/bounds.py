@@ -129,19 +129,14 @@ def log_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
 def matrix_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
     """The one, two, Frobenius or infinity norm of M.  M may be a stack of
     shape (..., n, n); the result is then an array of shape (...), and a
-    float for one matrix."""
+    float for one matrix.  It runs on the sweeps' kernel (_entry_norm), so
+    a matrix has the same norm alone as in a stack of any size."""
     M = _check_square(M)
-    norm = Norm(norm)
-    if norm == Norm.ONE:
-        value = np.abs(M).sum(axis=-2).max(axis=-1)
-    elif norm == Norm.INFINITY:
-        value = np.abs(M).sum(axis=-1).max(axis=-1)
-    elif norm == Norm.FROBENIUS:
-        value = np.sqrt((np.abs(M) ** 2).sum(axis=(-2, -1)))
-    elif norm == Norm.TWO:
-        value = np.linalg.svd(M, compute_uv=False)[..., 0]
-    else:
-        raise ValueError(f"unsupported matrix norm: {norm.value}")
+    # each matrix scaled by a power of two, exactly, so that its squared moduli
+    # neither overflow nor underflow; e >= -1000 keeps 2^-e finite
+    e = np.maximum(np.frexp(np.abs(M).max(axis=(-2, -1)))[1], -1000)
+    E = np.moveaxis(M * np.ldexp(1.0, -e)[..., None, None], (-2, -1), (0, 1))
+    value = np.ldexp(_entry_norm(E, Norm(norm)), e)
     return float(value) if M.ndim == 2 else value
 
 
@@ -284,7 +279,7 @@ def _power_coefficients(A0: np.ndarray, A1: np.ndarray, power: int) -> np.ndarra
 
 def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
     """||M(c)^p||^(1/p) for an array of scalars c, given the coefficients of
-    M(c)^p from _power_coefficients.
+    M(c)^p from _power_coefficients: its entries by _horner, their norm by _entry_norm.
 
     norm is a Norm member or the string "rho" for the spectral radius of
     M(c) (coefficients built with p = 1).
@@ -299,56 +294,54 @@ def _stacked_h(coeffs: np.ndarray, c: np.ndarray, norm) -> np.ndarray:
         for sk in s[-2::-1]:
             re, im = re * c.real - im * c.imag + sk.real, re * c.imag + im * c.real + sk.imag
         return np.hypot(re, im) ** (1.0 / power)
-    E = np.multiply.outer(coeffs[-1], c)  # entries of M(c)^p, shape (n, n, len(c))
-    for S in coeffs[-2:0:-1]:
-        E += S[:, :, None]
-        E *= c
-    E += coeffs[0][:, :, None]
-    if norm == "rho":
-        if n == 2:
-            # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs:
-            # the eigenvalues (tr +- sqrt(tr^2 - 4 det)) / 2, formed in place
-            # so that a call holds few len(c) temporaries at once
-            tr = E[0, 0] + E[1, 1]
-            det = E[0, 0] * E[1, 1]
-            det -= E[0, 1] * E[1, 0]
-            det *= 4.0
-            disc = tr * tr
-            disc -= det
-            del det
-            np.sqrt(disc, out=disc)
-            lam = tr + disc
-            lam /= 2.0
-            tr -= disc
-            tr /= 2.0
-            return np.maximum(np.abs(lam), np.abs(tr))
-        return np.abs(np.linalg.eigvals(np.moveaxis(E, -1, 0))).max(axis=1)
+    E = _horner(coeffs, c)  # entries of M(c)^p, shape (n, n, len(c))
+    if norm != "rho":
+        return _entry_norm(E, norm) ** (1.0 / power)
+    if n == 2:
+        # closed forms keep the sweeps cheap for the ubiquitous 2x2 pairs:
+        # the eigenvalues (tr +- sqrt(tr^2 - 4 det)) / 2
+        tr = E[0, 0] + E[1, 1]
+        disc = np.sqrt(tr * tr - 4.0 * (E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]))
+        return np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
+    return np.abs(np.linalg.eigvals(np.moveaxis(E, -1, 0))).max(axis=1)
+
+
+def _horner(coeffs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] c^k by Horner's rule in complex arithmetic, for
+    coefficients of shape (d + 1,) + shape, d >= 1, and an array c; the
+    result has shape shape + c.shape."""
+    lift = (Ellipsis,) + (None,) * c.ndim
+    out = np.multiply.outer(coeffs[-1], c)
+    for a in coeffs[-2:0:-1]:
+        out += a[lift]
+        out *= c
+    out += coeffs[0][lift]
+    return out
+
+
+def _entry_norm(E: np.ndarray, norm: Norm) -> np.ndarray:
+    """The one, two, Frobenius or infinity norm of each matrix of E, of shape
+    (n, n, ...), every sum in order (_ordered_sum), so a matrix gets the same
+    norm in a stack of any size; the two-norm through the Gram matrix E^H E."""
     if norm == Norm.TWO:
-        # sigma_max^2 is the top eigenvalue of the Gram matrix E^H E
-        M = np.moveaxis(E, -1, 0)
-        gram = np.linalg.eigvalsh(np.swapaxes(M.conj(), -1, -2) @ M)[:, -1]
-        return np.sqrt(np.maximum(gram, 0.0)) ** (1.0 / power)
+        M = np.moveaxis(E, (0, 1), (-2, -1))
+        gram = np.linalg.eigvalsh(np.swapaxes(M.conj(), -1, -2) @ M)[..., -1]
+        return np.sqrt(np.maximum(gram, 0.0))
     sq = E.real**2
-    sq += E.imag**2  # in place: one n x n x len(c) temporary, not three
-    if norm == Norm.ONE:
-        h = _ordered_sum(np.sqrt(sq, out=sq)).max(axis=0)
-    elif norm == Norm.INFINITY:
-        h = _ordered_sum(np.sqrt(sq, out=sq).swapaxes(0, 1)).max(axis=0)
-    elif norm == Norm.FROBENIUS:
-        h = np.sqrt(_ordered_sum(sq.reshape(-1, *sq.shape[2:])))
-    else:
-        raise ValueError(f"unsupported norm: {norm}")
-    return h ** (1.0 / power)
+    sq += E.imag**2  # in place: one temporary of E's size, not three
+    if norm in (Norm.ONE, Norm.INFINITY):  # column or row sums of the moduli
+        mods = np.sqrt(sq, out=sq)
+        return _ordered_sum(mods if norm == Norm.ONE else mods.swapaxes(0, 1)).max(axis=0)
+    if norm == Norm.FROBENIUS:
+        return np.sqrt(_ordered_sum(sq.reshape(-1, *sq.shape[2:])))
+    raise ValueError(f"unsupported matrix norm: {Norm(norm).value}")
 
 
 def _ordered_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the leading axis one slice at a time, in order, so a matrix
     gets the same sum in a stack of any size (numpy's reduction of eight or
     more terms can switch to pairwise summation when the stack holds one)."""
-    total = a[0].copy()
-    for part in a[1:]:
-        total += part
-    return total
+    return functools.reduce(np.add, a)
 
 
 class _HalfGridCells:
@@ -413,40 +406,49 @@ def _cell_bounds(coeffs, norm, s: np.ndarray, cells: _HalfGridCells, graeffe, he
     """An upper bound on H over each tile, of shape (tiles x cells).  The
     ascending sigmas s are cut into tiles at heads (_sigma_tiles), and each
     tile [lo, hi] x cell is bounded from one evaluation at its centre
-    (s_c, phi_c), s_c = (lo + hi) / 2, with spread = hi - s_c:
+    (s_c, phi_c), s_c = (lo + hi) / 2, with spread = hi - s_c, by one
+    Piyavskii-Shubert bound:
 
         H(sigma, phi)^p <= H(s_c, phi_c)^p + (|phi - phi_c| + spread) ||L||,
-        L = sum_k k r_lo^k |S_k|,  r_lo = e^(-lo),
+        L = sum_k k r_lo^k |S_k|,  r_lo = e^(-lo)  (_tile_moduli),
 
     valid on the whole tile: E = sum_k S_k r^k e^(-i k phi), with
     r = e^(-sigma), has both |dE/dphi| and |dE/dsigma| at most
     sum_k k r^k |S_k| <= L entrywise, so it moves entrywise by at most
     (|phi - phi_c| + |sigma - s_c|) L, and the norms are monotone in the
-    entry moduli (the two-norm through ||.||_F).  A one-row tile has
-    spread 0 and the phi bound alone.  For "rho" the bound is
-    _rho_cell_bound's, from the sweep's _sweep_graeffe coefficients.
+    entry moduli (the two-norm through ||.||_F), so matrix_norm reduces L.
+    A one-row tile has spread 0 and the phi bound alone.  For "rho" the
+    same bound holds for the Graeffe coefficients of the sweep's
+    _sweep_graeffe, each reduced by a Cauchy radius (_rho_cell_bound).
     """
     lo, hi = _tile_ends(s, heads)
     s = lo / 2.0 + hi / 2.0  # a one-row tile's own sigma; (lo + hi) / 2 without overflow
     spread = np.maximum(s - lo, hi - s)
-    power = coeffs.shape[0] - 1
     r = np.exp(-s)
     r_lo = np.exp(-lo)
     reach = cells.delta + spread[:, None]
     if norm == "rho":
         return _rho_cell_bound(graeffe, r, cells, r_lo, reach)
+    power = coeffs.shape[0] - 1
     hc = _stacked_h(coeffs, (r[:, None] * cells.rot_centre).ravel(), norm).reshape(s.size, -1)
-    rk = r_lo[:, None] ** np.arange(power + 1)
-    mods = np.abs(coeffs)
     # the Frobenius norm bounds the two-norm of every matrix with these moduli
     bound_norm = Norm.FROBENIUS if norm == Norm.TWO else norm
-    lip = matrix_norm(np.tensordot(rk * np.arange(power + 1), mods, 1), bound_norm)
+    lip, scale = (matrix_norm(L, bound_norm) for L in _tile_moduli(coeffs, r_lo))
     # rounding in H is relative to sum_k r^k |S_k|, whose norm bounds every
     # ||E|| on the tile, and absolute where squared moduli underflow: each
     # |E_ij| may then lose up to 2 sqrt(2 tiny)
-    slack = _CELL_SLACK * matrix_norm(np.tensordot(rk, mods, 1), bound_norm)
-    slack += 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
+    slack = _CELL_SLACK * scale + 4.0 * coeffs.shape[1] * math.sqrt(np.finfo(float).tiny)
     return (hc**power + reach * lip[:, None] + slack[:, None]) ** (1.0 / power)
+
+
+def _tile_moduli(coeffs: np.ndarray, r_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_k k r^k |c_k|, sum_k r^k |c_k|) for each r of r_lo, coefficients
+    c_k of shape (d + 1,) + shape: the Lipschitz bound of a tile and the
+    scale of its rounding, each of shape (r_lo.size,) + shape."""
+    k = np.arange(coeffs.shape[0])
+    rk = r_lo[:, None] ** k
+    mods = np.abs(coeffs)
+    return np.tensordot(rk * k, mods, 1), np.tensordot(rk, mods, 1)
 
 
 def _sweep_graeffe(coeffs, norm) -> np.ndarray | None:
@@ -496,29 +498,21 @@ def _rho_cell_bound(G: np.ndarray, r: np.ndarray, cells: _HalfGridCells, r_lo: n
                     reach: np.ndarray) -> np.ndarray:
     """An upper bound on rho(A0 + c A1), c = r' e^(-i phi), over each tile
     (tiles x cells): sqrt of the Cauchy radius of det(wI - (A0 + c A1)^2)
-    with the coefficient moduli bounded over the tile by
-    |q_k(c)| <= |q_k(c_c)| + reach sum_j j r_lo^j |G_kj|, G the pair's
-    _graeffe_coefficients, c_c = r e^(-i phi_c) the tile's centre, r_lo its
-    largest r' and reach the tile's |phi - phi_c| + |sigma - sigma_c|
-    (_cell_bounds).
+    with the coefficient moduli bounded over the tile by _cell_bounds'
+    Piyavskii-Shubert bound, |q_k(c)| <= |q_k(c_c)| + reach sum_j j r_lo^j |G_kj|
+    (_tile_moduli), G the pair's _graeffe_coefficients, q_k(c_c) by _horner
+    at the tile's centre c_c = r e^(-i phi_c), r_lo the tile's largest r'
+    and reach its |phi - phi_c| + |sigma - sigma_c|.
 
     Rounding in q_k is relative to sum_j r_lo^j |G_kj|; rounding in the
     radius is relative.  Where products underflow, each m_k may lose up to
     tiny, which the radius, subadditive in m, turns into at most
     2 tiny^(1/n).
     """
-    n, deg = G.shape[0], G.shape[1] - 1
-    c = r[:, None] * cells.rot_centre
-    q = np.broadcast_to(G[:, deg, None, None], (n,) + c.shape).astype(complex)
-    for j in range(deg - 1, -1, -1):
-        q *= c
-        q += G[:, j, None, None]
-    rj = r_lo[:, None] ** np.arange(deg + 1)
-    mods = np.abs(G).T
-    lip, scale = (rj * np.arange(deg + 1)) @ mods, rj @ mods
+    q = _horner(G.T, r[:, None] * cells.rot_centre)
+    lip, scale = _tile_moduli(G.T, r_lo)
     m = np.abs(q) + reach * lip.T[:, :, None] + _CELL_SLACK * scale.T[:, :, None]
-    tiny = np.finfo(float).tiny
-    return np.sqrt(_cauchy_radius(m)) * (1.0 + _CELL_SLACK) + 2.0 * tiny ** (0.5 / n)
+    return np.sqrt(_cauchy_radius(m)) * (1.0 + _CELL_SLACK) + 2.0 * np.finfo(float).tiny ** (0.5 / G.shape[0])
 
 
 def _cauchy_radius(m: np.ndarray) -> np.ndarray:
@@ -863,14 +857,14 @@ def bound_norm_power(
     power = int(power)
     if power < 1:
         raise ValueError("power must be a positive integer")
-    value, points = _feasibility_sup(pair.A0.astype(complex), pair.A1.astype(complex), norm, power, float(sigma_min))
+    value, points = _feasibility_sup(pair.A0, pair.A1, norm, power, float(sigma_min))
     return BoundReport(BoundMethod.NORM_POWER, norm, power, float(sigma_min), value, points)
 
 
 def bound_spectral_radius_curve(pair: CompanionPair, sigma_min: float = 0.0) -> BoundReport:
     """Sharper sweep with the spectral radius in place of a norm:
     sup |Im z| subject to |z| <= rho(A0 + A1 e^(-z))."""
-    value, points = _feasibility_sup(pair.A0.astype(complex), pair.A1.astype(complex), "rho", 1, float(sigma_min))
+    value, points = _feasibility_sup(pair.A0, pair.A1, "rho", 1, float(sigma_min))
     return BoundReport(BoundMethod.SPECTRAL_RADIUS_CURVE, Norm.NONE, 1, float(sigma_min), value, points)
 
 
@@ -886,7 +880,7 @@ def boundary_curve(
     Infeasible sigmas yield NaN.
     """
     key, power = ("rho", 1) if norm is None else (Norm(norm), int(power))
-    coeffs = _power_coefficients(pair.A0.astype(complex), pair.A1.astype(complex), power)
+    coeffs = _power_coefficients(pair.A0, pair.A1, power)
     graeffe = _sweep_graeffe(coeffs, key)
     sigmas = np.asarray(sigmas, dtype=float).ravel()
     if sigmas.size:

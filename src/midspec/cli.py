@@ -260,7 +260,7 @@ def cmd_bounds(args, run: _Run) -> int:
     lines = ["method,norm,power,sigma_min,value"]
     for method, norm, power, smin, value, _ in rows:
         lines.append(f"{method},{norm},{power},{smin:.17g},{value:.17g}")
-    run.write("bounds.csv", "\n".join(lines) + "\n")
+    files = {"bounds.csv": lines}
 
     if args.curves:
         sigmas = np.arange(args.sigma_min, args.sigma_min + 3.0 + 1e-9, 0.02)
@@ -269,7 +269,9 @@ def cmd_bounds(args, run: _Run) -> int:
         for name, norm, power in curves:
             body = ["sigma,omega_boundary"]
             body += [f"{s:.9g},{w:.9g}" for s, w in boundary_curve(pair, sigmas, norm, power)]
-            run.write(f"curve_{name}.csv", "\n".join(body) + "\n")
+            files[f"curve_{name}.csv"] = body
+    for name, body in files.items():  # written after every curve: a refused one leaves no file
+        run.write(name, "\n".join(body) + "\n")
 
     for line in lines:
         run.say(line)

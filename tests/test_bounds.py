@@ -111,10 +111,11 @@ def test_log_norm_stack_matches_loop(n):
         assert np.array_equal(log_norm(stack.reshape(8, 90, n, n), norm), got.reshape(8, 90))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_matrix_norm_stack_matches_numpy(n):
     # a stack (..., n, n) gives each matrix's norm, numpy's per-matrix norm
-    # as the oracle; one matrix still gives a float
+    # as the oracle; one matrix still gives a float, bitwise its slice of
+    # the stack, since the sums of the shared kernel run in order
     rng = np.random.default_rng(40 + n)
     stack = rng.normal(size=(6, 5, n, n)) + 1j * rng.normal(size=(6, 5, n, n))
     for norm, ord_ in ((Norm.ONE, 1), (Norm.TWO, 2), (Norm.FROBENIUS, "fro"),
@@ -126,6 +127,21 @@ def test_matrix_norm_stack_matches_numpy(n):
         single = matrix_norm(stack[2, 3], norm)
         assert type(single) is float
         assert abs(single - want[2, 3]) <= 1e-12 * want[2, 3], norm
+        assert single == got[2, 3], norm
+
+
+def test_matrix_norm_is_homogeneous_past_the_squares_range():
+    # ||2^k M|| = 2^k ||M|| bitwise, also where the squared moduli of 2^k M
+    # would overflow (k = 600) or underflow (k = -600): matrix_norm scales
+    # each matrix by a power of two before its kernel squares the moduli;
+    # the smallest subnormal is its own norm
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    for norm in bounds.SUBMULTIPLICATIVE_NORMS:
+        assert matrix_norm([[5e-324]], norm) == 5e-324, norm
+        want = matrix_norm(stack, norm)
+        for k in (600, -600):
+            np.testing.assert_array_equal(matrix_norm(np.ldexp(1.0, k) * stack, norm), np.ldexp(want, k), norm)
 
 
 def test_log_norm_rejects_non_square():
@@ -429,6 +445,31 @@ def test_tail_cut_matches_a_sound_stop(sigma_min, std_pair):
     got = [bound_spectral_radius_curve(std_pair, sigma_min).value if key == "rho"
            else bound_norm_power(std_pair, key, power, sigma_min).value for key, power in _STANDARD_SWEEPS]
     assert got == _sweeps(feasibility_sup_sound_stop, std_pair, _STANDARD_SWEEPS, sigma_min)
+
+
+def test_stop_keeps_a_late_maximum(std_pair, monkeypatch):
+    # scripted rows with a sup that rises after the envelope has nearly met
+    # the running maximum, which no real pair tested here shows.  The
+    # envelope E = hypot(env, min(sigma, 0)) is 1.03 at sigma = -0.5, 0.99 on
+    # (-0.5, 0] and 0.95 after; the sup is 0.9 at -0.5 and 0.95 at 0.  E
+    # never rises and no sup passes its row's env, as the maximum principle
+    # asks.  The proven stop fires only past sigma = 0; a stop at
+    # E <= 1.3 max(best, 0), or one that drops the min(sigma, 0) term, fires
+    # at -0.49 and returns 0.9
+    step = bounds._COARSE_SIGMA_STEP
+
+    def scripted(coeffs, norm, sigmas, grid, floor=-math.inf, graeffe=None):
+        sups = np.full(sigmas.size, -math.inf)
+        if grid == bounds._FINE_GRID:
+            return sups, np.full(sigmas.size, math.inf), 0
+        top = np.where(sigmas == -0.5, 1.03, np.where(sigmas < step / 2, 0.99, 0.95))
+        env = np.sqrt(top**2 - np.minimum(sigmas, 0.0) ** 2)
+        sups[sigmas == -0.5] = 0.9
+        sups[np.abs(sigmas) < step / 2] = 0.95
+        return sups, env, 0
+
+    monkeypatch.setattr(bounds, "_omega_sup", scripted)
+    assert bounds._feasibility_sup(std_pair.A0, std_pair.A1, Norm.ONE, 1, -0.5)[0] == 0.95
 
 
 @pytest.mark.parametrize("key,power", _STANDARD_SWEEPS)

@@ -312,6 +312,20 @@ def test_bounds_sweep_overflow_exit_2(sigma_min, tmp_path):
                                            f"norm-power sweep (norm {norm}, power {power})")
 
 
+def test_bounds_refused_curve_writes_no_file(tmp_path):
+    # the bound passes at sigma_min = -300 but the rho curve's range check
+    # refuses it; bounds.csv was once written before the curves, without a
+    # manifest
+    out = tmp_path / "out"
+    r = run_cli(
+        "bounds", "--standard-pair", "--method", "mori-kokame", "--norm", "one", "--curves",
+        "--sigma-min=-300", "--out-dir", str(out),
+    )
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "overflows the rho sweep" in r.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bounds_non_finite_s0_exit_2(example_dir, tmp_path):
     r = run_cli(
         "bounds", str(example_dir / "system.json"), "--s0=nan", "--method", "norm-power",
@@ -841,8 +855,9 @@ def test_design_spectrum_verify_round_trip(n, tmp_path):
 
 
 def test_library_import_loads_no_scipy():
-    # scipy is loaded only when a sampled history builds its spline; the
-    # design is exact in Python integers, so no rational arithmetic loads
+    # no module of the package imports scipy, the sampled history's spline
+    # included; the design is exact in Python integers, so no rational
+    # arithmetic loads
     r = run_python(
         "-c",
         "import sys, midspec.cli, midspec.quasipoly, midspec.spectral, midspec.bounds, "
@@ -851,6 +866,17 @@ def test_library_import_loads_no_scipy():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[] False False"
+
+
+def test_package_import_loads_no_submodule():
+    # a bare import of the package loads none of its layers, nor numpy
+    r = run_python(
+        "-c",
+        "import sys, midspec; print(sorted(m for m in sys.modules "
+        "if m.startswith('midspec.') or m.split('.')[0] == 'numpy'))",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
