@@ -491,7 +491,7 @@ def _int_ratio(num: int, den: int) -> float:
     try:
         return num / den
     except OverflowError:
-        return math.copysign(math.inf, num)
+        return math.inf if num > 0 else -math.inf
 
 
 def _rho_cell_bound(G: np.ndarray, r: np.ndarray, cells: _HalfGridCells, r_lo: np.ndarray,

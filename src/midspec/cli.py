@@ -4,7 +4,8 @@ Each command reads or writes JSON system descriptions and CSV tables.  A
 command that writes files writes them atomically (temp + rename) and finishes
 with a run manifest listing every produced file and every parsed input.
 Exit codes: 0 success, 1 internal failure, 2 invalid flags or inputs,
-3 inconclusive spectrum/certification.
+3 inconclusive spectrum/certification.  The cause of an exit 1, 2 or 3 goes
+to stderr, except a verdict of verify's checks, which its table names on stdout.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -147,21 +149,10 @@ def cmd_spectrum(args, run: _Run) -> int:
         args.im_max if args.im_max is not None else 30.0,
     )
 
-    q = sys_.quasipolynomial()
-    try:
-        roots = find_roots(q, region)
-    except LocalizationError as exc:
-        run.say(f"inconclusive: {exc}")
-        return 3
+    roots = find_roots(sys_.quasipolynomial(), region)
     if not roots:
-        run.say("no roots in region")
-        return 3
-
-    try:
-        cert = certify_dominance(sys_, s0)
-    except LocalizationError as exc:
-        run.say(f"inconclusive: {exc}")
-        return 3
+        raise LocalizationError(f"no roots in region {region}")
+    cert = certify_dominance(sys_, s0)
 
     # the located roots of the region, judged by the certified verdict
     base = SpectrumReport.from_roots(roots, region)
@@ -380,12 +371,7 @@ def cmd_simulate(args, run: _Run) -> int:
 
 
 def cmd_verify(args, run: _Run) -> int:
-    from .quasipoly import (
-        MID_MATCH_TOL,
-        mid_deviation,
-        multiplicity_at,
-        normalize,
-    )
+    from .quasipoly import MID_MATCH_TOL, mid_deviation, multiplicity_at, normalize
     from .spectral import LocalizationError, certify_dominance
 
     sys_ = _load_system(args.system)
@@ -441,8 +427,17 @@ def cmd_verify(args, run: _Run) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes any negative float literal (-1e-05, -inf) as a value, not an option name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # add_subparsers builds its parsers from this class
+        # private argparse state: Python 3.11 matches only -1 and -1.5 here
+        self._negative_number_matcher = re.compile(r"(?i)^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="midspec",
         description="Design, localize, bound, and simulate single-delay "
         "retarded equations with an assigned dominant root of maximal multiplicity.",
@@ -516,6 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .quasipoly import LocalizationError
+
     run = _Run(args)
     try:
         code = args.func(args, run)
@@ -523,6 +520,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LocalizationError as exc:  # spectrum's root search or certificate gave up
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

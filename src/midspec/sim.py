@@ -429,7 +429,7 @@ def simulate(
         raise ValueError("adjusted step fell below 1e-9")
     n = sys.n
     span = t_end / tau  # inf past the float range
-    windows = int(math.ceil(span - 1e-12)) if math.isfinite(span) else math.inf
+    windows = max(1, int(math.ceil(span - 1e-12))) if math.isfinite(span) else math.inf
     rows = windows * m + 1
     if rows * n > _MAX_STATE_VALUES:
         raise ValueError(

@@ -85,6 +85,26 @@ def test_missing_flags_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_float_options_take_negative_scientific_notation(example_dir, tmp_path, capsys):
+    # argparse once read -1.2e-05 as an option name: "expected one argument"
+    system = str(example_dir / "system.json")
+    for argv in (["design", "--n", "3", "--s0", "-1.2e-05", "--tau", "2.5"],
+                 ["bounds", "--standard-pair", "--method", "rho", "--sigma-min", "-1e-3"],
+                 ["spectrum", system, "--re-min", "-5e0"]):
+        assert cli.main(argv + ["--out-dir", str(tmp_path / argv[0]), "--quiet"]) == 0, argv
+    assert cli.main(["design", "--n", "3", "--s0=-1.2e-05", "--tau", "2.5", "--quiet",
+                     "--out-dir", str(tmp_path / "eq")]) == 0
+    assert (tmp_path / "design" / "system.json").read_text() == (tmp_path / "eq" / "system.json").read_text()
+    capsys.readouterr()
+
+    for argv in (["design", "--n", "3", "--s0", "-x", "--tau", "2.5"],
+                 ["design", "--bogus", "--n", "3", "--s0", "-1e-5", "--tau", "2.5"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--out-dir", str(tmp_path / "bad")])
+        assert exit_.value.code == 2, argv
+    assert not (tmp_path / "bad").exists()
+
+
 # --- spectrum --------------------------------------------------------------------
 
 
@@ -133,7 +153,27 @@ def test_spectrum_empty_region_exit_3(example_dir, tmp_path):
         "--out-dir", str(tmp_path),
     )
     assert r.returncode == 3
-    assert "no roots" in r.stdout
+    assert "no roots" in r.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--quiet"]], ids=["plain", "json", "quiet"])
+@pytest.mark.parametrize("stage", ["find_roots", "certify_dominance"])
+def test_spectrum_inconclusive_names_its_cause_on_stderr(stage, flags, example_dir, tmp_path,
+                                                         monkeypatch, capsys):
+    # the cause once went through stdout: --json printed {} and --quiet nothing
+    from midspec import spectral
+
+    def inconclusive(*args, **kwargs):
+        raise spectral.LocalizationError("root remains on the boundary")
+
+    monkeypatch.setattr(spectral, stage, inconclusive)
+    out_dir = tmp_path / "out"
+    argv = ["spectrum", str(example_dir / "system.json"), "--out-dir", str(out_dir), *flags]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "inconclusive: root remains on the boundary\n"
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_spectrum_determinism(example_dir, tmp_path):
@@ -310,6 +350,19 @@ def test_bounds_sweep_overflow_exit_2(sigma_min, tmp_path):
             else:
                 assert r.stderr.startswith(f"error: sigma_min = {float(sigma_min)} overflows the "
                                            f"norm-power sweep (norm {norm}, power {power})")
+
+
+@pytest.mark.parametrize("method", [["--all"], ["--method", "rho"]], ids=["all", "rho"])
+def test_bounds_rho_sweep_past_the_float_range_exit_2(method, tmp_path):
+    # the pair's exact coefficients pass the float range; their ratio once
+    # raised OverflowError in math.copysign and exited 1 as an internal error
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"n": 1, "a": [1.0], "alpha": [1e170], "tau": 1.0}))
+    r = run_cli("bounds", str(system), "--s0", "0", *method, "--out-dir", str(tmp_path / "out"),
+                timeout=60)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: sigma_min = 0.0 overflows the rho sweep")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bounds_refused_curve_writes_no_file(tmp_path):
@@ -495,6 +548,16 @@ def test_simulate_step_above_tau_and_empty_fit_window(example_dir, tmp_path, cap
     out = capsys.readouterr().out
     assert "= n/a (no delay interval lies in [100, 10])" in out
     assert "zero tail" not in out
+
+
+def test_simulate_t_end_below_one_step_takes_one_window(example_dir, tmp_path, capsys):
+    # t_end / tau rounded to no window, and numpy refused a negative dimension
+    argv = ["simulate", str(example_dir / "system.json"), "--history", "y01", "--t-end", "1e-300",
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "decay rate over [10, 1e-300] = n/a (" in capsys.readouterr().out
+    assert (tmp_path / "sol_y01.csv").read_text() == "t,y\n0,1\n"
+    assert (tmp_path / "traj_y01.csv").read_text() == "t,y,y1,y2\n0,1,0,0\n"
 
 
 def test_simulate_warns_when_the_step_outruns_the_system(example_dir, tmp_path, capsys):
@@ -866,6 +929,18 @@ def test_library_import_loads_no_scipy():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[] False False"
+
+
+def test_version_loads_no_layer():
+    # main imports LocalizationError after parsing, so --version loads no layer
+    r = run_python(
+        "-c",
+        "import sys; from midspec import cli\n"
+        "try:\n    cli.main(['--version'])\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('midspec.')))",
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 ['midspec.cli']"
 
 
 def test_package_import_loads_no_submodule():
