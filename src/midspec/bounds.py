@@ -6,9 +6,11 @@ so |z| <= rho(A0 + A1 e^(-z)) and, through Gelfand's formula, also
 Sweeping these feasibility inequalities over the half-plane Re z >= sigma_min
 yields computable bounds on |Im z|.  Alongside these, the module implements
 the classical logarithmic-norm bounds mu(-iA0) + ||A1|| and the refined
-variant with max_theta mu(A1 e^(i theta)), plus the analytic Frobenius
-power-2 chain that certifies |Im z| < 2 pi for the standard normalized
-quartic design.
+variant with max_theta mu(A1 e^(i theta)), whose theta maximum is ||A1|| in
+the one and infinity norms (so it equals the former there) and the
+numerical radius of the delayed row in the two-norm, plus the analytic
+Frobenius power-2 chain that certifies |Im z| < 2 pi for the standard
+normalized quartic design.
 """
 
 from __future__ import annotations
@@ -149,44 +151,28 @@ def bound_mori_kokame(pair: CompanionPair, norm: Norm) -> BoundReport:
     return BoundReport(BoundMethod.MORI_KOKAME, norm, 1, 0.0, value)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization of a unimodal-enough f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return max(f1, f2)
-
-
 def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
     """|Im z| <= mu(-i A0) + max_theta mu(A1 e^(i theta)) (induced norms only).
 
-    The theta maximum is located on a 720-point grid and polished by
-    golden-section search to 1e-8.
+    The theta maximum has a closed form.  In the one and infinity norms it is
+    ||A1||: the moduli do not move with theta and max_theta Re(a e^(i theta))
+    = |a|, so the bound is Mori-Kokame's.  In the two-norm it is the
+    numerical radius of A1, (|a[-1]| + ||a||_2)/2 for the delayed last row
+    A1 = e_n a^T of a companion pair; any other A1 is refused.
     """
     norm = Norm(norm)
     if norm not in INDUCED_NORMS:
         raise ValueError("bound requires a norm induced by a vector norm")
     A1 = pair.A1
-
-    def f(theta: float) -> float:
-        return log_norm(A1 * np.exp(1j * theta), norm)
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    values = log_norm(A1 * np.exp(1j * thetas)[:, None, None], norm)
-    i = int(np.argmax(values))
-    step = thetas[1] - thetas[0]
-    best = _golden_max(f, thetas[i] - step, thetas[i] + step, 1e-8)
-    best = max(best, float(values[i]))
+    if norm == Norm.TWO:
+        if A1[:-1].any():
+            raise ValueError("the two-norm Tissir-Hmamed bound needs A1 to be a delayed last "
+                             "row e_n a^T, as in a companion pair; this A1 has a nonzero row "
+                             "above its last")
+        a = A1[-1]
+        best = float(abs(a[-1]) + np.linalg.norm(a)) / 2.0
+    else:
+        best = matrix_norm(A1, norm)
     value = log_norm(-1j * pair.A0, norm) + best
     return BoundReport(BoundMethod.TISSIR_HMAMED, norm, 1, 0.0, value)
 

@@ -3,9 +3,9 @@
 Each command reads or writes JSON system descriptions and CSV tables.  A
 command that writes files writes them atomically (temp + rename) and finishes
 with a run manifest listing every produced file and every parsed input.
-Exit codes: 0 success, 1 internal failure, 2 invalid flags or inputs,
-3 inconclusive spectrum/certification.  The cause of an exit 1, 2 or 3 goes
-to stderr, except a verdict of verify's checks, which its table names on stdout.
+Exit codes: 0 success, 1 internal failure or a failed verify check, 2 invalid
+flags or inputs, 3 inconclusive spectrum/certification.  The cause of an exit
+1, 2 or 3 goes to stderr whatever --json or --quiet say.
 """
 
 from __future__ import annotations
@@ -245,6 +245,8 @@ def cmd_bounds(args, run: _Run) -> int:
 
     if not args.all and args.method is None:
         raise ValueError("provide --method or --all")
+    if args.method not in (None, "norm-power") and args.power != 1:
+        raise ValueError(f"--power {args.power} applies to --method norm-power only, not {args.method}")
 
     rows = _bounds_rows(args, pair)
 
@@ -409,7 +411,10 @@ def cmd_verify(args, run: _Run) -> int:
     failed = any(ok is not None and not ok for _, ok, _ in checks)
     for name, ok, detail in checks:
         label = "INCONCLUSIVE" if ok is None else "PASS" if ok else "FAIL"
-        run.say(f"{label} {name}: {detail}")
+        line = f"{label} {name}: {detail}"
+        run.say(line)
+        if not ok:
+            print(line, file=sys.stderr)
     if all_ok:
         run.say("verdict: all checks passed")
     else:

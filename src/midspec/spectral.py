@@ -46,7 +46,6 @@ __all__ = [
     "LocalizationError",
     "count_roots",
     "find_roots",
-    "spectral_abscissa",
     "certify_dominance",
     "roots_to_csv",
 ]
@@ -512,14 +511,6 @@ def _symmetrize_conjugates(roots: list[Root]) -> list[Root]:
         out.append(Root(mean, r.multiplicity, r.residual))
         out.append(Root(mean.conjugate(), partner.multiplicity, partner.residual))
     return out
-
-
-def spectral_abscissa(q: Quasipolynomial, region: Rectangle) -> float:
-    """Largest real part among the roots of q inside region."""
-    roots = find_roots(q, region)
-    if not roots:
-        raise LocalizationError("no roots in region")
-    return max(r.location.real for r in roots)
 
 
 def _dominance_box(nsys: NormalizedSystem) -> Rectangle:

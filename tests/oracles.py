@@ -22,6 +22,10 @@ a pair of matvecs; in float, or in np.longdouble as an extended-precision
 reference) and a delay-equation residual from finite differences; the
 decay-rate envelope is taken again with a full-length mask per delay window.
 
+The Tissir-Hmamed oracle takes the theta maximum of the refined two-norm
+bound by a scan of theta polished by golden-section search, on the
+eigenvalues of Hermitian parts rather than through midspec's log_norm.
+
 The feasibility-sweep oracles evaluate H on the whole phi grid, without the
 conjugate symmetry, and bracket the active crossing by the last downward
 crossing of W(phi) = phi + 2 pi k* over [0, 2 pi]; run the sigma sweep
@@ -361,6 +365,44 @@ def delay_envelope_masked(traj, t_start):
         env_t.append(float(traj.times[mask][i]))
         env_v.append(float(seg[i]))
     return np.array(env_t), np.array(env_v)
+
+
+# --- the Tissir-Hmamed refinement ---------------------------------------------------
+
+
+def _hermitian_top(M):
+    """Largest eigenvalue of the Hermitian part of each matrix of a stack."""
+    return np.linalg.eigvalsh((M + np.swapaxes(M.conj(), -1, -2)) / 2.0)[..., -1]
+
+
+def tissir_hmamed_two_norm(A0, A1, grid=720, tol=1e-8):
+    """mu_2(-i A0) + max_theta mu_2(A1 e^(i theta)), each mu_2 the largest
+    eigenvalue of a Hermitian part.  The theta maximum, the numerical radius
+    of A1, is scanned on a grid of theta and its best cell polished by
+    golden-section search to tol."""
+    A1 = np.asarray(A1, dtype=complex)
+
+    def top(theta):
+        return _hermitian_top(A1 * np.exp(1j * np.asarray(theta))[..., None, None])
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    values = top(thetas)
+    i = int(np.argmax(values))
+    lo, hi = thetas[i] - thetas[1], thetas[i] + thetas[1]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = top(x1), top(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = top(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = top(x1)
+    radius = max(float(f1), float(f2), float(values[i]))
+    return float(_hermitian_top(-1j * np.asarray(A0, dtype=complex))) + radius
 
 
 # --- feasibility sweeps -------------------------------------------------------------

@@ -28,6 +28,7 @@ from oracles import (
     feasibility_sup_every_polish,
     feasibility_sup_sound_stop,
     omega_sup_full_grid,
+    tissir_hmamed_two_norm,
 )
 
 
@@ -97,7 +98,8 @@ def test_log_norm_two_against_root_oracle():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_log_norm_stack_matches_loop(n):
-    # the Tissir-Hmamed theta scan as one stacked call and as one call per theta
+    # a stack of rotations A1 e^(i theta) as one stacked call and as one
+    # call per theta
     rng = np.random.default_rng(30 + n)
     A1 = rng.normal(size=(n, n))
     thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -191,9 +193,9 @@ def _designed_pair(n):
 def test_tissir_hmamed_closed_forms():
     # one and infinity norms: |M_ij| does not move with theta and
     # max_theta Re(a e^(i theta)) = |a|, so the theta maximum is ||A1|| and
-    # the bound is Mori-Kokame's.  Two-norm: the theta maximum is the
-    # numerical radius, for the rank-one A1 = e_n a^T of a companion pair
-    # (|a_n| + ||a||_2) / 2
+    # the bound is Mori-Kokame's, bit for bit.  Two-norm: the theta maximum
+    # is the numerical radius of A1, against a theta scan of the Hermitian
+    # parts' eigenvalues for the rank-one A1 = e_n a^T of a companion pair
     rng = np.random.default_rng(12)
     general = [CompanionPair(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
                for n in (1, 2, 3, 5) for _ in range(5)]
@@ -201,16 +203,17 @@ def test_tissir_hmamed_closed_forms():
     for pair in general + designed:
         for norm in (Norm.ONE, Norm.INFINITY):
             th = bound_tissir_hmamed(pair, norm).value
-            mk = bound_mori_kokame(pair, norm).value
-            assert th == pytest.approx(mk, rel=1e-12), (pair.n, norm)
+            assert th == bound_mori_kokame(pair, norm).value, (pair.n, norm)
 
     companions = [CompanionPair(np.eye(n, k=1), np.eye(n)[:, [-1]] * rng.normal(size=n))
                   for n in (1, 2, 3, 5) for _ in range(5)]
     for pair in companions + designed:
-        a = pair.A1[-1]
-        radius = (abs(a[-1]) + np.linalg.norm(a)) / 2.0
-        want = log_norm(-1j * pair.A0, Norm.TWO) + radius
+        want = tissir_hmamed_two_norm(pair.A0, pair.A1)
         assert bound_tissir_hmamed(pair, Norm.TWO).value == pytest.approx(want, rel=1e-12), pair.n
+
+    # the two-norm closed form covers a delayed last row only
+    with pytest.raises(ValueError, match="delayed last row"):
+        bound_tissir_hmamed(general[-1], Norm.TWO)
 
 
 # --- feasibility sweeps -----------------------------------------------------------

@@ -365,6 +365,18 @@ def test_bounds_rho_sweep_past_the_float_range_exit_2(method, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method", ["rho", "mori-kokame", "tissir-hmamed", "lemma3"])
+def test_bounds_refuses_a_power_the_method_ignores(method, tmp_path, capsys):
+    # --method rho --power 3 once wrote a rho,none,1 row and exited 0
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--standard-pair", "--method", method, "--power", "3",
+                     "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --power 3 applies to --method norm-power only, not {method}\n"
+    )
+    assert not out.exists()
+
+
 def test_bounds_refused_curve_writes_no_file(tmp_path):
     # the bound passes at sigma_min = -300 but the rho curve's range check
     # refuses it; bounds.csv was once written before the curves, without a
@@ -627,6 +639,29 @@ def test_verify_detects_perturbation(example_dir, tmp_path):
     assert "FAIL multiplicity" in r.stdout
 
 
+@pytest.mark.parametrize("mode", ["--quiet", "--json"])
+def test_verify_names_what_did_not_pass_on_stderr(mode, example_dir, tmp_path):
+    # --quiet once left an exit 1 unexplained on both streams; the --json
+    # payload stays the only thing on stdout
+    system = str(example_dir / "system.json")
+    r = run_cli("verify", system, mode)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stderr == ""
+    doc = json.loads((example_dir / "system.json").read_text())
+    doc["a"][0] += 0.01
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("verify", str(bad), "--s0", "-0.5", mode)
+    assert r.returncode == 1
+    failed = ["multiplicity", "normalization-universality", "dominance"]
+    assert [line.split(":")[0] for line in r.stderr.splitlines()] == [f"FAIL {c}" for c in failed]
+    if mode == "--quiet":
+        assert r.stdout == ""
+    else:
+        payload = json.loads(r.stdout)
+        assert [c["name"] for c in payload["checks"] if c["passed"] is False] == failed
+
+
 def test_verify_reaches_a_dominance_verdict_near_overflow(tmp_path):
     # Newton from a certificate box's centre heads to where e^(-tau z) overflows
     system = tmp_path / "system.json"
@@ -671,9 +706,11 @@ def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(spectral, "certify_dominance", inconclusive)
     assert cli.main(["verify", str(example_dir / "system.json")]) == 3
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "INCONCLUSIVE dominance: inconclusive: root remains on the boundary" in out
     assert "verdict: inconclusive" in out
+    assert captured.err == "INCONCLUSIVE dominance: inconclusive: root remains on the boundary\n"
 
     # a check that really failed outranks an inconclusive one
     doc = json.loads((example_dir / "system.json").read_text())
