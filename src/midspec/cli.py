@@ -4,8 +4,9 @@ Each command reads or writes JSON system descriptions and CSV tables.  A
 command that writes files writes them atomically (temp + rename) and finishes
 with a run manifest listing every produced file and every parsed input.
 Exit codes: 0 success, 1 internal failure or a failed verify check, 2 invalid
-flags or inputs, 3 inconclusive spectrum/certification.  The cause of an exit
-1, 2 or 3 goes to stderr whatever --json or --quiet say.
+flags or inputs, 3 inconclusive spectrum/certification, 141 (a shell's SIGPIPE
+status) a closed stdout.  The cause of an exit 1, 2 or 3 goes to stderr
+whatever --json or --quiet say; a closed stdout leaves stderr empty.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import LocalizationError, __version__
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -63,8 +64,7 @@ class _Run:
     def finish(self) -> None:
         if self.outputs:
             manifest = {"command": self.command, "inputs": self.inputs, "outputs": self.outputs,
-                        "tool_version": __version__,
-                        "timestamp": _utc_now()}
+                        "tool_version": __version__, "timestamp": _utc_now()}
             _write_atomic(self.out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
         if self.as_json:
             print(json.dumps(self.payload, indent=2))
@@ -105,10 +105,8 @@ def cmd_design(args, run: _Run) -> int:
     run.write("system.json", sys_.to_json() + "\n")
 
     lines = [f"order n = {sys_.n}, delay tau = {sys_.tau}, assigned root s0 = {args.s0}"]
-    for k in range(sys_.n):
-        lines.append(f"  a[{k}]     = {sys_.a[k]: .15g}")
-    for k in range(sys_.n):
-        lines.append(f"  alpha[{k}] = {sys_.alpha[k]: .15g}")
+    lines += [f"  a[{k}]     = {sys_.a[k]: .15g}" for k in range(sys_.n)]
+    lines += [f"  alpha[{k}] = {sys_.alpha[k]: .15g}" for k in range(sys_.n)]
     identity = args.s0 + sys_.a[-1] / sys_.n + sys_.n / sys_.tau
     lines.append(f"trace identity s0 + a[n-1]/n + n/tau = {identity:.3e}")
     run.write("design.txt", "\n".join(lines) + "\n")
@@ -122,23 +120,14 @@ def cmd_design(args, run: _Run) -> int:
 def _certificate_doc(report) -> dict | None:
     """The --json record of a dominance verdict from the exact design's disc
     certificate; None when it came from a root search (or none was made)."""
-    if report is None or report.gap is None:
-        return None
-    return {"gap": report.gap, "discs": report.discs}
+    return None if report is None or report.gap is None else {"gap": report.gap, "discs": report.discs}
 
 
 # --- spectrum -----------------------------------------------------------------
 
 
 def cmd_spectrum(args, run: _Run) -> int:
-    from .spectral import (
-        LocalizationError,
-        Rectangle,
-        SpectrumReport,
-        certify_dominance,
-        find_roots,
-        roots_to_csv,
-    )
+    from .spectral import Rectangle, SpectrumReport, certify_dominance, find_roots, roots_to_csv
 
     sys_ = _load_system(args.system)
     s0 = _shift(args, sys_)
@@ -156,10 +145,8 @@ def cmd_spectrum(args, run: _Run) -> int:
 
     # the located roots of the region, judged by the certified verdict
     base = SpectrumReport.from_roots(roots, region)
-    strictly = cert.strictly_dominant
-    report = base.replace(
-        dominant=cert.dominant if strictly else base.dominant, strictly_dominant=strictly
-    )
+    report = base.replace(dominant=cert.dominant if cert.strictly_dominant else base.dominant,
+                          strictly_dominant=cert.strictly_dominant)
 
     run.write("roots.csv", roots_to_csv(report.roots))
     run.write("spectrum.json", report.to_json() + "\n")
@@ -188,28 +175,46 @@ _ALL_BOUNDS = (
 )
 
 
-def _bounds_rows(args, pair):
-    from .bounds import (
-        bound_mori_kokame,
-        bound_norm_power,
-        bound_spectral_radius_curve,
-        bound_tissir_hmamed,
-        lemma3_analytic_bound,
-    )
+#: Who takes each tuning flag of bounds (--all, a --method, or --curves, whose
+#: curves start at --sigma-min) and its value when not given (None: required).
+_BOUNDS_FLAGS = {
+    "power": {"norm-power": 1},
+    "sigma_min": {"--all": 0.0, "rho": 0.0, "norm-power": 0.0, "--curves": 0.0},
+    "norm": {"norm-power": "frobenius", "mori-kokame": None, "tissir-hmamed": None},
+}
 
-    reports = {
-        "rho": lambda norm, power: bound_spectral_radius_curve(pair, args.sigma_min),
-        "norm-power": lambda norm, power: bound_norm_power(pair, norm, power, args.sigma_min),
-        "mori-kokame": lambda norm, power: bound_mori_kokame(pair, norm),
-        "tissir-hmamed": lambda norm, power: bound_tissir_hmamed(pair, norm),
-    }
+
+def _resolve_bounds_flags(args, run: _Run) -> None:
+    """Refuse a tuning flag that nothing of the command takes; set the others,
+    in args and in the manifest, to the values used."""
+    method = "--all" if args.all else args.method
+    users = [method] + ["--curves"] * args.curves
+    for flag, takers in _BOUNDS_FLAGS.items():  # --norm last: a refusal comes first
+        value = getattr(args, flag)
+        user = next((user for user in users if user in takers), None)
+        if user is None and value is not None:
+            *rest, last = [t if t.startswith("--") else f"--method {t}" for t in takers]
+            names = f"{', '.join(rest)} or {last}" if rest else last
+            raise ValueError(f"--{flag.replace('_', '-')} {value} applies to {names} only, not {method}")
+        if user is not None:
+            if value is None and takers[user] is None:
+                raise ValueError(f"--method {method} needs --norm one|two|infinity")
+            run.inputs[flag] = takers[user] if value is None else value
+            setattr(args, flag, run.inputs[flag])
+
+
+def _bounds_rows(args, pair):
+    from . import bounds
 
     def rows(method, norm, power):
         if method == "lemma3":
-            rep = lemma3_analytic_bound(pair)  # ValueError outside the standard pair
+            rep = bounds.lemma3_analytic_bound(pair)  # ValueError outside the standard pair
             return [(f"lemma3-{step}", "frobenius", 2, 0.0, getattr(rep, step), 0)
                     for step in ("coarse", "refined", "certified")]
-        r = reports[method](norm, power)
+        r = (bounds.bound_spectral_radius_curve(pair, args.sigma_min) if method == "rho"
+             else bounds.bound_norm_power(pair, norm, power, args.sigma_min) if method == "norm-power"
+             else bounds.bound_mori_kokame(pair, norm) if method == "mori-kokame"
+             else bounds.bound_tissir_hmamed(pair, norm))
         return [(r.method.value, r.norm.value, r.power, r.sigma_min, r.value, r.kernel_points)]
 
     if not args.all:
@@ -245,9 +250,7 @@ def cmd_bounds(args, run: _Run) -> int:
 
     if not args.all and args.method is None:
         raise ValueError("provide --method or --all")
-    if args.method not in (None, "norm-power") and args.power != 1:
-        raise ValueError(f"--power {args.power} applies to --method norm-power only, not {args.method}")
-
+    _resolve_bounds_flags(args, run)
     rows = _bounds_rows(args, pair)
 
     lines = ["method,norm,power,sigma_min,value"]
@@ -374,7 +377,7 @@ def cmd_simulate(args, run: _Run) -> int:
 
 def cmd_verify(args, run: _Run) -> int:
     from .quasipoly import MID_MATCH_TOL, mid_deviation, multiplicity_at, normalize
-    from .spectral import LocalizationError, certify_dominance
+    from .spectral import certify_dominance
 
     sys_ = _load_system(args.system)
     s0 = _shift(args, sys_)
@@ -390,9 +393,8 @@ def cmd_verify(args, run: _Run) -> int:
     checks.append(("trace-identity", ok, f"s0 + a[n-1]/n + n/tau = {identity:.3e}"))
 
     dev = mid_deviation(normalize(sys_, s0))
-    checks.append(
-        ("normalization-universality", dev < MID_MATCH_TOL, f"max relative deviation {dev:.3e}")
-    )
+    checks.append(("normalization-universality", dev < MID_MATCH_TOL,
+                   f"max relative deviation {dev:.3e}"))
 
     cert = None
     try:
@@ -415,10 +417,8 @@ def cmd_verify(args, run: _Run) -> int:
         run.say(line)
         if not ok:
             print(line, file=sys.stderr)
-    if all_ok:
-        run.say("verdict: all checks passed")
-    else:
-        run.say("verdict: " + ("FAILURES detected" if failed else "inconclusive"))
+    verdict = "all checks passed" if all_ok else "FAILURES detected" if failed else "inconclusive"
+    run.say(f"verdict: {verdict}")
     run.payload = {
         "s0": s0,
         "checks": [{"name": n_, "passed": None if ok is None else bool(ok), "detail": d}
@@ -483,9 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rho", "norm-power", "mori-kokame", "tissir-hmamed", "lemma3"],
         default=None,
     )
-    p.add_argument("--norm", choices=["one", "two", "frobenius", "infinity"], default="frobenius")
-    p.add_argument("--power", type=int, default=1)
-    p.add_argument("--sigma-min", type=float, default=0.0)
+    p.add_argument("--norm", choices=["one", "two", "frobenius", "infinity"],
+                   help="for norm-power (default frobenius), mori-kokame, tissir-hmamed")
+    p.add_argument("--power", type=int, help="for norm-power only (default 1)")
+    p.add_argument("--sigma-min", type=float, help="for --all, rho, norm-power, --curves (default 0)")
     p.add_argument("--all", action="store_true", help="emit the full bound table suite")
     p.add_argument("--curves", action="store_true", help="also export boundary curves")
     common(p)
@@ -514,14 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from .quasipoly import LocalizationError
-
+    args = build_parser().parse_args(argv)
     run = _Run(args)
     try:
         code = args.func(args, run)
         run.finish()
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:  # nobody reads stdout: what is left of it goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # the status a shell reports for SIGPIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,24 +10,21 @@ is the two-term case:  Delta(s) = s^n + sum a_k s^k + e^(-s tau) sum alpha_k s^k
 
 This module holds the representation, evaluation and differentiation,
 the exact integer design that places a real root of maximal multiplicity
-2n, the scale-aware numerical multiplicity test, the disc certificate that
-the design's other roots lie left of Re z = -1, and the companion matrices
-of the first-order form.
+2n, the scale-aware numerical multiplicity test, and the companion matrices
+of the first-order form.  Counting zeros, the design's disc certificate
+included, is the business of spectral.
 
 numpy is imported inside the functions that take or return arrays, so the
-design and its certificate run on the standard library alone.  The value
-types of every module are immutable records on _Record, whose classes cost
-next to nothing to build when a command starts.
+design runs on the standard library alone.  The value types of every module
+are immutable records on _Record, whose classes cost next to nothing to
+build when a command starts.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import json
 import math
-import operator
-from sys import float_info
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -46,9 +43,6 @@ __all__ = [
     "denormalize",
     "multiplicity_at",
     "dominant_root_from_trace",
-    "LocalizationError",
-    "DiscCertificate",
-    "mid_disc_certificate",
     "CompanionPair",
     "companion",
 ]
@@ -481,212 +475,6 @@ def dominant_root_from_trace(n: int, a_top: float, tau: float) -> float:
     if not tau > 0:
         raise ValueError("delay tau must be positive")
     return -float(a_top) / n - n / tau
-
-
-@functools.cache
-def _unit_gauss_legendre(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(t, w): the m Gauss-Legendre nodes mapped to [0, 1], ascending, and
-    their weights on [-1, 1], built once per process and m.
-
-    Each positive node of P_m is the limit of Newton's method on the
-    three-term recurrence from Tricomi's estimate, and the negative ones
-    mirror them; the weight is 2 / ((1 - x^2) P_m'(x)^2) at each node.
-    """
-    def legendre(x: float) -> tuple[float, float]:
-        p0, p1 = 1.0, x
-        for j in range(2, m + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p1, m * (x * p1 - p0) / (x * x - 1.0)
-
-    half = []
-    for i in range(m // 2, 0, -1):  # ascending positive nodes
-        x = (1.0 - (m - 1) / (8.0 * m**3)) * math.cos(math.pi * (4 * i - 1) / (4 * m + 2))
-        for _ in range(100):
-            p, dp = legendre(x)
-            x -= p / dp
-            if abs(p / dp) <= 1e-15:  # the error is now about its square
-                break
-        half.append(x)
-    half = [(x, 2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)) for x in half]
-    middle = [(0.0, 2.0 / legendre(0.0)[1] ** 2)] if m % 2 else []
-    rule = [(-x, w) for x, w in reversed(half)] + middle + half
-    return tuple(0.5 * (x + 1.0) for x, _ in rule), tuple(w for _, w in rule)
-
-
-def _modulus_growth_radius(n: int, weights: list[float]) -> float:
-    """Smallest R with r^n > sum_k weights[k] r^k for every r >= R.
-
-    Any root z with the corresponding coefficient weights satisfies
-    |z|^n <= sum weights[k] |z|^k, so no root has modulus beyond R.  The gap
-    polynomial has a single sign change, located by doubling and bisection.
-
-    The doubling raises ValueError once R passes 1e12, or sooner where r^n
-    leaves the float range first (possible from order 26 on).  These stops
-    only keep the search finite: how wide a box may be is decided by
-    spectral._winding, which refuses a contour of more than a million
-    samples, as a box around any cut above about 3e5 needs.
-    """
-    def gap(r: float) -> float:
-        return r**n - sum(w * r**k for k, w in enumerate(weights))
-
-    hi = 1.0
-    try:
-        while gap(hi) <= 0.0:
-            if hi > 1e12:
-                raise ValueError(
-                    f"the modulus cut of the order-{n} coefficients exceeds 1e12, "
-                    f"where its doubling search stops"
-                )
-            hi *= 2.0
-    except OverflowError:
-        raise ValueError(
-            f"the modulus cut of the order-{n} coefficients exceeds {hi / 2.0:.3g}, "
-            f"where r^{n} leaves the float range"
-        ) from None
-    lo = hi / 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi + 0.25
-
-
-class LocalizationError(RuntimeError):
-    """Raised when counting, refinement, or certification cannot conclude."""
-
-
-# Taylor order K, initial disc diameter and halving depth of the disc certificate
-_DISC_ORDER = 8
-_DISC_WIDTH = 2.0
-_DISC_DEPTH = 8
-# The float error of a quadrature value F^(k)(c) with m nodes is at most
-# (m + 2|c| + K + 10) eps S_k, S_k the sum of the moduli of its m terms: each
-# term is off by |c t| eps in its phase and a few eps otherwise, and the sum
-# adds (m - 1) eps.  As t <= 1, S_k <= S_0.  The certificate allows
-# 8 (m + |c|) eps S_0, at least four times that bound once m >= K + 10.
-# Truncation is far smaller: ceil(B) + 32 nodes, B the box height, are about
-# twice what 1e-15 accuracy needs at |Im c| = B (measured against mpmath).
-_ROUNDING_UNITS = 8.0
-
-
-class DiscCertificate(_Record):
-    """Zero count of F_n(z) = 1F1(n; 2n+1; -z) in the box
-    [re_min, re_max] x [-im_max, im_max], from discs along its upper half.
-
-    discs holds (centre, radius) in path order, from (re_max, 0) up, across
-    the top and down to (re_min, 0).  F_n has no zero on any disc, and the
-    box holds winding zeros of F_n.  With re_max = im_max = R + 0.1, R the
-    modulus cut at Re z >= re_min, every zero with Re z >= re_min lies in
-    the box.
-    """
-
-    n: int
-    re_min: float
-    re_max: float
-    im_max: float
-    nodes: int  # of the quadrature rule
-    discs: tuple[tuple[complex, float], ...]
-    winding: int
-
-
-def _mid_kernel_rule(n: int, m: int) -> tuple[list[float], list[float]]:
-    """(-t, v): m Gauss-Legendre nodes t on [0, 1], negated, and weights v
-    with F_n's kernel (2n)!/((n-1)! n!) t^(n-1) (1-t)^n folded in."""
-    t, w = _unit_gauss_legendre(m)
-    scale = 0.5 * math.factorial(2 * n) / (math.factorial(n - 1) * math.factorial(n))
-    return [-x for x in t], [scale * wj * x ** (n - 1) * (1.0 - x) ** n for x, wj in zip(t, w)]
-
-
-def _mid_taylor(c: complex, rule) -> tuple[list[complex], float]:
-    """F_n^(k)(c) for k < _DISC_ORDER by quadrature of
-
-        F^(k)(z) = (2n)!/((n-1)! n!) int_0^1 (-t)^k t^(n-1) (1-t)^n e^(-z t) dt
-
-    (DLMF 13.4.1), rule being _mid_kernel_rule(n, m), and the sum of the
-    moduli of the k = 0 terms, which bounds that of every k."""
-    minus_t, kernel = rule
-    terms = list(map(operator.mul, kernel, map(cmath.exp, [c * x for x in minus_t])))
-    moduli = sum(map(abs, terms))
-    out = [sum(terms)]
-    for _ in range(1, _DISC_ORDER):
-        terms = list(map(operator.mul, terms, minus_t))
-        out.append(sum(terms))
-    return out, moduli
-
-
-@functools.cache
-def mid_disc_certificate(n: int, re_min: float = -1.0) -> DiscCertificate:
-    """Count the zeros of F_n with Re z >= re_min by Taylor discs, numpy-free.
-
-    The normalized design is q(z) = n!/(2n)! z^(2n) F_n(z), so its roots
-    other than the 2n-fold one at 0 are the zeros of F_n.  Those with
-    Re z >= re_min obey the modulus cut R of the exact integers with
-    weights |b_k| + e^(-re_min) |beta_k|; the box reaches R + 0.1.  As
-    F_n > 0 on the real axis and F_n(conj z) = conj F_n(z), the upper half
-    of the boundary suffices.  It is cut into segments of length at most
-    _DISC_WIDTH, each the diameter of a disc of centre c and radius r that
-    passes when
-
-        |F(c)| > sum_(1<=k<K) |F^(k)(c)| r^k/k!
-                 + (n)_K/(2n+1)_K e^(max(0, r - Re c)) r^K/K!,
-
-    each quadrature value widened by its error bound (_ROUNDING_UNITS).  On a
-    passing disc F has no zero and |arg F(z)/F(c)| < pi/2, so the principal
-    arguments of F at consecutive centres add up to the continuous change
-    along the path, and that change over pi is the winding number.  A disc
-    that fails is halved; one that still fails after _DISC_DEPTH halvings
-    makes the count inconclusive (LocalizationError).
-    """
-    n, re_min = int(n), float(re_min)
-    nsys = mid_normalized(n)
-    weights = [abs(b) + math.exp(-re_min) * abs(be) for b, be in zip(nsys.b, nsys.beta)]
-    top = _modulus_growth_radius(n, weights) + 0.1
-    nodes = math.ceil(top) + 32
-    rule = _mid_kernel_rule(n, nodes)
-    # |F^(K)| <= (n)_K/(2n+1)_K e^(max(0, -Re z)), the K-th moment of the kernel
-    moment = math.prod((n + k) / (2 * n + 1 + k) for k in range(_DISC_ORDER))
-
-    def cover(a: complex, b: complex, depth: int = 0) -> list[tuple[complex, float, complex]]:
-        """(centre, radius, F(centre)) of passing discs covering [a, b], in order."""
-        c, r = 0.5 * (a + b), 0.5 * abs(b - a)
-        d, moduli = _mid_taylor(c, rule)
-        slack = _ROUNDING_UNITS * (nodes + abs(c)) * float_info.epsilon * moduli
-        reach = moment * math.exp(max(0.0, r - c.real)) * r**_DISC_ORDER
-        reach /= math.factorial(_DISC_ORDER)
-        for k in range(1, _DISC_ORDER):
-            reach += (abs(d[k]) + slack) * r**k / math.factorial(k)
-        if abs(d[0]) - slack > reach:
-            return [(c, r, d[0])]
-        if depth < _DISC_DEPTH:
-            return cover(a, c, depth + 1) + cover(c, b, depth + 1)
-        raise LocalizationError(
-            f"F_{n} disc certificate inconclusive: the disc at {c:.9g} of radius {r:.3g} "
-            f"fails after {_DISC_DEPTH} halvings"
-        )
-
-    corners = [complex(top, 0.0), complex(top, top), complex(re_min, top), complex(re_min, 0.0)]
-    segments = []
-    for a, b in zip(corners, corners[1:]):
-        m = math.ceil(abs(b - a) / _DISC_WIDTH)
-        segments += [(a + (b - a) * i / m, a + (b - a) * (i + 1) / m) for i in range(m)]
-    # nearest the top left corner first, where |F| is smallest against the
-    # rounding of its quadrature: an order too high to certify in binary64
-    # fails there before the rest of the path is paid for
-    covered = {}
-    for i in sorted(range(len(segments)), key=lambda i: abs(segments[i][0] - corners[2])):
-        covered[i] = cover(*segments[i])
-    pieces = [piece for i in range(len(segments)) for piece in covered[i]]
-    discs = [(c, r) for c, r, _ in pieces]
-    values = [v for _, _, v in pieces]
-    # F is positive at both ends of the path
-    turn = cmath.phase(values[0]) - cmath.phase(values[-1])
-    turn += sum(cmath.phase(v * u.conjugate()) for u, v in zip(values, values[1:]))
-    winding = turn / math.pi
-    if abs(winding - round(winding)) > 1e-6:
-        raise LocalizationError(f"F_{n} disc certificate: winding number {winding:.9f} is no integer")
-    return DiscCertificate(n, re_min, top, top, nodes, tuple(discs), round(winding))
 
 
 class CompanionPair(_Record):

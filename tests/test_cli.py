@@ -18,17 +18,19 @@ from midspec import cli
 SRC = str(Path(midspec.__file__).resolve().parents[1])
 
 
-def run_python(*args, cwd=None, env=None, timeout=None):
+def run_python(*args, cwd=None, env=None, timeout=None, stdout=subprocess.PIPE):
     """Run a fresh interpreter that imports this midspec; ``env`` merges over
     ``os.environ``; a child still running after ``timeout`` seconds fails
-    the test with ``subprocess.TimeoutExpired``."""
+    the test with ``subprocess.TimeoutExpired``; ``stdout`` is captured
+    unless a file descriptor is given."""
     child_env = {**os.environ, **(env or {})}
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, child_env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=cwd,
         env=child_env,
@@ -375,6 +377,77 @@ def test_bounds_refuses_a_power_the_method_ignores(method, tmp_path, capsys):
         f"error: --power 3 applies to --method norm-power only, not {method}\n"
     )
     assert not out.exists()
+
+
+_NORM_TAKERS = "--method norm-power, --method mori-kokame or --method tissir-hmamed"
+_SIGMA_TAKERS = "--all, --method rho, --method norm-power or --curves"
+
+
+@pytest.mark.parametrize(
+    "flags,refusal",
+    [
+        (["--method", "rho", "--norm", "two"], f"--norm two applies to {_NORM_TAKERS} only, not rho"),
+        (["--method", "lemma3", "--norm", "frobenius"],
+         f"--norm frobenius applies to {_NORM_TAKERS} only, not lemma3"),
+        (["--all", "--norm", "one"], f"--norm one applies to {_NORM_TAKERS} only, not --all"),
+        (["--all", "--power", "3", "--norm", "two"],
+         "--power 3 applies to --method norm-power only, not --all"),
+        (["--method", "rho", "--power", "1"], "--power 1 applies to --method norm-power only, not rho"),
+        (["--method", "mori-kokame", "--norm", "one", "--sigma-min", "1"],
+         f"--sigma-min 1.0 applies to {_SIGMA_TAKERS} only, not mori-kokame"),
+        (["--method", "tissir-hmamed", "--norm", "two", "--sigma-min", "1"],
+         f"--sigma-min 1.0 applies to {_SIGMA_TAKERS} only, not tissir-hmamed"),
+        (["--method", "lemma3", "--sigma-min", "1"],
+         f"--sigma-min 1.0 applies to {_SIGMA_TAKERS} only, not lemma3"),
+        (["--method", "mori-kokame"], "--method mori-kokame needs --norm one|two|infinity"),
+        (["--method", "tissir-hmamed"], "--method tissir-hmamed needs --norm one|two|infinity"),
+    ],
+    ids=["rho-norm", "lemma3-norm", "all-norm", "all-power-norm", "rho-power-1",
+         "mori-kokame-sigma", "tissir-hmamed-sigma", "lemma3-sigma", "mori-kokame-no-norm",
+         "tissir-hmamed-no-norm"],
+)
+def test_bounds_refuses_every_flag_its_method_ignores(flags, refusal, tmp_path, capsys):
+    # the first three once exited 0 with the flag silently ignored
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--standard-pair", *flags, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {refusal}\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,used",
+    [
+        (["--method", "norm-power"], {"norm": "frobenius", "power": 1, "sigma_min": 0.0}),
+        (["--method", "norm-power", "--norm", "frobenius", "--power", "1", "--sigma-min", "0"],
+         {"norm": "frobenius", "power": 1, "sigma_min": 0.0}),
+        (["--method", "rho"], {"norm": None, "power": None, "sigma_min": 0.0}),
+        (["--method", "mori-kokame", "--norm", "one"], {"norm": "one", "power": None, "sigma_min": None}),
+        (["--method", "mori-kokame", "--norm", "one", "--curves", "--sigma-min", "0.5"],
+         {"norm": "one", "power": None, "sigma_min": 0.5}),
+        (["--method", "lemma3"], {"norm": None, "power": None, "sigma_min": None}),
+    ],
+    ids=["norm-power", "norm-power-spelled-out", "rho", "mori-kokame", "mori-kokame-curves",
+         "lemma3"],
+)
+def test_bounds_manifest_records_the_flag_values_used(flags, used, tmp_path, capsys):
+    # a flag the command does not take is recorded as null; --curves takes
+    # --sigma-min whatever the method
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--standard-pair", *flags, "--out-dir", str(out), "--quiet"]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert {key: inputs[key] for key in used} == used
+
+
+def test_bounds_norm_power_defaults_to_frobenius_power_1_from_0(tmp_path, capsys):
+    tables = []
+    for flags in ([], ["--norm", "frobenius", "--power", "1", "--sigma-min", "0"]):
+        out = tmp_path / str(len(tables))
+        assert cli.main(["bounds", "--standard-pair", "--method", "norm-power", *flags,
+                         "--out-dir", str(out), "--quiet"]) == 0
+        tables.append((out / "bounds.csv").read_text())
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[1].startswith("norm-power,frobenius,1,0,")
 
 
 def test_bounds_refused_curve_writes_no_file(tmp_path):
@@ -969,7 +1042,7 @@ def test_library_import_loads_no_scipy():
 
 
 def test_version_loads_no_layer():
-    # main imports LocalizationError after parsing, so --version loads no layer
+    # LocalizationError lives in the package itself, so --version loads no layer
     r = run_python(
         "-c",
         "import sys; from midspec import cli\n"
@@ -1060,6 +1133,53 @@ def test_design_loads_only_the_standard_library(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "0 ['midspec', 'midspec.cli', 'midspec.quasipoly'] []"
+
+
+@pytest.mark.parametrize("mode", ["command", "library"])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(mode, tmp_path):
+    # the read end is closed before the child writes: the command ends with
+    # the status a shell reports for SIGPIPE, without an "internal error" or
+    # "Exception ignored" line, and a library caller keeps its SIGPIPE handling
+    argv = ["bounds", "--standard-pair", "--method", "lemma3", "--out-dir", str(tmp_path)]
+    if mode == "command":
+        args = ["-m", "midspec.cli", *argv]
+    else:
+        args = ["-c", "import signal, sys; from midspec import cli; "
+                      "before = signal.getsignal(signal.SIGPIPE); "
+                      f"code = cli.main({argv!r}); "
+                      "print(code, signal.getsignal(signal.SIGPIPE) == before, file=sys.stderr)"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = run_python(*args, stdout=write, timeout=60)
+    finally:
+        os.close(write)
+    if mode == "command":
+        assert (r.returncode, r.stderr) == (141, "")
+    else:
+        assert (r.returncode, r.stderr) == (0, "141 True\n")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module's _-prefixed names are its own: no module of the package
+    # imports one from another, or reads one off another; the value-type
+    # base _Record is the one shared
+    import ast
+
+    package = Path(midspec.__file__).resolve().parent
+    layers = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    crossings = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("midspec")):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in layers:
+                names = [node.attr]
+            else:
+                continue
+            crossings += [f"{path.name}: {name}" for name in names
+                          if name.startswith("_") and not name.endswith("__") and name != "_Record"]
+    assert crossings == []
 
 
 # --- packaging ------------------------------------------------------------------

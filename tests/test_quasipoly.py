@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from midspec import bounds, quasipoly, sim, spectral
 from midspec.quasipoly import (
     MID_MATCH_TOL,
-    LocalizationError,
     NormalizedSystem,
     Polynomial,
     Quasipolynomial,
@@ -21,11 +20,11 @@ from midspec.quasipoly import (
     dominant_root_from_trace,
     mid_coefficients,
     mid_deviation,
-    mid_disc_certificate,
     mid_normalized,
     multiplicity_at,
     normalize,
 )
+from midspec.spectral import LocalizationError, mid_disc_certificate
 from oracles import factorization_rhs, mid_double_sum, mid_order2
 
 
@@ -386,7 +385,7 @@ def test_trace_identity_across_grid():
 def test_gauss_legendre_rule_matches_numpy(m):
     # 69 and 153 are the certificate's rules at n = 4 and n = 8; the end
     # nodes and the middle one also against mpmath at 40 digits
-    t, w = quasipoly._unit_gauss_legendre(m)
+    t, w = spectral._unit_gauss_legendre(m)
     x, want = np.polynomial.legendre.leggauss(m)
     np.testing.assert_allclose(t, 0.5 * (x + 1.0), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(w, want, rtol=0.0, atol=1e-14)
@@ -418,14 +417,14 @@ def test_factorization_against_hypergeometric_oracle(n):
 
 def test_modulus_cut_beyond_1e12_raises():
     # r^1 > w exactly from r = w on, so the cut of (1, [w]) is w
-    assert 1e11 < quasipoly._modulus_growth_radius(1, [1e11]) <= 1e11 + 0.5
+    assert 1e11 < spectral._modulus_growth_radius(1, [1e11]) <= 1e11 + 0.5
     for w in (1e13, 1e20):
         with pytest.raises(ValueError, match="modulus cut of the order-1 .* exceeds 1e12"):
-            quasipoly._modulus_growth_radius(1, [w])
+            spectral._modulus_growth_radius(1, [w])
     # at order 100 r^n overflows near r = 1.2e3, long before the 1e12 stop,
     # and once escaped as OverflowError
     with pytest.raises(ValueError, match=r"order-100 .* exceeds 1.02e\+03, where r\^100 leaves"):
-        quasipoly._modulus_growth_radius(100, [1e10] * 100)
+        spectral._modulus_growth_radius(100, [1e10] * 100)
 
 
 # --- disc certificate of the exact design ------------------------------------------
@@ -447,8 +446,8 @@ def test_disc_certificate_holds_with_mpmath_values(n):
     # bound the certificate allows it
     cert = mid_disc_certificate(n)
     assert cert.winding == 0 and cert.re_min == -1.0
-    order = quasipoly._DISC_ORDER
-    rule = quasipoly._mid_kernel_rule(n, cert.nodes)
+    order = spectral._DISC_ORDER
+    rule = spectral._mid_kernel_rule(n, cert.nodes)
     for c, r in cert.discs[:: 1 if n <= 4 else 4]:
         exact = _f_derivatives(n, c, order + 1)
         with mpmath.workdps(30):
@@ -458,8 +457,8 @@ def test_disc_certificate_holds_with_mpmath_values(n):
             reach += (moments[order] * mpmath.exp(max(0.0, r - c.real))
                       * mpmath.mpf(r) ** order / mpmath.factorial(order))
             assert abs(exact[0]) > reach, (c, r)
-        got, moduli = quasipoly._mid_taylor(c, rule)
-        allowed = quasipoly._ROUNDING_UNITS * (cert.nodes + abs(c)) * sys.float_info.epsilon * moduli
+        got, moduli = spectral._mid_taylor(c, rule)
+        allowed = spectral._ROUNDING_UNITS * (cert.nodes + abs(c)) * sys.float_info.epsilon * moduli
         for k in range(order):
             assert abs(got[k] - complex(exact[k])) <= allowed, (c, k)
 
@@ -548,7 +547,7 @@ VALUE_TYPES = {
     "RetardedSystem": (lambda: RetardedSystem(1, [1.0], [2.0], 1.5), "tau", 2.0),
     "NormalizedSystem": (lambda: NormalizedSystem(1, [1.0], [2.0]), "beta", (3.0,)),
     "DiscCertificate": (
-        lambda: quasipoly.DiscCertificate(1, -1.0, 2.0, 2.0, 34, ((1 + 1j, 0.5),), 0),
+        lambda: spectral.DiscCertificate(1, -1.0, 2.0, 2.0, 34, ((1 + 1j, 0.5),), 0),
         "winding", 2,
     ),
     "CompanionPair": (

@@ -12,7 +12,6 @@ from midspec.quasipoly import (
     RetardedSystem,
     companion,
     mid_coefficients,
-    mid_disc_certificate,
     multiplicity_at,
     normalize,
 )
@@ -23,6 +22,7 @@ from midspec.spectral import (
     certify_dominance,
     count_roots,
     find_roots,
+    mid_disc_certificate,
     roots_to_csv,
 )
 from oracles import char_value
@@ -314,6 +314,30 @@ def test_find_roots_on_rounded_designs(n, s0):
     right = [r for r in roots if r.location.real >= -1e-6]
     assert len(right) == 1, right
     assert abs(right[0].location) <= 1e-6 and right[0].multiplicity == 2 * n
+
+
+# (discs, quadrature nodes, re_max = im_max) of mid_disc_certificate(n)
+CERTIFICATE_PINS = {
+    1: (9, 37, 4.068281828459045),
+    2: (21, 44, 11.744498899789267),
+    3: (37, 55, 22.524189003807237),
+    4: (59, 69, 36.295085787666196),
+    5: (87, 86, 53.01379346832872),
+    6: (117, 105, 72.65862261909649),
+    7: (259, 128, 95.21718573930079),
+    8: (369, 153, 120.6817803933017),
+    9: (764, 182, 149.04732136879898),
+    10: (1255, 213, 180.31029666975118),
+}
+
+
+@pytest.mark.parametrize("n", CERTIFICATE_PINS)
+def test_disc_certificate_pinned_per_order(n):
+    # exact values: a change to the box, the rule or the disc test shows here
+    discs, nodes, top = CERTIFICATE_PINS[n]
+    cert = mid_disc_certificate(n)
+    assert cert.winding == 0 and cert.n == n and cert.re_min == -1.0
+    assert (len(cert.discs), cert.nodes, cert.re_max, cert.im_max) == (discs, nodes, top, top)
 
 
 def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
