@@ -346,17 +346,19 @@ class _HalfGridCells:
     span, mirror_span . . .  (lo, hi) phi range of the full-grid brackets its
                              direct points and its mirrored points own
     mirrors . . . . . . . .  whether it has mirrored points at all
-    and per cell and column, each cell padded to _CELL columns by repeating
-    its last point:
-    rot, phi  . . . . . . .  e^(-i phi) and phi at the point
-    mirror_phi  . . . . . .  phi_(grid-q) of the mirrored point, in reversed
-                             column order (q = 0 and q = grid/2 map onto
-                             themselves, and repeat their direct point)
-    real  . . . . . . . . .  whether the column is a point of the cell's own
+    and per cell one row of 2 _CELL columns: its direct points phi_q, padded
+    to _CELL columns by repeating its last point, then its mirrored points
+    phi_(grid-q) in reversed column order:
+    rot, real . . . . . . .  e^(-i phi) at each direct column, and whether
+                             the column is a point of the cell's own
+    index, phi  . . . . . .  full-grid index and phi of every column.  The
+                             indices never fall along a row but at the last
+                             column of the first cell, the self-mirror q = 0
+                             of its column 0; a padding column and the
+                             self-mirror q = grid/2 repeat their neighbour's
     """
 
     def __init__(self, grid: int, phis_ext: np.ndarray):
-        self.grid = grid
         half = grid // 2 + 1
         rot = np.exp(-1j * phis_ext[:half])
         self.first = first = np.arange(0, half, _CELL)
@@ -376,8 +378,8 @@ class _HalfGridCells:
         self.real = cols < size[:, None]
         pts = first[:, None] + np.minimum(cols, size[:, None] - 1)
         self.rot = rot[pts]
-        self.phi = phis_ext[pts]
-        self.mirror_phi = np.ascontiguousarray(phis_ext[(grid - pts) % grid][:, ::-1])
+        self.index = np.concatenate((pts, (grid - pts[:, ::-1]) % grid), axis=1)
+        self.phi = phis_ext[self.index]
 
 
 @functools.lru_cache(maxsize=8)
@@ -586,37 +588,31 @@ def _scan_cells(coeffs, norm, cells: _HalfGridCells, kc: np.ndarray, scale: np.n
     """H on every point of the cells kc, each on its own sigma row
     (e^(-sigma) = scale, sigma^2 = s2), in one stacked call.
 
-    Per cell, for its direct points phi_q and its mirrored points
-    phi_(grid-q): the largest grid value phi + 2 pi k, with
-    W = sqrt(H^2 - sigma^2) >= phi + 2 pi k (a point where H < |sigma| is
-    reached by no omega), and its full-grid index (the smallest on ties).
+    Per cell, over its row of direct and mirrored columns (_HalfGridCells):
+    the largest grid value phi + 2 pi k, with W = sqrt(H^2 - sigma^2) >=
+    phi + 2 pi k (a point where H < |sigma| is reached by no omega), its
+    class k and its full-grid index.  The mirrored columns read the direct
+    columns' W backwards, since H(2 pi - phi) = H(phi); a padding column
+    gets H = 0, and with phi > 0 there a value of -inf.  The first argmax
+    has the smallest index, as the indices fall along the row only at the
+    self-mirror q = 0, which repeats column 0 and its value.
     """
     two_pi = 2.0 * math.pi
-    n = cells.size[kc]
     real = cells.real[kc]
     h = _stacked_h(coeffs, (cells.rot[kc] * scale[:, None])[real], norm)
-    # a padding column gets H = 0, so W and both values there are at most
-    # those of the point it repeats, which wins ties in either order
-    # (both are -inf unless phi = 0)
     W2 = np.zeros(real.shape)
     W2[real] = h
     W2 *= W2
     W2 -= s2[:, None]
     W = np.sqrt(np.maximum(W2, 0.0))
     W[W2 < 0.0] = -math.inf
+    W = np.concatenate((W, W[:, ::-1]), axis=1)
+    phi = cells.phi[kc]
+    kmax = np.floor((W - phi) / two_pi)
+    omega = np.where(W >= phi, phi + two_pi * kmax, -math.inf)
+    i = omega.argmax(axis=1)
     rows = np.arange(kc.size)
-    val, k = np.empty((kc.size, 2)), np.empty((kc.size, 2))
-    col = np.empty((kc.size, 2), dtype=np.intp)
-    for side, (phi, w) in enumerate(((cells.phi[kc], W), (cells.mirror_phi[kc], W[:, ::-1]))):
-        kmax = np.floor((w - phi) / two_pi)
-        omega = np.where(w >= phi, phi + two_pi * kmax, -math.inf)
-        # the first column: the smallest index, as the mirror runs backwards
-        i = omega.argmax(axis=1)
-        val[:, side], k[:, side], col[:, side] = omega[rows, i], kmax[rows, i], i
-    col[:, 1] = _CELL - 1 - col[:, 1]
-    q = cells.first[kc, None] + np.minimum(col, n[:, None] - 1)
-    q[:, 1] = (cells.grid - q[:, 1]) % cells.grid
-    return val, k, q
+    return omega[rows, i], kmax[rows, i], cells.index[kc, i]
 
 
 def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math.inf,
@@ -651,6 +647,12 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
     value.  So every sup above floor is that of the full
     grid, and every other sup stays at or below floor (-inf for a row with
     no cell kept).
+
+    The kept cells go to _scan_cells cap // _CELL at a time, so a call holds
+    at most cap points, and each returns the first argmax of its columns.
+    One lexsort by (row, -value, index) then gives each row its largest
+    value and, on ties, the smallest full-grid index: the row's value,
+    class and bracket are those of its first argmax in full-grid order.
 
     Only rows whose sup could exceed floor are polished: a row whose bracket
     ends at or below floor keeps its grid value, which is then <= floor too.
@@ -687,35 +689,22 @@ def _omega_sup(coeffs, norm, sigmas: np.ndarray, grid: int, floor: float = -math
         env[order[start:stop]] = np.repeat(bound, rows)
         krow, kcell = np.nonzero(keep)
         with np.errstate(over="ignore"):  # sigma^2 = inf: nothing is feasible
-            scale, s2 = np.exp(-s), s * s
-        ends = np.cumsum(cells.size[kcell])
+            scale, s2 = np.exp(-s)[krow], (s * s)[krow]
         points += evals + int(cells.size[kcell].sum())
-        val, k = np.empty((kcell.size, 2)), np.empty((kcell.size, 2))
-        at = np.empty((kcell.size, 2), dtype=np.intp)
-        lo = 0
-        while lo < kcell.size:
-            # kept cells in stacked calls of at most cap points
-            hi = int(np.searchsorted(ends, ends[lo] - cells.size[kcell[lo]] + cap, side="right"))
-            r = krow[lo:hi]
-            val[lo:hi], k[lo:hi], at[lo:hi] = _scan_cells(coeffs, norm, cells, kcell[lo:hi], scale[r], s2[r])
-            lo = hi
-        # per row over its kept cells and both sides: the first argmax in
-        # full-grid order; a row with no cell kept keeps sup = -inf
-        counts = keep.sum(axis=1)
-        rowed = counts > 0
-        counts = counts[rowed]
-        firsts = 2 * (np.cumsum(counts) - counts)
-        val, k, at = val.ravel(), k.ravel(), at.ravel()
-        best = np.maximum.reduceat(val, firsts)
-        ties = val == np.repeat(best, 2 * counts)
-        i = np.minimum.reduceat(np.where(ties, at, grid), firsts)
-        # the class of point i, met on both sides when q = 0 or q = grid/2
-        winner = ties & (at == np.repeat(i, 2 * counts))
-        kstar = np.maximum.reduceat(np.where(winner, k, -math.inf), firsts)
-        rows_at = order[start:stop][rowed]
-        sup[rows_at] = best
-        offset[rows_at] = two_pi * kstar
-        arg[rows_at] = i
+        val, k = np.empty(kcell.size), np.empty(kcell.size)
+        at = np.empty(kcell.size, dtype=np.intp)
+        chunk = cap // _CELL  # kept cells per stacked call: at most cap points
+        for lo in range(0, kcell.size, chunk):
+            c = slice(lo, lo + chunk)
+            val[c], k[c], at[c] = _scan_cells(coeffs, norm, cells, kcell[c], scale[c], s2[c])
+        # per row over its kept cells: the largest value, on ties the
+        # smallest full-grid index; a row with no cell kept keeps sup = -inf
+        pick = np.lexsort((at, -val, krow))
+        pick = pick[np.flatnonzero(np.diff(krow[pick], prepend=-1))]
+        rows_at = order[start:stop][krow[pick]]
+        sup[rows_at] = val[pick]
+        offset[rows_at] = two_pi * k[pick]
+        arg[rows_at] = at[pick]
 
     # polish the crossings together; the polished sup never passes its
     # bracket's right end, so rows that end at or below floor are skipped

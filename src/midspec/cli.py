@@ -250,6 +250,8 @@ def cmd_bounds(args, run: _Run) -> int:
 
     if not args.all and args.method is None:
         raise ValueError("provide --method or --all")
+    if args.all and args.method is not None:
+        raise ValueError(f"--all and --method {args.method} exclude each other: --all emits every method's rows")
     _resolve_bounds_flags(args, run)
     rows = _bounds_rows(args, pair)
 

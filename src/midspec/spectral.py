@@ -7,8 +7,8 @@ increments are small, so the summed increments telescope to the exact
 continuous argument change.  Rectangles are quadrisected until each leaf
 carries a single root location, which is then polished by a Newton
 iteration on q/q' (quadratic also at multiple roots) and assigned its
-multiplicity m by re-counting on shrinking squares around it; the same
-iteration on q^(m-1), where the root is simple, gives the final polish.
+multiplicity m by re-counting on shrinking squares around it; plain Newton
+steps on q^(m-1), where the root is simple, give the final polish.
 
 Dominance of the MID design itself is not searched for: mid_disc_certificate
 counts the zeros of its factor F_n by Taylor discs along a box that the
@@ -305,7 +305,7 @@ def _newton_u_step(f: complex, fp: complex, fpp: complex) -> complex:
 def _refine_newton(
     q: Quasipolynomial,
     qp: Quasipolynomial,
-    qpp: Quasipolynomial,
+    qpp: Quasipolynomial | None,
     z0: complex,
     home: Rectangle,
 ) -> tuple[complex, bool]:
@@ -314,6 +314,8 @@ def _refine_newton(
     q/q' has a simple zero at any root of q regardless of multiplicity, so
     the iteration z <- z - (q/q') / (1 - q q''/q'^2) is quadratic there;
     a damped plain Newton step stands in when the denominator degenerates.
+    Without q'' (qpp None) the steps are plain Newton steps q/q', for a
+    zero known to be simple.
     An iterate that leaves home ends the iteration unconverged.  One that
     stalls returns its best iterate, converged only if that point's residual
     passes _RESIDUAL_REL.  Either way the caller splits the box.
@@ -335,7 +337,7 @@ def _refine_newton(
         if fp == 0:
             z = z + 1e-9 * (1.0 + abs(z))
             continue
-        step = _newton_u_step(f, fp, qpp(z))
+        step = f / fp if qpp is None else _newton_u_step(f, fp, qpp(z))
         z = z - step
         if not home.contains(z):
             return z, False
@@ -445,13 +447,15 @@ def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
         if mult > 1:
             # a root of multiplicity m is a simple zero of q^(m-1), where the
             # iteration is free of the eps^(1/m) accuracy ceiling of q itself;
-            # its result is kept if it stays near z and does not raise |q^(m-1)|
-            while len(derivs) < mult + 2:
+            # its result is kept if it stays near z and does not raise |q^(m-1)|;
+            # the zero is simple there, so the steps are plain Newton steps (a
+            # q/q' step can jump from a cancellation plateau out of the square)
+            while len(derivs) < mult + 1:
                 derivs.append(derivs[-1].derivative())
             f = derivs[mult - 1]
             h = 0.1 * (1.0 + abs(z))
             square = Rectangle(z.real - h, z.real + h, z.imag - h, z.imag + h)
-            zp, _ = _refine_newton(f, derivs[mult], derivs[mult + 1], z, square)
+            zp, _ = _refine_newton(f, derivs[mult], None, z, square)
             if square.contains(zp) and abs(f(zp)) <= abs(f(z)):
                 z = zp
         return Root(z, mult, abs(q(z)))

@@ -895,6 +895,19 @@ def test_pruned_sweeps_kernel_point_budget(std_pair, monkeypatch):
     assert sum(counted.values()) <= 119_000
 
 
+def test_standard_pair_kernel_points_pinned(std_pair):
+    # the budget above bounds the counts from above only; a change in the
+    # scan's bookkeeping that evaluates other cells, or other rows, must show
+    want = {("rho", 1): 19_760, (Norm.ONE, 1): 14_841, (Norm.FROBENIUS, 1): 13_849,
+            (Norm.INFINITY, 1): 16_281, (Norm.ONE, 2): 17_883, (Norm.FROBENIUS, 2): 17_177,
+            (Norm.INFINITY, 2): 18_093}
+    got = {(key, power): (bound_spectral_radius_curve(std_pair) if key == "rho"
+                          else bound_norm_power(std_pair, key, power)).kernel_points
+           for key, power in _STANDARD_SWEEPS}
+    assert got == want
+    assert sum(got.values()) == 117_884
+
+
 def test_graeffe_coefficients_once_per_rho_sweep(std_pair, example_system, monkeypatch):
     # the coefficients depend on the pair only: the range check and every
     # block's cell bound share one computation per sweep, and norm sweeps

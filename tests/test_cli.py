@@ -379,6 +379,18 @@ def test_bounds_refuses_a_power_the_method_ignores(method, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["rho", "mori-kokame"])
+def test_bounds_refuses_all_with_a_method(method, tmp_path, capsys):
+    # both once exited 0 with the 16-row table, the manifest recording the method
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--standard-pair", "--all", "--method", method, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --all and --method {method} exclude each other: --all emits every method's rows\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 _NORM_TAKERS = "--method norm-power, --method mori-kokame or --method tissir-hmamed"
 _SIGMA_TAKERS = "--all, --method rho, --method norm-power or --curves"
 

@@ -1,10 +1,8 @@
 import json
 import math
 import random
-import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,7 +22,6 @@ from midspec.quasipoly import (
     multiplicity_at,
     normalize,
 )
-from midspec.spectral import LocalizationError, mid_disc_certificate
 from oracles import factorization_rhs, mid_double_sum, mid_order2
 
 
@@ -381,25 +378,6 @@ def test_trace_identity_across_grid():
 # --- integral factorization -------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 64, 69, 153])
-def test_gauss_legendre_rule_matches_numpy(m):
-    # 69 and 153 are the certificate's rules at n = 4 and n = 8; the end
-    # nodes and the middle one also against mpmath at 40 digits
-    t, w = spectral._unit_gauss_legendre(m)
-    x, want = np.polynomial.legendre.leggauss(m)
-    np.testing.assert_allclose(t, 0.5 * (x + 1.0), rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(w, want, rtol=0.0, atol=1e-14)
-    with mpmath.workdps(40):
-        for i in {0, m // 2, m - 1}:
-            node = 2 * mpmath.mpf(t[i]) - 1
-            for _ in range(4):  # Newton, from an error of about 1e-16
-                p, p1 = mpmath.legendre(m, node), mpmath.legendre(m - 1, node)
-                slope = m * (node * p - p1) / (node**2 - 1) if m > 1 else mpmath.mpf(1)
-                node -= p / slope
-            assert abs(t[i] - (node + 1) / 2) <= 1e-15
-            assert abs(w[i] - 2 / ((1 - node**2) * slope**2)) <= 1e-15
-
-
 def test_factorization_limit_identity(qhat):
     moment, _ = quad(lambda t: t * (1.0 - t) ** 2, 0.0, 1.0, epsabs=1e-14)
     assert abs(moment - 1.0 / 12.0) < 1e-14
@@ -415,89 +393,7 @@ def test_factorization_against_hypergeometric_oracle(n):
         assert abs(q(z) - factorization_rhs(n, z)) / q.magnitude_scale(z) < 1e-12, (n, z)
 
 
-def test_modulus_cut_beyond_1e12_raises():
-    # r^1 > w exactly from r = w on, so the cut of (1, [w]) is w
-    assert 1e11 < spectral._modulus_growth_radius(1, [1e11]) <= 1e11 + 0.5
-    for w in (1e13, 1e20):
-        with pytest.raises(ValueError, match="modulus cut of the order-1 .* exceeds 1e12"):
-            spectral._modulus_growth_radius(1, [w])
-    # at order 100 r^n overflows near r = 1.2e3, long before the 1e12 stop,
-    # and once escaped as OverflowError
-    with pytest.raises(ValueError, match=r"order-100 .* exceeds 1.02e\+03, where r\^100 leaves"):
-        spectral._modulus_growth_radius(100, [1e10] * 100)
-
-
-# --- disc certificate of the exact design ------------------------------------------
-
-
-def _f_derivatives(n, c, order):
-    """F_n^(k)(c) = (-1)^k (n)_k/(2n+1)_k 1F1(n+k; 2n+1+k; -c), k < order, by
-    mpmath at 30 digits."""
-    with mpmath.workdps(30):
-        z = -mpmath.mpc(c)
-        return [(-1) ** k * mpmath.rf(n, k) / mpmath.rf(2 * n + 1, k)
-                * mpmath.hyp1f1(n + k, 2 * n + 1 + k, z) for k in range(order)]
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_disc_certificate_holds_with_mpmath_values(n):
-    # every disc at n <= 4, every 4th above: the disc inequality holds with
-    # the mpmath derivatives, and each quadrature value is within the error
-    # bound the certificate allows it
-    cert = mid_disc_certificate(n)
-    assert cert.winding == 0 and cert.re_min == -1.0
-    order = spectral._DISC_ORDER
-    rule = spectral._mid_kernel_rule(n, cert.nodes)
-    for c, r in cert.discs[:: 1 if n <= 4 else 4]:
-        exact = _f_derivatives(n, c, order + 1)
-        with mpmath.workdps(30):
-            moments = [mpmath.rf(n, k) / mpmath.rf(2 * n + 1, k) for k in range(order + 1)]
-            reach = sum(abs(exact[k]) * mpmath.mpf(r) ** k / mpmath.factorial(k)
-                        for k in range(1, order))
-            reach += (moments[order] * mpmath.exp(max(0.0, r - c.real))
-                      * mpmath.mpf(r) ** order / mpmath.factorial(order))
-            assert abs(exact[0]) > reach, (c, r)
-        got, moduli = spectral._mid_taylor(c, rule)
-        allowed = spectral._ROUNDING_UNITS * (cert.nodes + abs(c)) * sys.float_info.epsilon * moduli
-        for k in range(order):
-            assert abs(got[k] - complex(exact[k])) <= allowed, (c, k)
-
-
-def test_disc_certificate_box_holds_the_modulus_cut():
-    # any root with Re z >= -1 has |z| <= R, the box reaches R + 0.1, and
-    # the discs cover the upper half of its boundary without gaps
-    for n in range(1, 9):
-        cert = mid_disc_certificate(n)
-        nsys = mid_normalized(n)
-        with mpmath.workdps(30):
-            weights = [abs(b) + mpmath.e * abs(be) for b, be in zip(nsys.b, nsys.beta)]
-            outer = mpmath.findroot(
-                lambda r: r**n - sum(wk * r**k for k, wk in enumerate(weights)), 2.0 * cert.re_max
-            )
-        assert cert.re_max == cert.im_max >= float(outer) + 0.1
-        path = 2.0 * cert.im_max + cert.re_max - cert.re_min
-        assert math.isclose(sum(2.0 * r for _, r in cert.discs), path, rel_tol=1e-12)
-        for (a, ra), (b, rb) in zip(cert.discs, cert.discs[1:]):
-            assert abs(b - a) <= (ra + rb) * (1.0 + 1e-12)
-
-
-def test_disc_certificate_counts_zeros_past_the_left_edge():
-    # F_1's rightmost zeros are -2.0888 +/- 7.4615i: a box reaching past them
-    # counts the pair, and an edge through one is inconclusive, not a count
-    with mpmath.workdps(30):
-        zero = mpmath.findroot(lambda z: mpmath.hyp1f1(1, 3, -z), mpmath.mpc(-2.09, 7.46))
-    assert abs(complex(zero) - (-2.0888 + 7.4615j)) < 1e-4
-    assert mid_disc_certificate(1, -2.5).winding == 2
-    with pytest.raises(LocalizationError, match="disc at .* of radius"):
-        mid_disc_certificate(1, float(zero.real))
-
-
-def test_disc_certificate_is_inconclusive_past_binary64():
-    # at n = 11 |F| at the top left of the box falls below the rounding of
-    # its quadrature; the discs nearest that corner go first, so this is quick
-    with pytest.raises(LocalizationError, match="F_11 disc certificate inconclusive"):
-        mid_disc_certificate(11)
-    assert mid_disc_certificate(10).winding == 0
+# --- matching the design -------------------------------------------------------------
 
 
 def test_mid_deviation_matches_the_design():
