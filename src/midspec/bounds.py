@@ -106,26 +106,25 @@ def _check_square(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def log_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
-    """Logarithmic norm mu(M) = lim_{eps->0+} (||I + eps M|| - 1)/eps.
+def log_norm(M: np.ndarray, norm: Norm) -> float:
+    """Logarithmic norm mu(M) = lim_{eps->0+} (||I + eps M|| - 1)/eps of one
+    square matrix.
 
     Closed forms: column sums of off-diagonal moduli plus diagonal real part
     (one norm), the same over rows (infinity norm), and the largest eigenvalue
-    of the Hermitian part (two norm).  M may be a stack of shape (..., n, n);
-    the result is then an array of shape (...), and a float for one matrix.
+    of the Hermitian part (two norm).
     """
     M = _check_square(M)
+    if M.ndim != 2:
+        raise ValueError("expected one square matrix")
     norm = Norm(norm)
     if norm in (Norm.ONE, Norm.INFINITY):
         absM = np.abs(M)
-        sums = absM.sum(axis=-2 if norm == Norm.ONE else -1)  # columns or rows
-        mu = (M.real.diagonal(0, -2, -1) + sums - absM.diagonal(0, -2, -1)).max(axis=-1)
-    elif norm == Norm.TWO:
-        herm = (M + np.swapaxes(M.conj(), -1, -2)) / 2.0
-        mu = np.linalg.eigvalsh(herm).max(axis=-1)
-    else:
-        raise ValueError(f"logarithmic norm undefined for the {norm.value} norm")
-    return float(mu) if M.ndim == 2 else mu
+        sums = absM.sum(axis=0 if norm == Norm.ONE else 1)  # columns or rows
+        return float((M.real.diagonal() + sums - absM.diagonal()).max())
+    if norm == Norm.TWO:
+        return float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).max())
+    raise ValueError(f"logarithmic norm undefined for the {norm.value} norm")
 
 
 def matrix_norm(M: np.ndarray, norm: Norm) -> float | np.ndarray:
@@ -226,8 +225,8 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
 # tile that survives is scanned; a one-row tile is the cell bound above.
 # One centre per tile and cell replaces one centre per row and cell.
 #
-# The coarse scan's first block, evaluated in full, sets the floor; after
-# it the scan takes _COARSE_BLOCK sigmas per block, floored, in a few
+# The coarse scan's seed row, sigma_min evaluated in full, sets the floor;
+# after it the scan takes _COARSE_BLOCK sigmas per block, floored, in a few
 # stacked calls per block.  A pruned row ends at or below the floor, which
 # never exceeds the running maximum, so it cannot raise the maximum.  The
 # scan stops at the first row whose tile bound proves that no later row
@@ -769,11 +768,10 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
 
     Coarse sigma scan (step 1e-2) up to a proven stop, then a fine rescan
     (step 1e-4, denser phi grid) around the argmax.  The coarse scan
-    evaluates sigmas a block at a time: a first block of _MAX_STACK //
-    _COARSE_GRID sigmas, unfloored, sets the running maximum best, and the
-    rest come _COARSE_BLOCK at a time, floored by it.  Each block, and the
-    fine rescan, bisects only the crossings that could raise the running
-    maximum.
+    evaluates sigmas a block at a time: the seed row sigma_min, unfloored,
+    sets the running maximum best, and the rest come _COARSE_BLOCK at a
+    time, floored by it.  Each block, and the fine rescan, bisects only the
+    crossings that could raise the running maximum.
 
     The scan stops at the first row where
     env^2 + sigma^2 - max(sigma, 0)^2 <= max(best, 0)^2, env being the
@@ -794,7 +792,7 @@ def _feasibility_sup(A0, A1, norm, power: int, sigma_min: float) -> tuple[float,
     graeffe = _sweep_graeffe(coeffs, norm)
     _check_range(coeffs, norm, sigma_min, graeffe)
 
-    block = _MAX_STACK // _COARSE_GRID  # the first block; then _COARSE_BLOCK
+    block = 1  # the seed row; then _COARSE_BLOCK
     best = -math.inf
     best_sigma = sigma_min
     start = 0

@@ -1,12 +1,12 @@
 """Quasipolynomials of single-delay retarded equations.
 
-A quasipolynomial here is a finite sum  sum_k p_k(s) exp(-lambda_k s)
-with real polynomials p_k and pairwise distinct real delays lambda_k.
+A quasipolynomial here has the single-delay form  p(s) + e^(-tau s) q(s)
+with real polynomials p (undelayed) and q (delayed) and one delay tau >= 0.
 The characteristic function of
 
     y^(n)(t) + sum a_k y^(k)(t) + sum alpha_k y^(k)(t - tau) = 0
 
-is the two-term case:  Delta(s) = s^n + sum a_k s^k + e^(-s tau) sum alpha_k s^k.
+is  Delta(s) = s^n + sum a_k s^k + e^(-s tau) sum alpha_k s^k.
 
 This module holds the representation, evaluation and differentiation,
 the exact integer design that places a real root of maximal multiplicity
@@ -163,61 +163,50 @@ class Polynomial(_Record):
 
 
 class Quasipolynomial(_Record):
-    """Finite sum of (delay, polynomial) terms with pairwise distinct delays.
+    """undelayed(s) + e^(-delay s) delayed(s), with real polynomials and a delay >= 0.
 
-    terms are kept sorted by delay and identically-zero polynomials are
-    dropped, so the degree bookkeeping D = l + sum d_k always refers to
-    the actual trailing-nonzero polynomials.
+    The exponential of a zero delayed part is never taken, so its delay
+    cannot overflow; a nonzero delayed part needs a positive delay.
     """
 
-    terms: tuple[tuple[float, Polynomial], ...]
+    undelayed: Polynomial
+    delayed: Polynomial = Polynomial(())
+    delay: float = 0.0
 
-    def __init__(self, terms: Sequence[tuple[float, Polynomial]]):
-        cleaned = sorted(
-            ((float(lam), p) for lam, p in terms if not p.is_zero),
-            key=lambda t: t[0],
-        )
-        delays = [lam for lam, _ in cleaned]
-        if len(set(delays)) != len(delays):
-            raise ValueError("delays must be pairwise distinct")
-        object.__setattr__(self, "terms", tuple(cleaned))
+    def __post_init__(self):
+        delay = float(self.delay)
+        if not 0.0 <= delay < math.inf or (delay == 0.0 and not self.delayed.is_zero):
+            raise ValueError(f"delay must be finite and >= 0, and > 0 under a delayed part; got {delay}")
+        object.__setattr__(self, "delay", delay)
 
     @property
     def degree(self) -> int:
-        """D = l + sum of polynomial degrees, with l = number of terms - 1.
-
-        Any root of the quasipolynomial has multiplicity at most D.
-        """
-        if not self.terms:
-            return -1
-        return len(self.terms) - 1 + sum(p.degree for _, p in self.terms)
+        """D = deg undelayed + deg delayed + 1, the degree of the one nonzero
+        part (a zero part has degree -1).  Any root has multiplicity at most D."""
+        return self.undelayed.degree + self.delayed.degree + 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.undelayed.is_zero and self.delayed.is_zero
 
     def __call__(self, s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for lam, p in self.terms:
-            acc += p(s) * cmath.exp(-lam * s)
-        return acc
+        return self._combine(0.0 + 0.0j, self.undelayed(s), self.delayed(s), cmath.exp, s)
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         import numpy as np
 
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for lam, p in self.terms:
-            acc += p(z) * np.exp(-lam * z)
-        return acc
+        return self._combine(np.zeros_like(z), self.undelayed(z), self.delayed(z), np.exp, z)
 
     def derivative(self, order: int = 1) -> "Quasipolynomial":
-        """Derivative of the given order; (lambda, p) maps to (lambda, p' - lambda p)."""
+        """Derivative of the given order: undelayed -> undelayed' and
+        delayed -> delayed' - delay delayed."""
         if order < 0:
             raise ValueError("order must be nonnegative")
         q = self
         for _ in range(order):
-            q = Quasipolynomial([(lam, p.delayed_derivative(lam)) for lam, p in q.terms])
+            q = Quasipolynomial(q.undelayed.delayed_derivative(0.0),
+                                q.delayed.delayed_derivative(q.delay), q.delay)
         return q
 
     def magnitude_scale(self, s: complex) -> float:
@@ -227,19 +216,23 @@ class Quasipolynomial(_Record):
         quasipolynomial much smaller than this scale reflects genuine
         cancellation rather than small inputs.
         """
-        sigma = complex(s).real
-        acc = 0.0
-        for lam, p in self.terms:
-            acc += p.abs_value_at(s) * math.exp(-lam * sigma)
-        return acc
+        return self._combine(0.0, self.undelayed.abs_value_at(s), self.delayed.abs_value_at(s),
+                             math.exp, complex(s).real)
 
     def magnitude_scale_array(self, z: np.ndarray) -> np.ndarray:
         import numpy as np
 
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros(z.shape, dtype=float)
-        for lam, p in self.terms:
-            acc += p.abs_value_at(z) * np.exp(-lam * z.real)
+        return self._combine(np.zeros(z.shape), self.undelayed.abs_value_at(z),
+                             self.delayed.abs_value_at(z), np.exp, z.real)
+
+    def _combine(self, zero, undelayed, delayed, exp, s):
+        """zero + undelayed + delayed exp(-delay s), for values or magnitudes
+        of the two parts.  Starting from zero turns a -0 component into +0;
+        a zero delayed part never reaches exp, which could overflow."""
+        acc = zero + undelayed
+        if not self.delayed.is_zero:
+            acc += delayed * exp(-self.delay * s)
         return acc
 
 
@@ -268,19 +261,11 @@ class RetardedSystem(_Record):
             raise ValueError("delay tau must be positive")
         if not all(math.isfinite(x) for x in a + alpha + (tau,)):
             raise ValueError("coefficients and delay must be finite")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "tau", tau)
+        super().__init__(n, a, alpha, tau)
 
     def quasipolynomial(self) -> Quasipolynomial:
         """Characteristic function s^n + sum a_k s^k + e^(-s tau) sum alpha_k s^k."""
-        return Quasipolynomial(
-            [
-                (0.0, Polynomial(list(self.a) + [1.0])),
-                (self.tau, Polynomial(self.alpha)),
-            ]
-        )
+        return Quasipolynomial(Polynomial(self.a + (1.0,)), Polynomial(self.alpha), self.tau)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "a": list(self.a), "alpha": list(self.alpha), "tau": self.tau}
@@ -316,17 +301,10 @@ class NormalizedSystem(_Record):
         b, beta = tuple(b), tuple(beta)
         if len(b) != n or len(beta) != n:
             raise ValueError("coefficient lists must have exactly n entries")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "beta", beta)
+        super().__init__(n, b, beta)
 
     def quasipolynomial(self) -> Quasipolynomial:
-        return Quasipolynomial(
-            [
-                (0.0, Polynomial(list(self.b) + [1.0])),
-                (1.0, Polynomial(self.beta)),
-            ]
-        )
+        return Quasipolynomial(Polynomial(self.b + (1.0,)), Polynomial(self.beta), 1.0)
 
 
 def mid_normalized(n: int) -> NormalizedSystem:
@@ -453,9 +431,8 @@ def multiplicity_at(q: Quasipolynomial, s0: complex) -> int:
     m = 0
     try:
         while m < cap:
-            scale = 0.0
-            for lam, p in deriv.terms:
-                scale += p.abs_value_at(r) * math.exp(-lam * s0.real)
+            scale = deriv._combine(0.0, deriv.undelayed.abs_value_at(r),
+                                   deriv.delayed.abs_value_at(r), math.exp, s0.real)
             if abs(deriv(s0)) > _MULTIPLICITY_TOL * scale:
                 break
             m += 1

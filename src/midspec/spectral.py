@@ -210,7 +210,7 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
     """
     import numpy as np
 
-    delays_max = max((abs(lam) for lam, _ in q.terms), default=0.0)
+    delay = 0.0 if q.delayed.is_zero else q.delay
     qp = q.derivative()
 
     def probe(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +222,8 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
 
     corners = rect.corners()
     ends = list(zip(corners, corners[1:] + corners[:1]))
-    # initial samples per edge, from the phase the delays and the degree turn
-    counts = [17 + (delays_max * abs((b - a).imag) + math.pi * max(q.degree, 1)) / 1.2
+    # initial samples per edge, from the phase the delay and the degree turn
+    counts = [17 + (delay * abs((b - a).imag) + math.pi * max(q.degree, 1)) / 1.2
               for a, b in ends]
     if not sum(counts) <= _MAX_CONTOUR_SAMPLES:
         raise ValueError(f"the contour of {rect} needs about {sum(counts):.3g} samples, "

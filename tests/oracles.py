@@ -121,6 +121,38 @@ def factorization_rhs(n, z):
         )
 
 
+def single_delay_derivative(undelayed, delayed, delay, k, s):
+    """d^k/ds^k [P(s) + e^(-delay s) Q(s)] at s, for coefficient lists P and Q
+    (entry j multiplying s^j), by mpmath at 50 digits through the Leibniz rule
+    d^k [e^(-delay s) Q] = e^(-delay s) sum_j C(k, j) (-delay)^(k-j) Q^(j).
+
+    Returns the value and the sum of the moduli of the monomials it adds up,
+    the scale that rounding in the float coefficients of a k-th derivative
+    is relative to."""
+
+    def poly_derivative(coeffs, j, w):
+        # sum_i i (i-1) ... (i-j+1) c_i w^(i-j), every factor exact
+        return mpmath.fsum(
+            mpmath.ff(i, j) * mpmath.mpf(c) * w ** (i - j)
+            for i, c in enumerate(coeffs) if i >= j
+        )
+
+    def leibniz(coeffs, lam, w):
+        return mpmath.fsum(
+            math.comb(k, j) * lam ** (k - j) * poly_derivative(coeffs, j, w)
+            for j in range(k + 1)
+        )
+
+    with mpmath.workdps(50):
+        w, lam = mpmath.mpc(s), mpmath.mpf(delay)
+        shift = mpmath.exp(-lam * w)
+        value = poly_derivative(undelayed, k, w) + shift * leibniz(delayed, -lam, w)
+        r = abs(w)
+        scale = (poly_derivative([abs(c) for c in undelayed], k, r)
+                 + abs(shift) * leibniz([abs(c) for c in delayed], lam, r))
+        return complex(value), float(scale)
+
+
 # --- root localization ------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from midspec.quasipoly import (
     multiplicity_at,
     normalize,
 )
-from oracles import factorization_rhs, mid_double_sum, mid_order2
+from oracles import factorization_rhs, mid_double_sum, mid_order2, single_delay_derivative
 
 
 def rel_close(x, y, tol):
@@ -35,15 +37,15 @@ def rel_close(x, y, tol):
 def test_two_term_structure():
     sys_ = RetardedSystem(2, (6.0, -4.0), (-6.0, -2.0), 1.0)
     q = sys_.quasipolynomial()
-    assert [lam for lam, _ in q.terms] == [0.0, 1.0]
-    assert q.terms[0][1].coefficients == (6.0, -4.0, 1.0)
-    assert q.terms[1][1].coefficients == (-6.0, -2.0)
+    assert q.delay == 1.0
+    assert q.undelayed.coefficients == (6.0, -4.0, 1.0)
+    assert q.delayed.coefficients == (-6.0, -2.0)
     assert q.degree == 4
 
 
 def test_zero_delayed_part_dropped():
     q = RetardedSystem(1, (0.0,), (0.0,), 1.0).quasipolynomial()
-    assert len(q.terms) == 1
+    assert q.delayed.is_zero and not q.undelayed.is_zero
     assert q.degree == 1
 
 
@@ -63,7 +65,7 @@ def test_evaluate_quartic(qhat):
 
 
 def test_evaluate_single_term_is_plain_polynomial():
-    q = Quasipolynomial([(0.0, Polynomial([1.0, 2.0, 3.0]))])
+    q = Quasipolynomial(Polynomial([1.0, 2.0, 3.0]))
     for s in (0.3, -1.0 + 2.0j, 4.0j):
         assert q(s) == 1.0 + 2.0 * s + 3.0 * s * s
 
@@ -86,18 +88,34 @@ def test_magnitude_scale_array_matches_scalar(example_system):
 def test_conjugate_symmetry_random():
     rng = random.Random(1)
     for _ in range(20):
-        terms = [
-            (rng.uniform(0, 2), Polynomial([rng.uniform(-2, 2) for _ in range(3)])),
-            (0.0, Polynomial([rng.uniform(-2, 2) for _ in range(2)])),
-        ]
-        q = Quasipolynomial(terms)
+        q = Quasipolynomial(
+            Polynomial([rng.uniform(-2, 2) for _ in range(2)]),
+            Polynomial([rng.uniform(-2, 2) for _ in range(3)]),
+            rng.uniform(0.01, 2),
+        )
         s = complex(rng.uniform(-2, 2), rng.uniform(-3, 3))
         assert abs(q(s.conjugate()) - q(s).conjugate()) < 1e-12 * max(1.0, abs(q(s)))
 
 
-def test_duplicate_delays_rejected():
-    with pytest.raises(ValueError):
-        Quasipolynomial([(1.0, Polynomial([1.0])), (1.0, Polynomial([2.0]))])
+@pytest.mark.parametrize(
+    "delayed, delay",
+    [
+        ([2.0], 0.0),
+        ([2.0], -1.0),
+        ([], -1.0),
+        ([2.0], math.inf),
+        ([], math.nan),
+    ],
+)
+def test_delay_validated(delayed, delay):
+    # finite and >= 0, and > 0 under a nonzero delayed part
+    with pytest.raises(ValueError, match="delay must be finite and >= 0"):
+        Quasipolynomial(Polynomial([1.0]), Polynomial(delayed), delay)
+
+
+def test_delay_zero_allowed_without_delayed_part():
+    q = Quasipolynomial(Polynomial([1.0, 1.0]), delay=0.0)
+    assert q.delayed.is_zero and q.degree == 1 and q(2.0) == 3.0
 
 
 # --- derivatives ---------------------------------------------------------------
@@ -114,8 +132,7 @@ def test_derivative_preserves_delayed_term_count(qhat):
     q = qhat
     for _ in range(6):
         q = q.derivative()
-        delayed = [lam for lam, _ in q.terms if lam != 0.0]
-        assert delayed == [1.0]
+        assert q.delay == 1.0 and not q.delayed.is_zero
 
 
 def test_derivative_finite_difference():
@@ -126,6 +143,55 @@ def test_derivative_finite_difference():
     for s in (0.2, -1.0 + 0.7j):
         fd = (q(s + h) - q(s - h)) / (2 * h)
         assert abs(fd - qp(s)) < 1e-7 * max(1.0, abs(qp(s)))
+
+
+def _assert_matches_leibniz_oracle(q, orders, points):
+    # the error of the float derivative coefficients and of Horner's rule is
+    # relative to the moduli of the monomials the derivative adds up; the
+    # derivative's own magnitude_scale can be far smaller, since its
+    # coefficients cancel (3.5e-7 relative error against it at n = 8, tau = 0.5)
+    for k in orders:
+        d = q.derivative(k)
+        for s in points:
+            want, scale = single_delay_derivative(
+                q.undelayed.coefficients, q.delayed.coefficients, q.delay, k, s
+            )
+            assert abs(d(s) - want) <= 1e-14 * scale, (k, s)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("tau", [0.5, 2.5])
+def test_derivatives_match_leibniz_oracle_on_designs(n, tau):
+    s0 = -0.5
+    q = mid_coefficients(n, s0, tau).quasipolynomial()
+    points = (s0, s0 + 0.25 + 0.5j, -2.0 + 3.0j, 0.4 - 1.1j)
+    _assert_matches_leibniz_oracle(q, range(2 * n + 1), points)
+
+
+def test_derivatives_match_leibniz_oracle_on_random_draws():
+    rng = random.Random(35)
+    for _ in range(25):
+        q = Quasipolynomial(
+            Polynomial([rng.uniform(-3, 3) for _ in range(rng.randint(1, 5))]),
+            Polynomial([rng.uniform(-3, 3) for _ in range(rng.randint(1, 5))]),
+            rng.uniform(0.05, 3.0),
+        )
+        points = [complex(rng.uniform(-3, 3), rng.uniform(-4, 4)) for _ in range(3)]
+        _assert_matches_leibniz_oracle(q, range(q.degree + 1), points)
+
+
+def test_zero_delayed_part_never_evaluated():
+    # e^(2.5 * 800) is past the float range: a zero delayed part must not
+    # reach an exponential (an overflow, or inf * 0 = nan with a warning)
+    q = Quasipolynomial(Polynomial([1.0, 2.0]), Polynomial([]), 2.5)
+    s = -800.0 + 3.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [q(s), q.derivative(2)(s), q.magnitude_scale(s),
+                  q.eval_array(np.array([s]))[0], q.magnitude_scale_array(np.array([s]))[0]]
+        assert multiplicity_at(q, s) == 0
+    assert all(cmath.isfinite(v) for v in values)
+    assert q(s) == 1.0 + 2.0 * s
 
 
 # --- coefficient assignment -----------------------------------------------------
@@ -306,12 +372,12 @@ def test_multiplicity_quartic(qhat):
 
 
 def test_multiplicity_polynomial_case():
-    cubed = Quasipolynomial([(0.0, Polynomial([-1.0, 3.0, -3.0, 1.0]))])  # (z-1)^3
+    cubed = Quasipolynomial(Polynomial([-1.0, 3.0, -3.0, 1.0]))  # (z-1)^3
     assert multiplicity_at(cubed, 1.0) == 3
 
 
 def test_multiplicity_simple_transcendental():
-    q = Quasipolynomial([(0.0, Polynomial([-1.0, 1.0])), (1.0, Polynomial([1.0]))])
+    q = Quasipolynomial(Polynomial([-1.0, 1.0]), Polynomial([1.0]), 1.0)
     assert multiplicity_at(q, 0.0) == 2
 
 
@@ -325,8 +391,8 @@ def test_multiplicity_grid_full():
                 # the next derivative is genuinely nonzero
                 d = q.derivative(2 * n)
                 r = max(1.0, abs(s0))
-                scale = sum(
-                    p.abs_value_at(r) * math.exp(-lam * s0) for lam, p in d.terms
+                scale = d.undelayed.abs_value_at(r) + d.delayed.abs_value_at(r) * math.exp(
+                    -d.delay * s0
                 )
                 assert abs(d(s0)) > 1e-6 * scale
 
@@ -343,12 +409,12 @@ def test_multiplicity_short_delay():
 def test_multiplicity_never_exceeds_degree():
     rng = random.Random(11)
     for _ in range(40):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            lam = round(rng.uniform(0, 3), 3)
-            deg = rng.randint(0, 3)
-            terms[lam] = Polynomial([rng.uniform(-2, 2) for _ in range(deg + 1)])
-        q = Quasipolynomial(list(terms.items()))
+        undelayed, delayed = (
+            Polynomial([rng.uniform(-2, 2) for _ in range(rng.randint(0, 3) + 1)])
+            if rng.random() < 0.75 else Polynomial([])
+            for _ in range(2)
+        )
+        q = Quasipolynomial(undelayed, delayed, round(rng.uniform(0.001, 3), 3))
         if q.is_zero:
             continue
         for s0 in (0.0, 1.0, -0.5 + 0.3j):
@@ -437,8 +503,8 @@ def _one_root():
 VALUE_TYPES = {
     "Polynomial": (lambda: Polynomial([1.0, 2.0]), "coefficients", (3.0,)),
     "Quasipolynomial": (
-        lambda: Quasipolynomial([(0.0, Polynomial([1.0])), (1.0, Polynomial([2.0]))]),
-        "terms", ((2.0, Polynomial([5.0])),),
+        lambda: Quasipolynomial(Polynomial([1.0]), Polynomial([2.0]), 1.0),
+        "delay", 2.0,
     ),
     "RetardedSystem": (lambda: RetardedSystem(1, [1.0], [2.0], 1.5), "tau", 2.0),
     "NormalizedSystem": (lambda: NormalizedSystem(1, [1.0], [2.0]), "beta", (3.0,)),

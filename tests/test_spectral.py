@@ -92,7 +92,7 @@ def test_count_quartic(qhat):
 
 
 def test_count_simple_polynomial():
-    q = Quasipolynomial([(0.0, Polynomial([1.0, 0.0, 1.0]))])  # z^2 + 1
+    q = Quasipolynomial(Polynomial([1.0, 0.0, 1.0]))  # z^2 + 1
     assert count_roots(q, Rectangle(-0.5, 0.5, 0.5, 1.5)) == 1
 
 
@@ -148,7 +148,7 @@ def test_find_quartic_root(qhat):
 
 
 def test_find_conjugate_pair():
-    q = Quasipolynomial([(0.0, Polynomial([1.0, 0.0, 1.0]))])
+    q = Quasipolynomial(Polynomial([1.0, 0.0, 1.0]))
     roots = find_roots(q, Rectangle(-2, 2, -2, 2))
     assert len(roots) == 2
     assert abs(roots[0].location - 1j) < 1e-12 or abs(roots[0].location + 1j) < 1e-12
@@ -267,7 +267,7 @@ def test_abscissa_quartic(qhat):
 
 
 def test_abscissa_polynomial():
-    q = Quasipolynomial([(0.0, Polynomial([-6.0, 1.0, 1.0]))])  # (z-2)(z+3)
+    q = Quasipolynomial(Polynomial([-6.0, 1.0, 1.0]))  # (z-2)(z+3)
     assert abs(_abscissa(q, Rectangle(-4, 3, -1, 1)) - 2.0) < 1e-12
 
 
