@@ -160,19 +160,15 @@ def bound_tissir_hmamed(pair: CompanionPair, norm: Norm) -> BoundReport:
     A1 = e_n a^T of a companion pair; any other A1 is refused.
     """
     norm = Norm(norm)
-    if norm not in INDUCED_NORMS:
-        raise ValueError("bound requires a norm induced by a vector norm")
+    if norm != Norm.TWO:
+        return bound_mori_kokame(pair, norm).replace(method=BoundMethod.TISSIR_HMAMED)
     A1 = pair.A1
-    if norm == Norm.TWO:
-        if A1[:-1].any():
-            raise ValueError("the two-norm Tissir-Hmamed bound needs A1 to be a delayed last "
-                             "row e_n a^T, as in a companion pair; this A1 has a nonzero row "
-                             "above its last")
-        a = A1[-1]
-        best = float(abs(a[-1]) + np.linalg.norm(a)) / 2.0
-    else:
-        best = matrix_norm(A1, norm)
-    value = log_norm(-1j * pair.A0, norm) + best
+    if A1[:-1].any():
+        raise ValueError("the two-norm Tissir-Hmamed bound needs A1 to be a delayed last "
+                         "row e_n a^T, as in a companion pair; this A1 has a nonzero row "
+                         "above its last")
+    a = A1[-1]
+    value = log_norm(-1j * pair.A0, norm) + float(abs(a[-1]) + np.linalg.norm(a)) / 2.0
     return BoundReport(BoundMethod.TISSIR_HMAMED, norm, 1, 0.0, value)
 
 

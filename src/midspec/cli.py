@@ -168,7 +168,7 @@ def cmd_spectrum(args, run: _Run) -> int:
 
 #: The rows of --all: (method, norm, power), in table order.
 _ALL_BOUNDS = (
-    [("rho", "frobenius", 1)]
+    [("rho", None, 1)]
     + [("norm-power", norm, p) for p in (1, 2) for norm in ("one", "frobenius", "infinity")]
     + [(m, norm, 1) for m in ("mori-kokame", "tissir-hmamed") for norm in ("one", "two", "infinity")]
     + [("lemma3", "frobenius", 2)]
@@ -408,7 +408,7 @@ def cmd_verify(args, run: _Run) -> int:
                        f"(exact MID design, {cert.discs} discs)")
         checks.append(("dominance", cert.strictly_dominant, detail))
     except LocalizationError as exc:
-        checks.append(("dominance", None, f"inconclusive: {exc}"))
+        checks.append(("dominance", None, str(exc)))
 
     # ok is True (pass), False (failed) or None (inconclusive)
     all_ok = all(ok for _, ok, _ in checks)

@@ -417,10 +417,14 @@ def multiplicity_at(q: Quasipolynomial, s0: complex) -> int:
 
     Counts how many successive derivatives vanish relative to the sum of
     absolute term magnitudes at s0 (so the test is invariant under scaling
-    of q and meaningful for coefficients of any size).  The monomial radius
-    is floored at 1 so that cancellation noise in low-order coefficients is
-    still judged against the size of the coefficients that produced it.
-    The result never exceeds the degree D of q.
+    of q).  The monomial radius is floored at 1.  The result never exceeds
+    the degree D of q.
+
+    The scale is taken after the float derivative chain (delayed' - delay *
+    delayed, k times) has cancelled, not from the terms that made the noise,
+    so the design at n = 8, tau = 0.5, s0 = -0.5 counts 9, not 16.  A correct
+    scale would count 16 on that stored system, which grows at +0.51, so the
+    fix waits for ROADMAP items 3 and 17.
     """
     if q.is_zero:
         raise ValueError("multiplicity of the zero quasipolynomial is undefined")

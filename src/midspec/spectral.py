@@ -15,6 +15,10 @@ counts the zeros of its factor F_n by Taylor discs along a box that the
 modulus cut of its coefficients sizes, the cut that also sizes the root
 search of any other system.  numpy is imported inside the functions that
 use arrays, so certifying a design runs on the standard library alone.
+
+A contour whose count cannot be trusted is moved: inflated, shrunk no
+further, or split along the next line.  LocalizationError is raised once,
+where a count is known to be inconclusive, naming its rectangle or disc.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ __all__ = [
 ]
 
 
-class _BoundaryProximity(Exception):
-    """Internal: a contour sample sits too close to a root."""
+class _UntrustedContour(Exception):
+    """Internal: a contour's winding count cannot be trusted; move the contour."""
 
 
 # relative |q| floor below which a boundary sample counts as "on a root"
@@ -197,7 +201,10 @@ def roots_to_csv(roots: Iterable[Root]) -> str:
 
 def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
     """Winding number of q around the rectangle boundary, traversed
-    counterclockwise; raises if it fails to come out close to an integer.
+    counterclockwise.  A sample on a root (|q| below _BOUNDARY_FLOOR of its
+    scale), refinement that does not converge in 48 rounds and a sum more
+    than 0.1 from an integer all raise _UntrustedContour: the caller moves
+    the contour.
 
     The boundary is walked as one closed polyline through the corners.
     Samples are refined until (i) every observed phase increment is below
@@ -217,7 +224,7 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
         v = q.eval_array(z)
         av = np.abs(v)
         if np.any(av <= _BOUNDARY_FLOOR * q.magnitude_scale_array(z)):
-            raise _BoundaryProximity
+            raise _UntrustedContour
         return v / av, np.abs(qp.eval_array(z)) / av
 
     corners = rect.corners()
@@ -245,17 +252,17 @@ def _winding(q: Quasipolynomial, rect: Rectangle) -> int:
         z = np.insert(z, idx + 1, zm)
         u = np.insert(u, idx + 1, um)
         g = np.insert(g, idx + 1, gm)
-    else:
-        raise LocalizationError("contour refinement did not converge (root on boundary?)")
     w = float(dphi.sum()) / (2.0 * math.pi)
-    if abs(w - round(w)) > 0.1:
-        raise LocalizationError(f"winding number {w:.4f} is not close to an integer")
+    if bad.any() or abs(w - round(w)) > 0.1:  # bad: the 48 rounds ran out
+        raise _UntrustedContour
     return int(round(w))
 
 
 def _inflated_count(q: Quasipolynomial, rect: Rectangle) -> tuple[Rectangle, int]:
-    """Winding count of q around rect, inflated outward while a root sits
-    (numerically) on the boundary; returns the rectangle counted and its count.
+    """Winding count of q around rect, inflated outward while its contour
+    cannot be trusted (a root sits, numerically, on the boundary); returns
+    the rectangle counted and its count.  A contour still untrusted after the
+    last inflation makes the count inconclusive (LocalizationError).
 
     The inflation starts at 1e-6 and grows tenfold per retry, at most 5
     times, because around a root of multiplicity m the evaluation-cancellation
@@ -275,9 +282,9 @@ def _inflated_count(q: Quasipolynomial, rect: Rectangle) -> tuple[Rectangle, int
         attempt = rect.inflated(delta)
         try:
             return attempt, _winding(q, attempt)
-        except _BoundaryProximity:
+        except _UntrustedContour:
             delta += 1e-6 * 10.0**k
-    raise LocalizationError("root remains on the boundary after 5 inflation retries")
+    raise LocalizationError(f"a root remains on the boundary of {rect} after 5 inflation retries")
 
 
 def count_roots(q: Quasipolynomial, rect: Rectangle) -> int:
@@ -348,20 +355,20 @@ def _refine_newton(
     return best, best_res <= _RESIDUAL_REL
 
 
-def _stable_count_around(q: Quasipolynomial, z: complex, h0: float) -> int:
+def _stable_count_around(q: Quasipolynomial, z: complex, h: float) -> int:
     """Multiplicity of the root at z by counting on shrinking squares.
 
     Accepts once two consecutive shrink levels agree on a positive count.
-    Shrinking stops at the first square that grazes a root or falls into
-    cancellation territory (where phases carry no information), keeping the
-    last count; a count that disagrees with the box's makes the caller split.
+    Shrinking stops at the first square whose contour cannot be trusted (it
+    grazes a root or falls into cancellation territory, where phases carry
+    no information), keeping the last count (0 if no square was counted); a
+    count that disagrees with the box's makes the caller split.
     """
-    h = h0
-    prev = -1
+    prev = 0
     for _ in range(9):
         try:
             count = _winding(q, Rectangle(z.real - h, z.real + h, z.imag - h, z.imag + h))
-        except _BoundaryProximity:
+        except _UntrustedContour:
             break
         if count == prev and count > 0:
             return count
@@ -369,9 +376,7 @@ def _stable_count_around(q: Quasipolynomial, z: complex, h0: float) -> int:
         h /= 5.0
         if h < 1e3 * float_info.epsilon * (1.0 + abs(z)):
             break
-    if prev > 0:
-        return prev
-    raise LocalizationError(f"could not stabilize a multiplicity count around {z}")
+    return prev
 
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.58, 0.42, 0.64, 0.36, 0.31, 0.69, 0.72, 0.28)
@@ -411,7 +416,7 @@ def _split_and_count(
         ]
         try:
             counts = [_winding(q, c) for c in children]
-        except (_BoundaryProximity, LocalizationError):
+        except _UntrustedContour:
             continue
         if sum(counts) == m:
             return list(zip(children, counts))
@@ -468,26 +473,21 @@ def find_roots(q: Quasipolynomial, rect: Rectangle) -> list[Root]:
         # refined point outside means Newton escaped to a neighbor's root
         if converged and box.contains(z0, slack=1e-12 * (1.0 + box.diameter)):
             h0 = max(0.45 * min(box.width, box.height), 64.0 * floor * (1.0 + abs(z0)))
-            try:
-                mult = _stable_count_around(q, z0, h0)
-            except LocalizationError:
-                mult = -1
-            if mult == m:
+            if _stable_count_around(q, z0, h0) == m:
                 roots.append(finish(z0, m))
                 continue
         if box.diameter < max(_DIAMETER_FLOOR, floor * (1.0 + abs(box.center))):
             # diameter floor: keep the best available point for the whole count
             if not converged:
-                raise LocalizationError(
-                    f"Newton refinement failed in a terminal box at {box.center}"
-                )
+                raise LocalizationError(f"Newton refinement failed in the terminal box {box}")
             roots.append(finish(z0, m))
             continue
         stack.extend((c, k) for c, k in _split_and_count(q, box, m) if k > 0)
 
     roots = _symmetrize_conjugates(roots)
-    if sum(r.multiplicity for r in roots) != total:
-        raise LocalizationError("assembled multiplicities do not match the total count")
+    if (located := sum(r.multiplicity for r in roots)) != total:
+        raise LocalizationError(f"the roots located in {region} have total multiplicity "
+                                f"{located}, its contour count is {total}")
     return sorted(roots, key=lambda r: (-r.location.real, r.location.imag))
 
 
@@ -694,10 +694,8 @@ def mid_disc_certificate(n: int, re_min: float = -1.0) -> DiscCertificate:
             return [(c, r, d[0])]
         if depth < _DISC_DEPTH:
             return cover(a, c, depth + 1) + cover(c, b, depth + 1)
-        raise LocalizationError(
-            f"F_{n} disc certificate inconclusive: the disc at {c:.9g} of radius {r:.3g} "
-            f"fails after {_DISC_DEPTH} halvings"
-        )
+        raise LocalizationError(f"F_{n} disc certificate: the disc at {c:.9g} of radius {r:.3g} "
+                                f"fails after {_DISC_DEPTH} halvings")
 
     corners = [complex(top, 0.0), complex(top, top), complex(re_min, top), complex(re_min, 0.0)]
     segments = []
@@ -718,7 +716,8 @@ def mid_disc_certificate(n: int, re_min: float = -1.0) -> DiscCertificate:
     turn += sum(cmath.phase(v * u.conjugate()) for u, v in zip(values, values[1:]))
     winding = turn / math.pi
     if abs(winding - round(winding)) > 1e-6:
-        raise LocalizationError(f"F_{n} disc certificate: winding number {winding:.9f} is no integer")
+        raise LocalizationError(f"F_{n} disc certificate: the winding number {winding:.9f} around the "
+                                f"box [{re_min:.9g}, {top:.9g}] x [-{top:.9g}, {top:.9g}] is no integer")
     return DiscCertificate(n, re_min, top, top, nodes, tuple(discs), round(winding))
 
 
@@ -753,18 +752,15 @@ def certify_dominance(sys: RetardedSystem, s0: float) -> SpectrumReport:
         return Rectangle(s0 + rect.re_min / tau, s0 + rect.re_max / tau,
                          rect.im_min / tau, rect.im_max / tau)
 
-    try:
-        if mid_deviation(nsys) < MID_MATCH_TOL:
-            cert = mid_disc_certificate(nsys.n)
-            if cert.winding == 0:  # else the zeros in the box are located below
-                root = Root(complex(s0), 2 * sys.n, abs(q_orig(s0)))
-                box = Rectangle(cert.re_min, cert.re_max, -cert.im_max, cert.im_max)
-                return SpectrumReport((root,), denormalized(box), s0, root, True,
-                                      gap=-cert.re_min / tau, discs=len(cert.discs))
-        region_n = _dominance_box(nsys)
-        roots_n = find_roots(nsys.quasipolynomial(), region_n)
-    except LocalizationError as exc:
-        raise LocalizationError(f"dominance certification inconclusive: {exc}") from exc
+    if mid_deviation(nsys) < MID_MATCH_TOL:
+        cert = mid_disc_certificate(nsys.n)
+        if cert.winding == 0:  # else the zeros in the box are located below
+            root = Root(complex(s0), 2 * sys.n, abs(q_orig(s0)))
+            box = Rectangle(cert.re_min, cert.re_max, -cert.im_max, cert.im_max)
+            return SpectrumReport((root,), denormalized(box), s0, root, True,
+                                  gap=-cert.re_min / tau, discs=len(cert.discs))
+    region_n = _dominance_box(nsys)
+    roots_n = find_roots(nsys.quasipolynomial(), region_n)
 
     roots = [
         Root(s0 + r.location / tau, r.multiplicity, abs(q_orig(s0 + r.location / tau)))

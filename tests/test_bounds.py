@@ -972,6 +972,22 @@ def test_sweep_bounds_every_root_of_a_random_system(data):
             assert abs(z.imag) <= report.value * (1.0 + 1e-6), (z, report)
 
 
+# The rho sweep misses a feasible set thinner than its sigma step: these roots
+# lie above the value it returns (0.0 for both pairs).  ROADMAP item 8's
+# certified value is to mend it; these markers go when it does.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_rho_sweep_bounds_roots_near_the_axis():
+    # roots +-3.16e-8i
+    assert bound_spectral_radius_curve(companion([0, 0], [1e-15, 0]), -0.125).value >= 3.16e-8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_rho_sweep_bounds_roots_of_a_tiny_pair():
+    # roots -2.46e-27 +- 7.020996e-14i
+    pair = companion([4.93e-27, 0], [0, 4.93e-27])
+    assert bound_spectral_radius_curve(pair, -1e-12).value >= 7.020996e-14
+
+
 def test_bound_report_validation():
     with pytest.raises(ValueError):
         BoundReport(BoundMethod.NORM_POWER, Norm.ONE, 1, 0.0, -1.0)

@@ -793,9 +793,9 @@ def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", str(example_dir / "system.json")]) == 3
     captured = capsys.readouterr()
     out = captured.out
-    assert "INCONCLUSIVE dominance: inconclusive: root remains on the boundary" in out
+    assert "INCONCLUSIVE dominance: root remains on the boundary" in out
     assert "verdict: inconclusive" in out
-    assert captured.err == "INCONCLUSIVE dominance: inconclusive: root remains on the boundary\n"
+    assert captured.err == "INCONCLUSIVE dominance: root remains on the boundary\n"
 
     # a check that really failed outranks an inconclusive one
     doc = json.loads((example_dir / "system.json").read_text())
@@ -804,6 +804,29 @@ def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify", str(bad), "--s0", "-0.5"]) == 1
     assert "FAIL multiplicity" in capsys.readouterr().out
+
+
+def test_verify_says_inconclusive_once_and_names_the_disc(tmp_path, capsys):
+    # order 11 is past what the disc certificate can decide in binary64; the
+    # multiplicity check fails as well, so the exit is 1
+    assert cli.main(["design", "--n", "11", "--s0", "-0.5", "--tau", "2.5",
+                     "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert cli.main(["verify", str(tmp_path / "system.json")]) == 1
+    err = capsys.readouterr().err
+    line = next(ln for ln in err.splitlines() if "dominance" in ln)
+    assert line.startswith("INCONCLUSIVE dominance: F_11 disc certificate: the disc at ")
+    assert line.lower().count("inconclusive") == 1
+
+
+def test_spectrum_inconclusive_names_its_rectangle(tmp_path, capsys):
+    # the default window's right edge crosses the rounding disc around s0
+    assert cli.main(["design", "--n", "6", "--s0", "-0.5", "--tau", "0.5",
+                     "--out-dir", str(tmp_path / "design"), "--quiet"]) == 0
+    assert cli.main(["spectrum", str(tmp_path / "design" / "system.json"),
+                     "--out-dir", str(tmp_path / "spectrum")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: ") and "Rectangle(" in err
+    assert err.lower().count("inconclusive") == 1
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -1192,6 +1215,28 @@ def test_no_module_imports_a_private_name_of_another():
             crossings += [f"{path.name}: {name}" for name in names
                           if name.startswith("_") and not name.endswith("__") and name != "_Record"]
     assert crossings == []
+
+
+def test_localization_error_is_an_outcome_only():
+    # LocalizationError says a count is inconclusive; spectral moves an
+    # untrusted contour with its own private signal, so only cli catches it,
+    # and the winding count raises none
+    import ast
+
+    def names_it(node):
+        return any(getattr(sub, "id", getattr(sub, "attr", None)) == "LocalizationError"
+                   for sub in ast.walk(node))
+
+    package = Path(midspec.__file__).resolve().parent
+    catchers = [path.name for path in sorted(package.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler) and node.type and names_it(node.type)]
+    assert set(catchers) == {"cli.py"}
+    tree = ast.parse((package / "spectral.py").read_text())
+    winding = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_winding")
+    assert not [node for node in ast.walk(winding)
+                if isinstance(node, ast.Raise) and node.exc and names_it(node.exc)]
 
 
 # --- packaging ------------------------------------------------------------------

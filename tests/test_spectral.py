@@ -457,9 +457,18 @@ def test_disc_certificate_counts_zeros_past_the_left_edge():
 def test_disc_certificate_is_inconclusive_past_binary64():
     # at n = 11 |F| at the top left of the box falls below the rounding of
     # its quadrature; the discs nearest that corner go first, so this is quick
-    with pytest.raises(LocalizationError, match="F_11 disc certificate inconclusive"):
+    with pytest.raises(LocalizationError, match="F_11 disc certificate: the disc at "):
         mid_disc_certificate(11)
     assert mid_disc_certificate(10).winding == 0
+
+
+def test_certify_dominance_passes_the_certificate_message_unchanged():
+    # the outcome is said once, where it is known: no layer adds a prefix
+    with pytest.raises(LocalizationError) as cert:
+        mid_disc_certificate(11)
+    with pytest.raises(LocalizationError) as certified:
+        certify_dominance(mid_coefficients(11, -0.5, 2.5), -0.5)
+    assert str(certified.value) == str(cert.value)
 
 
 def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
