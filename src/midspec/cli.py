@@ -119,7 +119,7 @@ def cmd_design(args, run: _Run) -> int:
 
 def _certificate_doc(report) -> dict | None:
     """The --json record of a dominance verdict from the exact design's disc
-    certificate; None when it came from a root search (or none was made)."""
+    certificate; None for a system that is not the design (or no verdict)."""
     return None if report is None or report.gap is None else {"gap": report.gap, "discs": report.discs}
 
 
@@ -171,7 +171,7 @@ _ALL_BOUNDS = (
     [("rho", None, 1)]
     + [("norm-power", norm, p) for p in (1, 2) for norm in ("one", "frobenius", "infinity")]
     + [(m, norm, 1) for m in ("mori-kokame", "tissir-hmamed") for norm in ("one", "two", "infinity")]
-    + [("lemma3", "frobenius", 2)]
+    + [("lemma3", None, None)]
 )
 
 
@@ -401,11 +401,13 @@ def cmd_verify(args, run: _Run) -> int:
     cert = None
     try:
         cert = certify_dominance(sys_, s0)
-        detail = (f"strictly dominant: {cert.strictly_dominant}, "
-                  f"spectral abscissa {cert.spectral_abscissa:.9g}")
-        if cert.gap is not None:
-            detail += (f", every other root has Re s <= s0 - {cert.gap:.9g} "
-                       f"(exact MID design, {cert.discs} discs)")
+        detail = f"strictly dominant: {cert.strictly_dominant}, "
+        if cert.gap is None:
+            detail += (f"not the MID design (max relative deviation {dev:.3e}), "
+                       f"so no root has multiplicity {2 * n}")
+        else:
+            detail += (f"spectral abscissa {cert.spectral_abscissa:.9g}, every other root has "
+                       f"Re s <= s0 - {cert.gap:.9g} (exact MID design, {cert.discs} discs)")
         checks.append(("dominance", cert.strictly_dominant, detail))
     except LocalizationError as exc:
         checks.append(("dominance", None, str(exc)))

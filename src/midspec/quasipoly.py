@@ -381,8 +381,8 @@ def denormalize(nsys: NormalizedSystem, s0: float, tau: float) -> RetardedSystem
     sum_j C(j,m) c_j (-s0)^(j-m) tau^(j-n), summed with the monic term
     c_n = 1 first and then j = m..n-1; the delayed part is then scaled by
     e^(s0 tau).  Integer c_j enter every product exactly.  Keep this order:
-    it reproduces the direct double-sum design bit for bit, and the
-    dominance certification of a rounded design reacts to its last bits.
+    it reproduces the direct double-sum design bit for bit, and verify's
+    multiplicity check and spectrum's root cluster at s0 react to its last bits.
     """
     tau = float(tau)
     if not tau > 0:

@@ -10,11 +10,13 @@ iteration on q/q' (quadratic also at multiple roots) and assigned its
 multiplicity m by re-counting on shrinking squares around it; plain Newton
 steps on q^(m-1), where the root is simple, give the final polish.
 
-Dominance of the MID design itself is not searched for: mid_disc_certificate
-counts the zeros of its factor F_n by Taylor discs along a box that the
-modulus cut of its coefficients sizes, the cut that also sizes the root
-search of any other system.  numpy is imported inside the functions that
-use arrays, so certifying a design runs on the standard library alone.
+Dominance is never searched for.  By the paper's theorem s0 is a root of
+multiplicity 2n exactly when the system normalized at s0 is the MID design,
+which makes it strictly dominant; any other system gets "no" at once.  For
+the design, mid_disc_certificate counts the zeros of its factor F_n by
+Taylor discs along a box that the modulus cut of its coefficients sizes.
+numpy is imported inside the functions that use arrays, so certifying runs
+on the standard library alone.
 
 A contour whose count cannot be trusted is moved: inflated, shrunk no
 further, or split along the next line.  LocalizationError is raised once,
@@ -34,7 +36,6 @@ from typing import TYPE_CHECKING, Iterable
 from . import LocalizationError
 from .quasipoly import (
     MID_MATCH_TOL,
-    NormalizedSystem,
     Quasipolynomial,
     RetardedSystem,
     _Record,
@@ -142,10 +143,12 @@ class SpectrumReport(_Record):
     """Located roots and the dominance verdict.  gap and discs are set when
     the verdict is the disc certificate of the exact MID design: every root
     other than the dominant one has Re s <= spectral_abscissa - gap, and
-    discs counts the certificate's discs."""
+    discs counts the certificate's discs.  certify_dominance of a system
+    that is not the design locates nothing: no roots, region None and a nan
+    spectral_abscissa."""
 
     roots: tuple[Root, ...]
-    region: Rectangle
+    region: Rectangle | None
     spectral_abscissa: float
     dominant: Root | None
     strictly_dominant: bool
@@ -176,7 +179,7 @@ class SpectrumReport(_Record):
 
         return {
             "roots": [root_doc(r) for r in self.roots],
-            "region": self.region.to_json_dict(),
+            "region": None if self.region is None else self.region.to_json_dict(),
             "spectral_abscissa": self.spectral_abscissa,
             "dominant": root_doc(self.dominant) if self.dominant else None,
             "strictly_dominant": self.strictly_dominant,
@@ -559,9 +562,7 @@ def _modulus_growth_radius(n: int, weights: list[float]) -> float:
 
     The doubling raises ValueError once R passes 1e12, or sooner where r^n
     leaves the float range first (possible from order 26 on).  These stops
-    only keep the search finite: how wide a box may be is decided by
-    _winding, which refuses a contour of more than a million samples, as a
-    box around any cut above about 3e5 needs.
+    only keep the search finite.
     """
     def gap(r: float) -> float:
         return r**n - sum(w * r**k for k, w in enumerate(weights))
@@ -721,59 +722,33 @@ def mid_disc_certificate(n: int, re_min: float = -1.0) -> DiscCertificate:
     return DiscCertificate(n, re_min, top, top, nodes, tuple(discs), round(winding))
 
 
-def _dominance_box(nsys: NormalizedSystem) -> Rectangle:
-    """The normalized box that holds every root with Re z >= 0: a Cauchy-type
-    modulus cut confines such roots to |z| <= R, where R is the largest root
-    of r^n = sum (|b_k| + |beta_k|) r^k, hence to Re z <= R and |Im z| <= R."""
-    radius = _modulus_growth_radius(nsys.n, [abs(b) + abs(be) for b, be in zip(nsys.b, nsys.beta)])
-    B = radius + 0.1
-    return Rectangle(-0.25, max(radius, 1.0) + 0.1, -B, B)
-
-
 def certify_dominance(sys: RetardedSystem, s0: float) -> SpectrumReport:
     """Certify that s0 is the strictly dominant root of the system.
 
-    Works on the delay-1 normalized form at s0, where roots s with
-    Re s >= s0 map to Re z >= 0.  A system whose normalized coefficients are
-    the MID design's to within MID_MATCH_TOL gets the verdict of the exact
-    design: q(z) = n!/(2n)! z^(2n) F_n(z), so z = 0 is a root of
-    multiplicity 2n, and when the disc certificate finds no zero of F_n with
-    Re z >= -1, every other root has Re s <= s0 - 1/tau (the reported gap).
-    Any other system has every root in _dominance_box located: strict
-    dominance holds iff the only root with Re z >= 0 is z = 0 with the full
-    multiplicity 2n.
+    Works on the delay-1 normalized form at s0.  By the paper's theorem s0 is
+    a root of multiplicity 2n exactly when that form is the MID design, and
+    such a root is strictly dominant; no root is searched for.  A system
+    whose normalized coefficients are the design's to within MID_MATCH_TOL
+    gets the verdict of the exact design: q(z) = n!/(2n)! z^(2n) F_n(z), so
+    z = 0 is a root of multiplicity 2n, and the disc certificate finds no
+    zero of F_n with Re z >= -1, so every other root has Re s <= s0 - 1/tau
+    (the reported gap).  A certificate that counts zeros of F_n there raises
+    LocalizationError.  Any other system has no root of multiplicity 2n at
+    s0: it is not strictly dominant, with no roots, no region and a nan
+    spectral abscissa.
     """
     s0 = float(s0)
     tau = sys.tau
     nsys = normalize(sys, s0)
-    q_orig = sys.quasipolynomial()
-
-    def denormalized(rect: Rectangle) -> Rectangle:
-        return Rectangle(s0 + rect.re_min / tau, s0 + rect.re_max / tau,
-                         rect.im_min / tau, rect.im_max / tau)
-
-    if mid_deviation(nsys) < MID_MATCH_TOL:
-        cert = mid_disc_certificate(nsys.n)
-        if cert.winding == 0:  # else the zeros in the box are located below
-            root = Root(complex(s0), 2 * sys.n, abs(q_orig(s0)))
-            box = Rectangle(cert.re_min, cert.re_max, -cert.im_max, cert.im_max)
-            return SpectrumReport((root,), denormalized(box), s0, root, True,
-                                  gap=-cert.re_min / tau, discs=len(cert.discs))
-    region_n = _dominance_box(nsys)
-    roots_n = find_roots(nsys.quasipolynomial(), region_n)
-
-    roots = [
-        Root(s0 + r.location / tau, r.multiplicity, abs(q_orig(s0 + r.location / tau)))
-        for r in roots_n
-    ]
-    report = SpectrumReport.from_roots(roots, denormalized(region_n))
-
-    zero_tol = 1e-6
-    right = [r for r in roots_n if r.location.real >= -zero_tol]
-    strictly = (
-        report.dominant is not None
-        and len(right) == 1
-        and abs(right[0].location) <= zero_tol
-        and right[0].multiplicity == 2 * sys.n
-    )
-    return report.replace(strictly_dominant=strictly)
+    if not mid_deviation(nsys) < MID_MATCH_TOL:
+        return SpectrumReport((), None, math.nan, None, False)
+    cert = mid_disc_certificate(nsys.n)
+    if cert.winding != 0:
+        raise LocalizationError(f"F_{nsys.n} disc certificate: {cert.winding} zeros of F_{nsys.n} in the box "
+                                f"[{cert.re_min:.9g}, {cert.re_max:.9g}] x [-{cert.im_max:.9g}, "
+                                f"{cert.im_max:.9g}]")
+    root = Root(complex(s0), 2 * sys.n, abs(sys.quasipolynomial()(s0)))
+    region = Rectangle(s0 + cert.re_min / tau, s0 + cert.re_max / tau,
+                       -cert.im_max / tau, cert.im_max / tau)
+    return SpectrumReport((root,), region, s0, root, True,
+                          gap=-cert.re_min / tau, discs=len(cert.discs))

@@ -776,11 +776,35 @@ def test_verify_runs_exactly_the_four_checks(n, tmp_path, capsys):
 
 
 def test_verify_rejects_a_modulus_cut_beyond_1e12(tmp_path, capsys):
-    # s0 = 0 is no root here, and the modulus cut of about 1e13 is too wide to box
+    # s0 = 0 is no root here; its modulus cut of about 1e13 is never needed,
+    # as a system that is not the MID design is refused without a box
     system = tmp_path / "system.json"
     system.write_text(json.dumps({"n": 1, "a": [1e13], "alpha": [0.5], "tau": 1}))
-    assert cli.main(["verify", str(system), "--s0", "0"]) == 2
-    assert "modulus cut" in capsys.readouterr().err
+    assert cli.main(["verify", str(system), "--s0", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL dominance: strictly dominant: False, not the MID design" in err
+    assert "modulus cut" not in err
+
+
+def test_verify_off_the_design_says_no_without_numpy(tmp_path):
+    # the order-2 design with a[0] scaled by 1 + 1e-6 has roots right of s0;
+    # a root search once passed its dominance check, and loaded numpy for it
+    assert cli.main(["design", "--n", "2", "--s0", "-0.5", "--tau", "2.5",
+                     "--out-dir", str(tmp_path), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "system.json").read_text())
+    doc["a"][0] *= 1.0 + 1e-6
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(doc))
+    r = run_python(
+        "-c",
+        "import sys; from midspec import cli; "
+        f"code = cli.main(['verify', {str(bad)!r}, '--s0', '-0.5']); "
+        "print(code, 'numpy' in sys.modules)",
+    )
+    assert r.stdout.splitlines()[-1] == "1 False", r.stdout + r.stderr
+    assert "PASS dominance" not in r.stdout
+    assert ("FAIL dominance: strictly dominant: False, not the MID design (max relative "
+            "deviation 4.271e-07), so no root has multiplicity 4\n") in r.stderr
 
 
 def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
@@ -953,22 +977,14 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("command", ["spectrum"])
 def test_contour_too_long_exit_2_unsampled(command, example_dir, tmp_path, capsys):
     # a contour of more than a million initial samples is refused before any
-    # is allocated: spectrum on a region 4e5 tall at tau = 2.5, and verify on
-    # a non-MID system whose modulus cut makes the dominance box 8e5 tall
+    # is allocated: spectrum on a region 4e5 tall at tau = 2.5
     import midspec.spectral  # noqa: F401  (imported before the trace starts)
 
-    if command == "spectrum":
-        argv = ["spectrum", str(example_dir / "system.json"), "--im-min=-2e5", "--im-max=2e5",
-                "--out-dir", str(tmp_path / "out")]
-        count = "1.67e+06"
-    else:
-        system = tmp_path / "wide.json"
-        system.write_text(json.dumps({"n": 1, "a": [4e5], "alpha": [1.0], "tau": 1.0}))
-        argv = ["verify", str(system), "--s0", "0"]
-        count = "1.33e+06"
+    argv = [command, str(example_dir / "system.json"), "--im-min=-2e5", "--im-max=2e5",
+            "--out-dir", str(tmp_path / "out")]
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -980,7 +996,7 @@ def test_contour_too_long_exit_2_unsampled(command, example_dir, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: the contour of Rectangle("), captured.err
     assert captured.err.endswith(
-        f" needs about {count} samples, more than 1e+06: the region is too tall\n"
+        " needs about 1.67e+06 samples, more than 1e+06: the region is too tall\n"
     ), captured.err
     assert peak < 4_000_000, peak  # one array of the samples would take 16 MB
     assert not (tmp_path / "out").exists()

@@ -4,15 +4,19 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from midspec import spectral
 from midspec.quasipoly import (
+    MID_MATCH_TOL,
     CompanionPair,
     Polynomial,
     Quasipolynomial,
     RetardedSystem,
     companion,
     mid_coefficients,
+    mid_deviation,
     mid_normalized,
     multiplicity_at,
     normalize,
@@ -28,7 +32,7 @@ from midspec.spectral import (
     mid_disc_certificate,
     roots_to_csv,
 )
-from oracles import char_value
+from oracles import char_value, single_delay_derivative
 
 
 # --- companion pairs -------------------------------------------------------------
@@ -315,6 +319,13 @@ def test_certify_mid(n, s0, tau):
     assert report.dominant.multiplicity == 2 * n
 
 
+def _modulus_cut_box(nsys):
+    """A normalized box that holds every root with Re z >= 0: any such root
+    has |z| <= R, R the modulus cut with weights |b_k| + |beta_k|."""
+    radius = spectral._modulus_growth_radius(nsys.n, [abs(b) + abs(be) for b, be in zip(nsys.b, nsys.beta)])
+    return Rectangle(-0.25, max(radius, 1.0) + 0.1, -radius - 0.1, radius + 0.1)
+
+
 @pytest.mark.parametrize(
     "n,s0",
     [
@@ -327,11 +338,11 @@ def test_certify_mid(n, s0, tau):
     ],
 )
 def test_find_roots_on_rounded_designs(n, s0):
-    # the rounded designs of test_certify_mid now take the disc certificate;
-    # find_roots on the box certify_dominance searches for other systems
-    # still sees only the 2n-fold root at the origin in Re z >= 0
+    # the rounded designs of test_certify_mid take the disc certificate;
+    # find_roots on a box that holds every root with Re z >= 0 still sees
+    # only the 2n-fold root at the origin there
     nsys = normalize(mid_coefficients(n, s0, 2.5), s0)
-    roots = find_roots(nsys.quasipolynomial(), spectral._dominance_box(nsys))
+    roots = find_roots(nsys.quasipolynomial(), _modulus_cut_box(nsys))
     right = [r for r in roots if r.location.real >= -1e-6]
     assert len(right) == 1, right
     assert abs(right[0].location) <= 1e-6 and right[0].multiplicity == 2 * n
@@ -473,7 +484,7 @@ def test_certify_dominance_passes_the_certificate_message_unchanged():
 
 def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
     # the MID design gets the exact design's verdict without a root search;
-    # a perturbation beyond MID_MATCH_TOL is searched as before
+    # a perturbation beyond MID_MATCH_TOL gets "no" without one either
     calls = []
     search = spectral.find_roots
 
@@ -493,20 +504,29 @@ def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
     a = list(sys_.a)
     a[0] *= 1.0 + 1e-6
     report = certify_dominance(RetardedSystem(3, a, sys_.alpha, 2.5), -0.5)
-    assert len(calls) == 1
+    assert calls == []
     assert report.gap is None and report.discs == 0
     assert not report.strictly_dominant
 
 
+_NEWTON_OVERFLOW = RetardedSystem(1, (2.7935980368783637,), (0.9364441314744818,), 3.6268159453484077)
+
+
 def test_certify_reaches_a_verdict_where_newton_would_overflow():
+    # no root search runs: the system is not the MID design at -1
+    report = certify_dominance(_NEWTON_OVERFLOW, -1.0)
+    assert not report.strictly_dominant
+
+
+def test_find_roots_confines_newton_where_it_would_overflow():
     # Newton from a box centre here jumps far left of the region, where
     # e^(-tau z) overflows; confined to its box it splits the box instead.
     # The rightmost pair is -0.284551239427708 +/- 0.7828i, as the Chebyshev
     # collocation oracle also gives to 1e-14.
-    sys_ = RetardedSystem(1, (2.7935980368783637,), (0.9364441314744818,), 3.6268159453484077)
-    report = certify_dominance(sys_, -1.0)
-    assert not report.strictly_dominant
-    assert abs(report.spectral_abscissa + 0.284551239427708) < 1e-9
+    tau = _NEWTON_OVERFLOW.tau
+    nsys = normalize(_NEWTON_OVERFLOW, -1.0)
+    roots = find_roots(nsys.quasipolynomial(), _modulus_cut_box(nsys))
+    assert roots and abs(-1.0 + roots[0].location.real / tau + 0.284551239427708) < 1e-9
 
 
 def test_certify_example(example_system):
@@ -517,20 +537,87 @@ def test_certify_example(example_system):
 
 def test_certify_rejects_false_claim():
     # delay-free y' - y = 0 has the root +1; claiming dominance at 0 must fail
+    # (0 is no root at all); no root is located
     sys_ = RetardedSystem(1, (-1.0,), (0.0,), 1.0)
     report = certify_dominance(sys_, 0.0)
     assert not report.strictly_dominant
-    assert abs(report.spectral_abscissa - 1.0) < 1e-9
+    assert report.roots == () and report.region is None
+    assert math.isnan(report.spectral_abscissa)
 
 
 def test_certify_empty_region_is_not_strict():
     # y' + y = 0 has its only root at -1; nothing lies right of the claim 5
     sys_ = RetardedSystem(1, (1.0,), (0.0,), 1.0)
     report = certify_dominance(sys_, 5.0)
-    assert report.roots == ()
-    assert report.spectral_abscissa == -math.inf
+    assert report.roots == () and report.region is None
+    assert math.isnan(report.spectral_abscissa)
     assert report.dominant is None
     assert not report.strictly_dominant
+    assert report.to_json_dict()["region"] is None
+
+
+def _rightmost_taylor_roots(sys_, s0, radius):
+    """Roots within radius of s0 of the degree-(2n + 10) Taylor polynomial of
+    the characteristic function at s0, rightmost first: its coefficients by
+    the 50-digit Leibniz oracle, its roots by mpmath."""
+    undelayed = list(sys_.a) + [1.0]
+    order = 2 * sys_.n + 10
+    coeffs = [single_delay_derivative(undelayed, list(sys_.alpha), sys_.tau, k, s0)[0].real
+              / math.factorial(k) for k in range(order + 1)]
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(coeffs)],
+                                 maxsteps=500, extraprec=200)
+    return sorted((s0 + complex(h) for h in roots if abs(h) < radius), key=lambda s: -s.real)
+
+
+def test_certify_says_no_where_a_root_lies_right_of_s0():
+    # the order-2 design with a[0] scaled by 1 + 1e-6: its four roots near s0
+    # split, and two of them, -0.47894 +/- 0.0213i, lie right of s0.  The
+    # root search once called it strictly dominant.
+    design = mid_coefficients(2, -0.5, 2.5)
+    a = list(design.a)
+    a[0] *= 1.0 + 1e-6
+    sys_ = RetardedSystem(2, a, design.alpha, 2.5)
+    near = _rightmost_taylor_roots(sys_, -0.5, 0.2)
+    assert len(near) == 4
+    assert abs(near[0].real + 0.47894) < 1e-5 and abs(abs(near[0].imag) - 0.0213) < 1e-4
+    assert not certify_dominance(sys_, -0.5).strictly_dominant
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_certify_off_the_design_is_no_without_a_root_search(data):
+    # a relative perturbation of one coefficient that leaves MID_MATCH_TOL
+    # behind has no root of multiplicity 2n at s0, so no strict dominance,
+    # and the verdict needs no root search
+    n = data.draw(st.integers(1, 4), label="n")
+    s0 = data.draw(st.floats(-1.0, 0.5), label="s0")
+    tau = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="tau")
+    which = data.draw(st.sampled_from(["a", "alpha"]), label="which")
+    k = data.draw(st.integers(0, n - 1), label="k")
+    eps = data.draw(st.floats(1e-9, 1e-2), label="eps") * data.draw(st.sampled_from([-1, 1]))
+    design = mid_coefficients(n, s0, tau)
+    coeffs = {"a": list(design.a), "alpha": list(design.alpha)}
+    coeffs[which][k] *= 1.0 + eps
+    sys_ = RetardedSystem(n, coeffs["a"], coeffs["alpha"], tau)
+    assume(not mid_deviation(normalize(sys_, s0)) < MID_MATCH_TOL)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "find_roots", lambda *args: calls.append(args))
+        report = certify_dominance(sys_, s0)
+    assert calls == []
+    assert not report.strictly_dominant
+    assert report.roots == () and report.region is None and report.gap is None
+
+
+def test_certify_raises_when_the_certificate_counts_zeros(monkeypatch):
+    # no order reaches this: every certificate up to n = 10 has winding 0
+    cert = mid_disc_certificate(3)
+    monkeypatch.setattr(spectral, "mid_disc_certificate", lambda n: cert.replace(winding=2))
+    box = f"[-1, {cert.re_max:.9g}] x [-{cert.im_max:.9g}, {cert.im_max:.9g}]"
+    with pytest.raises(LocalizationError) as exc:
+        certify_dominance(mid_coefficients(3, -0.5, 2.5), -0.5)
+    assert str(exc.value) == f"F_3 disc certificate: 2 zeros of F_3 in the box {box}"
 
 
 def test_certify_agrees_with_modulus_scan():
