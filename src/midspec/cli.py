@@ -117,17 +117,18 @@ def cmd_design(args, run: _Run) -> int:
     return 0
 
 
-def _certificate_doc(report) -> dict | None:
-    """The --json record of a dominance verdict from the exact design's disc
-    certificate; None for a system that is not the design (or no verdict)."""
-    return None if report is None or report.gap is None else {"gap": report.gap, "discs": report.discs}
+def _certificate_doc(cert, tau: float) -> dict | None:
+    """The s-plane facts of the exact design's disc certificate at delay tau,
+    the --json record of a dominance verdict: every root but the 2n-fold one
+    at s0 has Re s <= s0 - gap.  None where there is no certificate."""
+    return None if cert is None else {"gap": -cert.re_min / tau, "discs": len(cert.discs)}
 
 
 # --- spectrum -----------------------------------------------------------------
 
 
 def cmd_spectrum(args, run: _Run) -> int:
-    from .spectral import Rectangle, SpectrumReport, certify_dominance, find_roots, roots_to_csv
+    from .spectral import Rectangle, Root, SpectrumReport, certify_dominance, find_roots, roots_to_csv
 
     sys_ = _load_system(args.system)
     s0 = _shift(args, sys_)
@@ -138,15 +139,19 @@ def cmd_spectrum(args, run: _Run) -> int:
         args.im_max if args.im_max is not None else 30.0,
     )
 
-    roots = find_roots(sys_.quasipolynomial(), region)
+    q = sys_.quasipolynomial()
+    roots = find_roots(q, region)
     if not roots:
         raise LocalizationError(f"no roots in region {region}")
-    cert = certify_dominance(sys_, s0)
+    cert = _certificate_doc(certify_dominance(sys_, s0), sys_.tau)
 
-    # the located roots of the region, judged by the certified verdict
-    base = SpectrumReport.from_roots(roots, region)
-    report = base.replace(dominant=cert.dominant if cert.strictly_dominant else base.dominant,
-                          strictly_dominant=cert.strictly_dominant)
+    # the located roots of the region; where the theorem certifies s0, its
+    # 2n-fold root is the dominant one, whatever cluster the search found
+    report = SpectrumReport.from_roots(roots, region)
+    report = report.replace(
+        dominant=report.dominant if cert is None else Root(complex(s0), 2 * sys_.n, abs(q(s0))),
+        strictly_dominant=cert is not None,
+    )
 
     run.write("roots.csv", roots_to_csv(report.roots))
     run.write("spectrum.json", report.to_json() + "\n")
@@ -155,10 +160,10 @@ def cmd_spectrum(args, run: _Run) -> int:
             f"{sum(r.multiplicity for r in report.roots)}")
     run.say(f"spectral abscissa in region: {report.spectral_abscissa:.9g}")
     run.say(f"strictly dominant at s0 = {s0:.9g}: {report.strictly_dominant}")
-    if cert.gap is not None:
+    if cert is not None:
         run.say(f"exact MID design: the {2 * sys_.n}-fold root s0 is strictly dominant, "
-                f"every other root has Re s <= s0 - {cert.gap:.9g} ({cert.discs} discs)")
-    run.payload = report.to_json_dict() | {"s0": s0, "certificate": _certificate_doc(cert)}
+                f"every other root has Re s <= s0 - {cert['gap']:.9g} ({cert['discs']} discs)")
+    run.payload = report.to_json_dict() | {"s0": s0, "certificate": cert}
     run.inputs |= {"s0": s0, "region": region.to_json_dict()}
     return 0
 
@@ -398,19 +403,20 @@ def cmd_verify(args, run: _Run) -> int:
     checks.append(("normalization-universality", dev < MID_MATCH_TOL,
                    f"max relative deviation {dev:.3e}"))
 
-    cert = None
     try:
-        cert = certify_dominance(sys_, s0)
-        detail = f"strictly dominant: {cert.strictly_dominant}, "
-        if cert.gap is None:
+        cert = _certificate_doc(certify_dominance(sys_, s0), sys_.tau)
+    except LocalizationError as exc:
+        cert = None
+        checks.append(("dominance", None, str(exc)))
+    else:
+        detail = f"strictly dominant: {cert is not None}, "
+        if cert is None:
             detail += (f"not the MID design (max relative deviation {dev:.3e}), "
                        f"so no root has multiplicity {2 * n}")
         else:
-            detail += (f"spectral abscissa {cert.spectral_abscissa:.9g}, every other root has "
-                       f"Re s <= s0 - {cert.gap:.9g} (exact MID design, {cert.discs} discs)")
-        checks.append(("dominance", cert.strictly_dominant, detail))
-    except LocalizationError as exc:
-        checks.append(("dominance", None, str(exc)))
+            detail += (f"spectral abscissa {s0:.9g}, every other root has "
+                       f"Re s <= s0 - {cert['gap']:.9g} (exact MID design, {cert['discs']} discs)")
+        checks.append(("dominance", cert is not None, detail))
 
     # ok is True (pass), False (failed) or None (inconclusive)
     all_ok = all(ok for _, ok, _ in checks)
@@ -428,7 +434,7 @@ def cmd_verify(args, run: _Run) -> int:
         "checks": [{"name": n_, "passed": None if ok is None else bool(ok), "detail": d}
                    for n_, ok, d in checks],
         "passed": all_ok,
-        "certificate": _certificate_doc(cert),
+        "certificate": cert,
     }
     return 0 if all_ok else 1 if failed else 3
 

@@ -12,11 +12,12 @@ steps on q^(m-1), where the root is simple, give the final polish.
 
 Dominance is never searched for.  By the paper's theorem s0 is a root of
 multiplicity 2n exactly when the system normalized at s0 is the MID design,
-which makes it strictly dominant; any other system gets "no" at once.  For
-the design, mid_disc_certificate counts the zeros of its factor F_n by
+which makes it strictly dominant; for any other system the theorem says
+nothing, and certify_dominance returns None.  For the design it returns
+mid_disc_certificate, which counts the zeros of the design's factor F_n by
 Taylor discs along a box that the modulus cut of its coefficients sizes.
-numpy is imported inside the functions that use arrays, so certifying runs
-on the standard library alone.
+SpectrumReport describes located roots only.  numpy is imported inside the
+functions that use arrays, so certifying runs on the standard library alone.
 
 A contour whose count cannot be trusted is moved: inflated, shrunk no
 further, or split along the next line.  LocalizationError is raised once,
@@ -140,20 +141,15 @@ class Root(_Record):
 
 
 class SpectrumReport(_Record):
-    """Located roots and the dominance verdict.  gap and discs are set when
-    the verdict is the disc certificate of the exact MID design: every root
-    other than the dominant one has Re s <= spectral_abscissa - gap, and
-    discs counts the certificate's discs.  certify_dominance of a system
-    that is not the design locates nothing: no roots, region None and a nan
-    spectral_abscissa."""
+    """The roots located in a region, their spectral abscissa, the root that
+    attains it alone (None on a tie) and whether that root is real; see
+    from_roots."""
 
     roots: tuple[Root, ...]
-    region: Rectangle | None
+    region: Rectangle
     spectral_abscissa: float
     dominant: Root | None
     strictly_dominant: bool
-    gap: float | None = None
-    discs: int = 0
 
     @staticmethod
     def from_roots(roots: Iterable[Root], region: Rectangle) -> "SpectrumReport":
@@ -179,8 +175,9 @@ class SpectrumReport(_Record):
 
         return {
             "roots": [root_doc(r) for r in self.roots],
-            "region": None if self.region is None else self.region.to_json_dict(),
-            "spectral_abscissa": self.spectral_abscissa,
+            "region": self.region.to_json_dict(),
+            # -inf for an empty region, which JSON cannot hold
+            "spectral_abscissa": self.spectral_abscissa if math.isfinite(self.spectral_abscissa) else None,
             "dominant": root_doc(self.dominant) if self.dominant else None,
             "strictly_dominant": self.strictly_dominant,
         }
@@ -722,33 +719,27 @@ def mid_disc_certificate(n: int, re_min: float = -1.0) -> DiscCertificate:
     return DiscCertificate(n, re_min, top, top, nodes, tuple(discs), round(winding))
 
 
-def certify_dominance(sys: RetardedSystem, s0: float) -> SpectrumReport:
-    """Certify that s0 is the strictly dominant root of the system.
+def certify_dominance(sys: RetardedSystem, s0: float) -> DiscCertificate | None:
+    """The certificate that s0 is the strictly dominant root of the system,
+    or None where the paper's theorem does not give one.
 
     Works on the delay-1 normalized form at s0.  By the paper's theorem s0 is
     a root of multiplicity 2n exactly when that form is the MID design, and
     such a root is strictly dominant; no root is searched for.  A system
     whose normalized coefficients are the design's to within MID_MATCH_TOL
-    gets the verdict of the exact design: q(z) = n!/(2n)! z^(2n) F_n(z), so
-    z = 0 is a root of multiplicity 2n, and the disc certificate finds no
-    zero of F_n with Re z >= -1, so every other root has Re s <= s0 - 1/tau
-    (the reported gap).  A certificate that counts zeros of F_n there raises
-    LocalizationError.  Any other system has no root of multiplicity 2n at
-    s0: it is not strictly dominant, with no roots, no region and a nan
-    spectral abscissa.
+    gets the exact design's mid_disc_certificate(n): q(z) = n!/(2n)! z^(2n)
+    F_n(z), so z = 0 is a root of multiplicity 2n, and the certificate finds
+    no zero of F_n with Re z >= re_min, so every other root has
+    Re s <= s0 + re_min/tau.  A certificate that counts zeros of F_n there
+    raises LocalizationError.  Any other system gets None: s0 is no root of
+    multiplicity 2n, and the theorem says nothing about its dominance.
     """
-    s0 = float(s0)
-    tau = sys.tau
-    nsys = normalize(sys, s0)
+    nsys = normalize(sys, float(s0))
     if not mid_deviation(nsys) < MID_MATCH_TOL:
-        return SpectrumReport((), None, math.nan, None, False)
+        return None
     cert = mid_disc_certificate(nsys.n)
     if cert.winding != 0:
         raise LocalizationError(f"F_{nsys.n} disc certificate: {cert.winding} zeros of F_{nsys.n} in the box "
                                 f"[{cert.re_min:.9g}, {cert.re_max:.9g}] x [-{cert.im_max:.9g}, "
                                 f"{cert.im_max:.9g}]")
-    root = Root(complex(s0), 2 * sys.n, abs(sys.quasipolynomial()(s0)))
-    region = Rectangle(s0 + cert.re_min / tau, s0 + cert.re_max / tau,
-                       -cert.im_max / tau, cert.im_max / tau)
-    return SpectrumReport((root,), region, s0, root, True,
-                          gap=-cert.re_min / tau, discs=len(cert.discs))
+    return cert

@@ -154,7 +154,8 @@ def test_criterion_09_dominance_certification(example_system):
         len(right) == 1
         and abs(right[0].location + 0.5) < 1e-9
         and right[0].multiplicity == 6
-        and cert.strictly_dominant
+        and cert is not None
+        and cert.winding == 0
         and dt < 60.0
     )
     report(9, ok, f"only root right of -0.5 is -0.5 with multiplicity 6, certified; {dt:.1f}s < 60s")

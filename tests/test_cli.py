@@ -134,6 +134,27 @@ def test_spectrum_prints_the_exact_design_verdict(example_dir, tmp_path):
     assert set(report) == {"roots", "region", "spectral_abscissa", "dominant", "strictly_dominant"}
 
 
+@pytest.mark.parametrize("tau", [0.5, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spectrum_reports_the_designed_root_at_s0(n, tau, tmp_path, capsys):
+    # where the theorem certifies s0, spectrum.json's dominant root is the
+    # 2n-fold root at s0 with the residual of the stored coefficients there,
+    # whatever cluster the search located; the certificate's gap is 1/tau
+    from midspec.quasipoly import RetardedSystem
+
+    assert cli.main(["design", "--n", str(n), "--s0", "-0.5", "--tau", str(tau),
+                     "--out-dir", str(tmp_path / "design"), "--quiet"]) == 0
+    system = tmp_path / "design" / "system.json"
+    assert cli.main(["spectrum", str(system), "--out-dir", str(tmp_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    s0 = payload["s0"]
+    q = RetardedSystem.from_json(system.read_text()).quasipolynomial()
+    dominant = json.loads((tmp_path / "spectrum.json").read_text())["dominant"]
+    assert dominant == {"re": s0, "im": 0.0, "multiplicity": 2 * n, "residual": abs(q(s0))}
+    assert payload["strictly_dominant"] is True
+    assert payload["certificate"]["gap"] == 1.0 / tau
+
+
 def test_spectrum_small_region_quartic(tmp_path):
     r = run_cli("design", "--n", "2", "--s0", "0", "--tau", "1", "--out-dir", str(tmp_path))
     assert r.returncode == 0
@@ -748,7 +769,8 @@ def test_verify_names_what_did_not_pass_on_stderr(mode, example_dir, tmp_path):
 
 
 def test_verify_reaches_a_dominance_verdict_near_overflow(tmp_path):
-    # Newton from a certificate box's centre heads to where e^(-tau z) overflows
+    # not the MID design at -1, so the verdict needs no root search, where
+    # Newton from a box centre would head to where e^(-tau z) overflows
     system = tmp_path / "system.json"
     system.write_text(json.dumps({"n": 1, "a": [2.7935980368783637],
                                   "alpha": [0.9364441314744818], "tau": 3.6268159453484077}))
@@ -871,8 +893,9 @@ def test_verify_certifies_high_orders(n, tmp_path, capsys):
     assert line.endswith(f", {payload['certificate']['discs']} discs)")
 
 
-def test_verify_searches_a_perturbed_system(example_dir, tmp_path, capsys):
-    # off the design there is no certificate: the verdict comes from find_roots
+def test_verify_gives_no_certificate_off_the_design(example_dir, tmp_path, capsys):
+    # off the design the theorem gives no certificate, and no root search
+    # stands in for one
     doc = json.loads((example_dir / "system.json").read_text())
     doc["a"][0] += 0.01
     bad = tmp_path / "perturbed.json"
@@ -1054,6 +1077,31 @@ def test_verify_creates_no_file(example_dir, tmp_path, monkeypatch, capsys):
 
 
 # --- round trip -------------------------------------------------------------------
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--n", "3", "--s0", "-0.5", "--tau", "2.5"],
+    ["spectrum", "{system}"],
+    ["verify", "{system}"],
+    ["bounds", "--standard-pair", "--all"],
+    ["simulate", "{system}", "--history", "y01"],
+], ids=lambda argv: argv[0])
+def test_json_outputs_are_strict_json(argv, example_dir, tmp_path, capsys):
+    # NaN and Infinity are no JSON: every --json payload and every .json
+    # file a command writes must parse without them
+    argv = [arg.format(system=example_dir / "system.json") for arg in argv]
+    if argv[0] != "verify":
+        argv += ["--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["--json"]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    files = sorted(tmp_path.glob("*.json"))
+    assert files or argv[0] == "verify"  # every other command writes a manifest
+    for path in files:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

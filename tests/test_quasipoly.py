@@ -521,7 +521,7 @@ VALUE_TYPES = {
         lambda: spectral.SpectrumReport(
             (_one_root(),), spectral.Rectangle(-1.0, 0.0, -1.0, 1.0), -0.5, _one_root(), True
         ),
-        "gap", 0.4,
+        "spectral_abscissa", -0.25,
     ),
     "HistoryFunction": (lambda: sim.constant(1.0), "parameters", (2.0,)),
     "Trajectory": (lambda: sim.Trajectory([0.0], [[1.0]], 0.1, 2.5), "step", 0.2),

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -311,12 +312,8 @@ def _fro2_bound(pair):
     ],
 )
 def test_certify_mid(n, s0, tau):
-    sys_ = mid_coefficients(n, s0, tau)
-    report = certify_dominance(sys_, s0)
-    assert report.strictly_dominant
-    assert abs(report.spectral_abscissa - s0) < 1e-8
-    assert report.dominant is not None
-    assert report.dominant.multiplicity == 2 * n
+    cert = certify_dominance(mid_coefficients(n, s0, tau), s0)
+    assert cert is not None and cert.n == n and cert.winding == 0
 
 
 def _modulus_cut_box(nsys):
@@ -483,8 +480,8 @@ def test_certify_dominance_passes_the_certificate_message_unchanged():
 
 
 def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
-    # the MID design gets the exact design's verdict without a root search;
-    # a perturbation beyond MID_MATCH_TOL gets "no" without one either
+    # the MID design gets the exact design's certificate without a root
+    # search; a perturbation beyond MID_MATCH_TOL gets None without one either
     calls = []
     search = spectral.find_roots
 
@@ -494,19 +491,13 @@ def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
 
     monkeypatch.setattr(spectral, "find_roots", spy)
     sys_ = mid_coefficients(3, -0.5, 2.5)
-    report = certify_dominance(sys_, -0.5)
+    assert certify_dominance(sys_, -0.5) is mid_disc_certificate(3)
     assert calls == []
-    assert report.strictly_dominant and report.gap == 1.0 / 2.5
-    assert report.discs == len(mid_disc_certificate(3).discs)
-    assert report.roots == (report.dominant,) and report.dominant.location == -0.5
-    assert report.region.re_min == -0.5 - 1.0 / 2.5
 
     a = list(sys_.a)
     a[0] *= 1.0 + 1e-6
-    report = certify_dominance(RetardedSystem(3, a, sys_.alpha, 2.5), -0.5)
+    assert certify_dominance(RetardedSystem(3, a, sys_.alpha, 2.5), -0.5) is None
     assert calls == []
-    assert report.gap is None and report.discs == 0
-    assert not report.strictly_dominant
 
 
 _NEWTON_OVERFLOW = RetardedSystem(1, (2.7935980368783637,), (0.9364441314744818,), 3.6268159453484077)
@@ -514,8 +505,7 @@ _NEWTON_OVERFLOW = RetardedSystem(1, (2.7935980368783637,), (0.9364441314744818,
 
 def test_certify_reaches_a_verdict_where_newton_would_overflow():
     # no root search runs: the system is not the MID design at -1
-    report = certify_dominance(_NEWTON_OVERFLOW, -1.0)
-    assert not report.strictly_dominant
+    assert certify_dominance(_NEWTON_OVERFLOW, -1.0) is None
 
 
 def test_find_roots_confines_newton_where_it_would_overflow():
@@ -530,30 +520,20 @@ def test_find_roots_confines_newton_where_it_would_overflow():
 
 
 def test_certify_example(example_system):
-    report = certify_dominance(example_system, -0.5)
-    assert report.strictly_dominant
-    assert abs(report.spectral_abscissa + 0.5) < 1e-8
+    cert = certify_dominance(example_system, -0.5)
+    assert cert is not None and cert.winding == 0
 
 
 def test_certify_rejects_false_claim():
-    # delay-free y' - y = 0 has the root +1; claiming dominance at 0 must fail
-    # (0 is no root at all); no root is located
-    sys_ = RetardedSystem(1, (-1.0,), (0.0,), 1.0)
-    report = certify_dominance(sys_, 0.0)
-    assert not report.strictly_dominant
-    assert report.roots == () and report.region is None
-    assert math.isnan(report.spectral_abscissa)
+    # delay-free y' - y = 0 has the root +1; a claim of dominance at 0 (no
+    # root at all) gets no certificate, and no root is located
+    assert certify_dominance(RetardedSystem(1, (-1.0,), (0.0,), 1.0), 0.0) is None
 
 
 def test_certify_empty_region_is_not_strict():
-    # y' + y = 0 has its only root at -1; nothing lies right of the claim 5
-    sys_ = RetardedSystem(1, (1.0,), (0.0,), 1.0)
-    report = certify_dominance(sys_, 5.0)
-    assert report.roots == () and report.region is None
-    assert math.isnan(report.spectral_abscissa)
-    assert report.dominant is None
-    assert not report.strictly_dominant
-    assert report.to_json_dict()["region"] is None
+    # y' + y = 0 has its only root at -1; nothing lies right of the claim 5,
+    # but 5 is no root, so the theorem certifies nothing
+    assert certify_dominance(RetardedSystem(1, (1.0,), (0.0,), 1.0), 5.0) is None
 
 
 def _rightmost_taylor_roots(sys_, s0, radius):
@@ -572,8 +552,8 @@ def _rightmost_taylor_roots(sys_, s0, radius):
 
 def test_certify_says_no_where_a_root_lies_right_of_s0():
     # the order-2 design with a[0] scaled by 1 + 1e-6: its four roots near s0
-    # split, and two of them, -0.47894 +/- 0.0213i, lie right of s0.  The
-    # root search once called it strictly dominant.
+    # split, and two of them, -0.47894 +/- 0.0213i, lie right of s0.  A
+    # root search once called it strictly dominant; it gets no certificate.
     design = mid_coefficients(2, -0.5, 2.5)
     a = list(design.a)
     a[0] *= 1.0 + 1e-6
@@ -581,15 +561,15 @@ def test_certify_says_no_where_a_root_lies_right_of_s0():
     near = _rightmost_taylor_roots(sys_, -0.5, 0.2)
     assert len(near) == 4
     assert abs(near[0].real + 0.47894) < 1e-5 and abs(abs(near[0].imag) - 0.0213) < 1e-4
-    assert not certify_dominance(sys_, -0.5).strictly_dominant
+    assert certify_dominance(sys_, -0.5) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_certify_off_the_design_is_no_without_a_root_search(data):
     # a relative perturbation of one coefficient that leaves MID_MATCH_TOL
-    # behind has no root of multiplicity 2n at s0, so no strict dominance,
-    # and the verdict needs no root search
+    # behind has no root of multiplicity 2n at s0, so no certificate, and
+    # the verdict needs no root search
     n = data.draw(st.integers(1, 4), label="n")
     s0 = data.draw(st.floats(-1.0, 0.5), label="s0")
     tau = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="tau")
@@ -604,10 +584,9 @@ def test_certify_off_the_design_is_no_without_a_root_search(data):
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "find_roots", lambda *args: calls.append(args))
-        report = certify_dominance(sys_, s0)
+        cert = certify_dominance(sys_, s0)
     assert calls == []
-    assert not report.strictly_dominant
-    assert report.roots == () and report.region is None and report.gap is None
+    assert cert is None
 
 
 def test_certify_raises_when_the_certificate_counts_zeros(monkeypatch):
@@ -630,8 +609,8 @@ def test_certify_agrees_with_modulus_scan():
         ns = normalize(sys_, s0)
         q = ns.quasipolynomial()
         bound = _fro2_bound(companion(ns.b, ns.beta))
-        report = certify_dominance(sys_, s0)
-        assert report.strictly_dominant
+        cert = certify_dominance(sys_, s0)
+        assert cert is not None and cert.winding == 0
 
         B = bound.value
         radius = 1.0 + max(abs(b) + abs(be) for b, be in zip(ns.b, ns.beta))
@@ -667,8 +646,21 @@ def test_report_from_no_roots():
     assert not rep.strictly_dominant
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_without_roots_writes_strict_json():
+    # the abscissa of an empty region is -inf, which JSON has no word for
+    rep = SpectrumReport.from_roots([], Rectangle(-3, 0, -2, 2))
+    assert rep.spectral_abscissa == -math.inf
+    doc = json.loads(rep.to_json(), parse_constant=_refuse_constant)
+    assert doc["spectral_abscissa"] is None and doc["region"]["re_min"] == -3
+
+
 def test_report_json_fields(example_system):
-    rep = certify_dominance(example_system, -0.5)
+    region = Rectangle(-5, 1, -30, 30)
+    rep = SpectrumReport.from_roots(find_roots(example_system.quasipolynomial(), region), region)
     doc = rep.to_json_dict()
     assert set(doc) == {"roots", "region", "spectral_abscissa", "dominant", "strictly_dominant"}
     assert doc["strictly_dominant"] is True
