@@ -43,6 +43,7 @@ __all__ = [
     "denormalize",
     "multiplicity_at",
     "dominant_root_from_trace",
+    "trace_residual",
     "CompanionPair",
     "companion",
 ]
@@ -275,7 +276,21 @@ class RetardedSystem(_Record):
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RetardedSystem":
-        return RetardedSystem(doc["n"], doc["a"], doc["alpha"], doc["tau"])
+        """The system of a parsed JSON document.  A field of the wrong JSON
+        type raises TypeError instead of being coerced: n is an integer, a
+        and alpha are arrays of numbers, tau is a number (true is none)."""
+        def number(x) -> bool:
+            return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+        n, a, alpha, tau = doc["n"], doc["a"], doc["alpha"], doc["tau"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be a JSON integer, got {n!r}")
+        for name, coeffs in (("a", a), ("alpha", alpha)):
+            if not (isinstance(coeffs, list) and all(map(number, coeffs))):
+                raise TypeError(f"{name} must be a JSON array of numbers, got {coeffs!r}")
+        if not number(tau):
+            raise TypeError(f"tau must be a JSON number, got {tau!r}")
+        return RetardedSystem(n, a, alpha, tau)
 
     @staticmethod
     def from_json(text: str) -> "RetardedSystem":
@@ -456,6 +471,12 @@ def dominant_root_from_trace(n: int, a_top: float, tau: float) -> float:
     if not tau > 0:
         raise ValueError("delay tau must be positive")
     return -float(a_top) / n - n / tau
+
+
+def trace_residual(sys: RetardedSystem, s0: float) -> float:
+    """s0 + a_(n-1)/n + n/tau: zero where s0 is the root that the trace
+    identity assigns (dominant_root_from_trace)."""
+    return s0 + sys.a[-1] / sys.n + sys.n / sys.tau
 
 
 class CompanionPair(_Record):

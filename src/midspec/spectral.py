@@ -12,10 +12,12 @@ steps on q^(m-1), where the root is simple, give the final polish.
 
 Dominance is never searched for.  By the paper's theorem s0 is a root of
 multiplicity 2n exactly when the system normalized at s0 is the MID design,
-which makes it strictly dominant; for any other system the theorem says
-nothing, and certify_dominance returns None.  For the design it returns
-mid_disc_certificate, which counts the zeros of the design's factor F_n by
-Taylor discs along a box that the modulus cut of its coefficients sizes.
+which makes it strictly dominant.  certify_dominance alone judges that, by
+the trace identity and the match to MID_MATCH_TOL, and returns None for any
+other system, of whose dominance the theorem says nothing.  For the design
+it returns mid_disc_certificate, which counts the zeros of the design's
+factor F_n by Taylor discs along a box that the modulus cut of its
+coefficients sizes.
 SpectrumReport describes located roots only.  numpy is imported inside the
 functions that use arrays, so certifying runs on the standard library alone.
 
@@ -43,6 +45,7 @@ from .quasipoly import (
     mid_deviation,
     mid_normalized,
     normalize,
+    trace_residual,
 )
 
 if TYPE_CHECKING:
@@ -723,19 +726,23 @@ def certify_dominance(sys: RetardedSystem, s0: float) -> DiscCertificate | None:
     """The certificate that s0 is the strictly dominant root of the system,
     or None where the paper's theorem does not give one.
 
-    Works on the delay-1 normalized form at s0.  By the paper's theorem s0 is
-    a root of multiplicity 2n exactly when that form is the MID design, and
-    such a root is strictly dominant; no root is searched for.  A system
-    whose normalized coefficients are the design's to within MID_MATCH_TOL
-    gets the exact design's mid_disc_certificate(n): q(z) = n!/(2n)! z^(2n)
-    F_n(z), so z = 0 is a root of multiplicity 2n, and the certificate finds
-    no zero of F_n with Re z >= re_min, so every other root has
-    Re s <= s0 + re_min/tau.  A certificate that counts zeros of F_n there
-    raises LocalizationError.  Any other system gets None: s0 is no root of
-    multiplicity 2n, and the theorem says nothing about its dominance.
+    The one judge of whether (sys, s0) is the exact MID design.  By the
+    paper's theorem s0 is a root of multiplicity 2n exactly when the delay-1
+    form normalized at s0 is the MID design, and such a root is strictly
+    dominant; no root is searched for.  The system is the design where the
+    trace identity |s0 + a[n-1]/n + n/tau| <= 1e-12 max(1, |s0|) holds and
+    the normalized form is within MID_MATCH_TOL of mid_normalized(n).  It
+    then gets the exact design's mid_disc_certificate(n): q(z) = n!/(2n)!
+    z^(2n) F_n(z), so z = 0 is a root of multiplicity 2n, and the
+    certificate finds no zero of F_n with Re z >= re_min, so every other
+    root has Re s <= s0 + re_min/tau.  A certificate that counts zeros of
+    F_n there raises LocalizationError.  Any other (sys, s0) gets None: s0 is no root
+    of multiplicity 2n, and the theorem says nothing about its dominance.
     """
-    nsys = normalize(sys, float(s0))
-    if not mid_deviation(nsys) < MID_MATCH_TOL:
+    s0 = float(s0)
+    nsys = normalize(sys, s0)
+    if not (abs(trace_residual(sys, s0)) <= 1e-12 * max(1.0, abs(s0))
+            and mid_deviation(nsys) < MID_MATCH_TOL):
         return None
     cert = mid_disc_certificate(nsys.n)
     if cert.winding != 0:

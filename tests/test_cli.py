@@ -759,7 +759,7 @@ def test_verify_names_what_did_not_pass_on_stderr(mode, example_dir, tmp_path):
     bad.write_text(json.dumps(doc))
     r = run_cli("verify", str(bad), "--s0", "-0.5", mode)
     assert r.returncode == 1
-    failed = ["multiplicity", "normalization-universality", "dominance"]
+    failed = ["multiplicity", "dominance"]
     assert [line.split(":")[0] for line in r.stderr.splitlines()] == [f"FAIL {c}" for c in failed]
     if mode == "--quiet":
         assert r.stdout == ""
@@ -780,11 +780,11 @@ def test_verify_reaches_a_dominance_verdict_near_overflow(tmp_path):
     assert "internal error" not in r.stderr
 
 
-_VERIFY_CHECKS = ["multiplicity", "trace-identity", "normalization-universality", "dominance"]
+_VERIFY_CHECKS = ["multiplicity", "dominance"]
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
-def test_verify_runs_exactly_the_four_checks(n, tmp_path, capsys):
+def test_verify_runs_exactly_the_two_checks(n, tmp_path, capsys):
     assert cli.main(["design", "--n", str(n), "--s0", "-0.2", "--tau", "1.5",
                      "--out-dir", str(tmp_path), "--quiet"]) == 0
     system = str(tmp_path / "system.json")
@@ -825,8 +825,32 @@ def test_verify_off_the_design_says_no_without_numpy(tmp_path):
     )
     assert r.stdout.splitlines()[-1] == "1 False", r.stdout + r.stderr
     assert "PASS dominance" not in r.stdout
-    assert ("FAIL dominance: strictly dominant: False, not the MID design (max relative "
-            "deviation 4.271e-07), so no root has multiplicity 4\n") in r.stderr
+    assert ("FAIL dominance: strictly dominant: False, not the MID design at s0 (s0 + a[n-1]/n "
+            "+ n/tau = 0.000e+00, max relative deviation 4.271e-07), so s0 is no root of "
+            "multiplicity 4\n") in r.stderr
+
+
+def test_verify_and_spectrum_refuse_a_shift_in_the_identity_band(tmp_path, capsys):
+    # 1e-11 right of the order-3 design's root the normalized form matches
+    # the MID design to 2.5e-11, below MID_MATCH_TOL, while the trace
+    # identity is off by 1e-11: verify once failed trace-identity and passed
+    # dominance, and spectrum certified that s0
+    assert cli.main(["design", "--n", "3", "--s0", "-0.5", "--tau", "2.5",
+                     "--out-dir", str(tmp_path / "design"), "--quiet"]) == 0
+    system = str(tmp_path / "design" / "system.json")
+    assert cli.main(["verify", system, "--s0", "-0.49999999999"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("FAIL dominance: ") and "1.000e-11" in err[0], err
+    assert cli.main(["spectrum", system, "--s0", "-0.49999999999",
+                     "--out-dir", str(tmp_path / "spectrum")]) == 0
+    out = capsys.readouterr().out
+    assert "s0 = -0.49999999999 is not certified: the system normalized at s0 is not the MID design" in out
+    assert "exact MID design" not in out
+    report = json.loads((tmp_path / "spectrum" / "spectrum.json").read_text())
+    assert report["strictly_dominant"] is False
+    assert cli.main(["spectrum", system, "--s0", "-0.49999999999", "--json",
+                     "--out-dir", str(tmp_path / "spectrum")]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"] is None
 
 
 def test_verify_inconclusive_exit_3(example_dir, tmp_path, monkeypatch, capsys):
@@ -926,7 +950,8 @@ def test_verify_takes_no_out_dir(example_dir, tmp_path, capsys):
              "verify-s0-overflow", "verify-s0-nan", "design-s0-nan", "design-s0-inf",
              "design-tau-inf", "history-nan", "history-inf", "spectrum-s0-nan",
              "spectrum-s0-inf", "spectrum-re-max-nan", "history-file-text", "history-file-nan",
-             "history-file-inf", "bounds-system-and-standard-pair", "bounds-standard-pair-s0"],
+             "history-file-inf", "bounds-system-and-standard-pair", "bounds-standard-pair-s0",
+             "a-string", "n-bool", "n-float", "tau-string", "a-huge-integer"],
 )
 def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     system = str(example_dir / "system.json")
@@ -941,6 +966,18 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
         argv = ["verify", str(bad)]
     elif case == "scalar-coefficients":
         bad.write_text(json.dumps(doc | {"a": 5}))
+        argv = ["verify", str(bad)]
+    elif case in ("a-string", "n-bool", "n-float", "tau-string"):
+        # each was once coerced ("123" to (1.0, 2.0, 3.0), true to 1, 2.7 to
+        # 2, "2.5" to 2.5) and verified, exiting 1
+        field = {"a-string": {"a": "123"}, "n-bool": {"n": True, "a": [1.0], "alpha": [0.0]},
+                 "n-float": {"n": 2.7, "a": [1.0, 1.0], "alpha": [0.0, 0.0]},
+                 "tau-string": {"tau": "2.5"}}[case]
+        bad.write_text(json.dumps(doc | field))
+        argv = ["verify", str(bad)]
+    elif case == "a-huge-integer":
+        # a JSON integer past the float range was once an internal error, exit 1
+        bad.write_text(json.dumps(doc | {"a": [10**400, 1.0, 1.0]}))
         argv = ["verify", str(bad)]
     elif case == "design-s0-overflow":
         argv = ["design", "--n", "3", "--s0", "400", "--tau", "2.5"]
@@ -998,6 +1035,8 @@ def test_invalid_input_exit_2(case, example_dir, tmp_path, capsys):
     elif case == "bounds-standard-pair-s0":
         assert err == "error: --s0 shifts a system file; the standard pair is normalized already\n", err
         assert not (tmp_path / "out").exists()
+    elif case in ("a-string", "n-bool", "n-float", "tau-string", "a-huge-integer"):
+        assert err.startswith(f"error: malformed system file {bad}: "), err
 
 
 @pytest.mark.parametrize("command", ["spectrum"])

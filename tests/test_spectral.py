@@ -500,6 +500,15 @@ def test_certify_takes_the_disc_certificate_only_for_the_design(monkeypatch):
     assert calls == []
 
 
+def test_certify_judges_the_trace_identity():
+    # 1e-11 right of the order-3 design's root the normalized form matches
+    # the MID design to 2.5e-11, below MID_MATCH_TOL, but the trace identity
+    # s0 + a[n-1]/n + n/tau is off by 1e-11: s0 is no 6-fold root
+    sys_ = mid_coefficients(3, -0.5, 2.5)
+    assert mid_deviation(normalize(sys_, -0.49999999999)) < MID_MATCH_TOL
+    assert certify_dominance(sys_, -0.49999999999) is None
+
+
 _NEWTON_OVERFLOW = RetardedSystem(1, (2.7935980368783637,), (0.9364441314744818,), 3.6268159453484077)
 
 
